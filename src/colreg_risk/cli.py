@@ -150,6 +150,8 @@ def _parse_diag(value, context: str) -> tuple[float, float, float, float]:
         raise ConfigError(f"{context}: expected 4 numbers") from exc
     if len(entries) != 4:
         raise ConfigError(f"{context}: expected 4 entries, got {len(entries)}")
+    if not all(math.isfinite(v) for v in entries):
+        raise ConfigError(f"{context}: entries must be finite")
     if any(v < 0 for v in entries):
         raise ConfigError(f"{context}: entries must be >= 0")
     return entries
@@ -172,9 +174,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     diag = _parse_diag(_require(raw, "diag", "config"), "diag")
     own_diag = _parse_diag(raw.get("own_diag", (0.0, 0.0, 0.0, 0.0)), "own_diag")
 
-    alpha_list = tuple(float(a) for a in _require(raw, "alpha_list", "config"))
+    try:
+        alpha_list = tuple(float(a) for a in _require(raw, "alpha_list", "config"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("alpha_list: expected a list of numbers") from exc
     if not alpha_list:
         raise ConfigError("alpha_list: must not be empty")
+    if not all(math.isfinite(a) for a in alpha_list):
+        raise ConfigError("alpha_list: entries must be finite")
     if any(a < 0 for a in alpha_list):
         raise ConfigError("alpha_list: entries must be >= 0")
 
@@ -187,8 +194,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         ) from None
 
     d_act = float(_require(raw, "d_act_m", "config"))
-    if d_act <= 0:
-        raise ConfigError(f"d_act_m: must be positive, got {d_act}")
+    if not (d_act > 0 and math.isfinite(d_act)):
+        raise ConfigError(f"d_act_m: must be positive and finite, got {d_act}")
     t_aware = float(raw.get("t_aware_s", 600.0))
     t_act = float(raw.get("t_act_s", t_aware))
     if t_aware <= 0 or not 0 < t_act <= t_aware:

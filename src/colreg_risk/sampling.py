@@ -14,6 +14,7 @@ per vessel from the pair seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -52,8 +53,11 @@ class StateUncertainty:
 
     def __post_init__(self) -> None:
         for name in ("sigma_north", "sigma_east", "sigma_course", "sigma_speed"):
-            if getattr(self, name) < 0.0:
-                raise NegativeInput(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise NegativeInput(f"{name} must be >= 0, got {value}")
 
     def is_zero(self) -> bool:
         return (
@@ -81,6 +85,8 @@ def make_uncertainty(
     entries = [float(v) for v in diag]
     if len(entries) != 4:
         raise ValueError(f"diag must have 4 entries, got {len(entries)}")
+    if not (math.isfinite(alpha) and all(math.isfinite(v) for v in entries)):
+        raise ValueError("dispersion entries and alpha must be finite")
     if alpha < 0.0 or any(v < 0.0 for v in entries):
         raise NegativeInput("dispersion entries and alpha must be >= 0")
     if interpretation is Spread.STD_DEV:

@@ -75,6 +75,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="interpretation"):
             parse_config(scenario1_raw)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["alpha_list", "diag", "own_diag", "d_act_m"])
+    def test_non_finite_rejected(self, scenario1_raw, field, bad):
+        if field == "d_act_m":
+            scenario1_raw[field] = bad
+        elif field == "alpha_list":
+            scenario1_raw[field] = [1.0, bad]
+        else:
+            scenario1_raw[field] = [10.0, bad, 2.0, 2.0]
+        with pytest.raises(ConfigError, match=field):
+            parse_config(scenario1_raw)
+
+    def test_non_numeric_alpha_rejected(self, scenario1_raw):
+        scenario1_raw["alpha_list"] = [1.0, "two"]
+        with pytest.raises(ConfigError, match="alpha_list"):
+            parse_config(scenario1_raw)
+
 
 class TestRunCommand:
     def test_run_small_sample(self, tmp_path, scenario1_raw, capsys):
@@ -125,6 +142,16 @@ class TestRunCommand:
         path = write_config(tmp_path, scenario1_raw)
         assert main(["run", "--config", str(path)]) == 2
         assert "alpha_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("alpha_list", [float("nan")]),
+                                              ("d_act_m", float("nan"))])
+    def test_nan_in_config_file_exit_code(self, tmp_path, scenario1_raw, capsys, field, value):
+        # json writes and reads NaN, so such a file reaches parse_config.
+        scenario1_raw[field] = value
+        path = write_config(tmp_path, scenario1_raw)
+        assert "NaN" in path.read_text(encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2

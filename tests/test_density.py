@@ -22,6 +22,7 @@ from colreg_risk.density import (
     NonpositiveBandwidth,
     TooFewSamples,
     ZeroDispersion,
+    _derivative_norm,
     write_density_curve,
 )
 
@@ -202,6 +203,122 @@ class TestIsj:
         with pytest.warns(RuntimeWarning):
             h = density_module.select_bandwidth(x, "isj")
         assert h == pytest.approx(bandwidth_silverman(x))
+
+
+def _isj_golden_inputs():
+    rng = np.random.default_rng(103)
+    bimodal = np.concatenate([rng.normal(0.0, 1.0, 50_000), rng.normal(8.0, 1.5, 50_000)])
+    return {
+        "gauss50": (np.random.default_rng(101).normal(0.0, 1.0, 50), Topology.LINE),
+        "gauss10k": (np.random.default_rng(102).normal(5.0, 2.0, 10_000), Topology.LINE),
+        "bimodal100k": (bimodal, Topology.LINE),
+        "folded10k": (np.abs(np.random.default_rng(104).normal(0.0, 30.0, 10_000)),
+                      Topology.LINE),
+        "rounded10k": (np.round(np.random.default_rng(105).normal(0.0, 3.0, 10_000), 1),
+                       Topology.LINE),
+        "circle10k": (np.random.default_rng(106).normal(0.0, 4.0, 10_000) % 360.0,
+                      Topology.CIRCLE360),
+    }
+
+
+# Bandwidths computed by the full-length stage sums, before the sums were
+# truncated at the exp underflow; the truncated sums must reproduce them bit
+# for bit.
+_ISJ_GOLDEN = {
+    "gauss50": 0.6816549074798015,
+    "gauss10k": 0.34337470429803685,
+    "bimodal100k": 0.1379664991980339,
+    "folded10k": 0.6738223361091122,
+    "rounded10k": 1.3052436087456216,
+    "circle10k": 0.6764453213290508,
+}
+
+
+def _full_derivative_norm(s, t, i_sq, a_sq):
+    return 2.0 * math.pi ** (2 * s) * float(
+        np.sum(i_sq**s * a_sq * np.exp(-i_sq * math.pi**2 * t))
+    )
+
+
+def _unblocked_evaluate(estimate, xs):
+    h = estimate.bandwidth
+    if estimate.topology is Topology.CIRCLE360:
+        periods = max(1, int(math.ceil(8.0 * h / 360.0)))
+        shifts = 360.0 * np.arange(-periods, periods + 1, dtype=float)
+    else:
+        shifts = np.zeros(1)
+    diff = xs[:, None] - estimate.samples[None, :]
+    acc = np.zeros(xs.size)
+    for shift in shifts:
+        z = (diff + shift) / h
+        acc += np.exp(-0.5 * z * z).sum(axis=1)
+    return acc / (estimate.samples.size * h * math.sqrt(2.0 * math.pi))
+
+
+class TestExactTruncation:
+    @pytest.mark.parametrize("name", sorted(_ISJ_GOLDEN))
+    def test_isj_matches_full_sum_golden(self, name):
+        samples, topology = _isj_golden_inputs()[name]
+        assert bandwidth_isj(samples, topology) == _ISJ_GOLDEN[name]
+
+    def test_stage_sum_matches_full_length_sum(self):
+        from scipy.fft import dct
+
+        rng = np.random.default_rng(60)
+        x = rng.normal(0.0, 1.0, 5000)
+        counts, _ = np.histogram(x, bins=2**14, range=(-6.0, 6.0))
+        a_sq = (dct(counts / x.size, type=2)[1:] / 2.0) ** 2
+        i_sq = np.arange(1, 2**14, dtype=float) ** 2
+        # t values whose cut lands exactly on a DCT term, from the first to
+        # the last, and their neighbours one ulp either side.
+        on_term = [746.0 / (math.pi**2 * i_sq[k]) for k in (0, 1, 8000, i_sq.size - 1)]
+        sweep = [0.0, 5e-324, 1e-320, 1e-300, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0,
+                 1e6, math.inf, -1e-9, math.nan] + on_term
+        sweep += [math.nextafter(t, math.inf) for t in on_term]
+        sweep += [math.nextafter(t, 0.0) for t in on_term]
+        sweep += list(np.geomspace(1e-10, 1e-1, 41))
+        partial = 0
+        for t in sweep:
+            for s in range(2, 8):
+                got = _derivative_norm(s, float(t), i_sq, a_sq)
+                want = _full_derivative_norm(s, float(t), i_sq, a_sq)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (s, t)
+            live = np.flatnonzero(np.exp(-i_sq * math.pi**2 * t))
+            partial += int(0 < live.size < i_sq.size)
+        assert partial >= 30
+
+    @pytest.mark.parametrize("n", [7, 1000, 40_000])
+    def test_evaluate_matches_unblocked_line(self, n):
+        rng = np.random.default_rng(61 + n)
+        samples = rng.normal(0.0, 1.0, n)
+        h = 0.05
+        # Points in the bulk, in the sparse tails, where the nearest kernel
+        # term is subnormal (z about 38) and far outside, where it is 0.0.
+        edge = samples.max() + 38.0 * h
+        xs = np.concatenate([
+            np.linspace(-4.0, 4.0, 97),
+            edge + np.linspace(-0.5, 0.5, 11) * h,
+            [samples.min() - 39.0 * h, samples.max() + 1e3, -1e6],
+        ])
+        estimate = fit(samples, h)
+        got = evaluate(estimate, xs)
+        want = _unblocked_evaluate(estimate, xs)
+        assert np.array_equal(got, want)
+        assert np.sum(got == 0.0) >= 3
+        tiny = got[(got > 0.0) & (got < 1e-300)]
+        assert tiny.size >= 1
+        assert evaluate(estimate, float(xs[5])) == want[5]
+
+    @pytest.mark.parametrize("h", [0.3, 2.0, 400.0])
+    def test_evaluate_matches_unblocked_circle(self, h):
+        rng = np.random.default_rng(62)
+        samples = rng.normal(0.0, 3.0, 3000) % 360.0
+        xs = np.linspace(0.0, 360.0, 361)[:-1]
+        estimate = fit(samples, h, Topology.CIRCLE360)
+        got = evaluate(estimate, xs)
+        assert np.array_equal(got, _unblocked_evaluate(estimate, xs))
+        if h < 1.0:
+            assert np.any(got == 0.0)
 
 
 class TestGridCv:

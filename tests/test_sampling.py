@@ -45,6 +45,26 @@ class TestMakeUncertainty:
         with pytest.raises(ValueError):
             make_uncertainty((10, 10, 2), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN slips past a plain "< 0" test; without this check assess_des
+        # returned p_risk = 0.0 and P(R0) = 1.0 for such input.
+        with pytest.raises(ValueError, match="finite"):
+            make_uncertainty((10, 10, 2, 2), bad)
+        with pytest.raises(ValueError, match="finite"):
+            make_uncertainty((10, bad, 2, 2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_uncertainty((10, bad, 2, 2), 1.0, Spread.VARIANCE)
+        for position in range(4):
+            sigmas = [1.0, 1.0, 1.0, 1.0]
+            sigmas[position] = bad
+            with pytest.raises(ValueError, match="finite"):
+                StateUncertainty(*sigmas)
+
+    def test_scaling_overflow_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_uncertainty((10, 10, 2, 2), 1e308)
+
 
 class TestDraw:
     def test_zero_sigma_copies_mean(self):
