@@ -28,15 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .assessment import Method, RiskAssessment, assessment_from_counts
-from .colregs import (
-    ComfortZone,
-    Obligation,
-    Rule,
-    SituationOutcome,
-    bearing_region,
-    mutual_situation,
-)
-from .kinematics import DegenerateRelativeMotion, VesselState, cpa, relative_bearing
+from .colregs import ComfortZone, Obligation, Rule, SituationOutcome, classify_pair
+from .kinematics import VesselState
 
 RunString = tuple[str, ...]
 
@@ -83,10 +76,7 @@ class AutomatonConfig:
     t_act: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.d_act > 0.0:
-            raise ValueError(f"d_act must be positive, got {self.d_act}")
-        if not self.t_aware > 0.0:
-            raise ValueError(f"t_aware must be positive, got {self.t_aware}")
+        self.zone()  # validates d_act and t_aware
         if self.d_aware is None:
             object.__setattr__(self, "d_aware", 2.0 * self.d_act)
         if self.t_act is None:
@@ -132,19 +122,7 @@ class StochasticAutomaton:
 
 def _encounter_words(j: VesselState, k: VesselState, cfg: AutomatonConfig) -> dict[str, str]:
     """Words emitted by the testing states for one deterministic pair."""
-    try:
-        result = cpa(j, k)
-        dcpa, tcpa = result.dcpa, result.tcpa
-    except DegenerateRelativeMotion:
-        dcpa = math.hypot(j.north - k.north, j.east - k.east)
-        tcpa = math.inf
-
-    beta_jk = relative_bearing(j, k)
-    beta_kj = relative_bearing(k, j)
-    outcome = mutual_situation(
-        bearing_region(beta_jk, j.course, k.course),
-        bearing_region(beta_kj, k.course, j.course),
-    )
+    dcpa, tcpa, outcome = classify_pair(j, k)
     return {
         "U1": WORD_AWARE_DIST if dcpa <= cfg.d_aware else EPSILON,
         "U2": WORD_AWARE_TIME if 0.0 <= tcpa <= cfg.t_aware else EPSILON,

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
@@ -32,7 +32,6 @@ from typing import IO, Sequence
 import numpy as np
 
 from .assessment import Method, RiskAssessment
-from .automaton import AutomatonConfig
 from .colregs import (
     ComfortZone,
     Obligation,
@@ -60,8 +59,6 @@ from .estimator import assess_des, assess_kde, propagation_study
 from .kinematics import VesselState, cpa, relative_bearing
 from .sampling import Spread, StateUncertainty, make_uncertainty
 
-_RULE_COLUMNS = (Rule.R0, Rule.R13, Rule.R14, Rule.R15)
-
 
 class ConfigError(ValueError):
     """Invalid or unparsable scenario configuration."""
@@ -77,7 +74,6 @@ class ScenarioConfig:
     interpretation: Spread
     d_act_m: float
     t_aware_s: float
-    t_act_s: float
     n_samples: int
     seed: int
     methods: tuple[Method, ...]
@@ -107,16 +103,39 @@ def _check_unknown(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
-def _parse_state(mapping: dict, context: str) -> VesselState:
-    _check_unknown(mapping, {"north_m", "east_m", "course_deg", "speed_mps"}, context)
+def _number(value, context: str, integer: bool = False) -> float | int:
+    """One numeric config entry: a float, or an int for counts and seeds.
+
+    JSON numbers only; booleans, null, strings and fractional counts raise
+    ConfigError.  Range and finiteness checks stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    if integer and not (isinstance(value, int) or value.is_integer()):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
     try:
-        return VesselState(
-            float(_require(mapping, "north_m", context)),
-            float(_require(mapping, "east_m", context)),
-            float(_require(mapping, "course_deg", context)),
-            float(_require(mapping, "speed_mps", context)),
-        )
-    except (TypeError, ValueError) as exc:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ConfigError(f"{context}: {value!r} is out of range") from None
+
+
+def _numbers(mapping: dict, fields: tuple[str, ...], context: str) -> list[float]:
+    return [_number(_require(mapping, f, context), f"{context}.{f}") for f in fields]
+
+
+def _number_list(value, context: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{context}: expected a list of numbers")
+    return tuple(_number(v, context) for v in value)
+
+
+def _parse_state(mapping: dict, context: str) -> VesselState:
+    fields = ("north_m", "east_m", "course_deg", "speed_mps")
+    _check_unknown(mapping, set(fields), context)
+    values = _numbers(mapping, fields, context)
+    try:
+        return VesselState(*values)
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -125,8 +144,9 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
         _check_unknown(
             mapping, {"bearing_deg", "range_m", "course_deg", "speed_mps"}, context
         )
-        bearing = float(_require(mapping, "bearing_deg", context))
-        range_m = float(_require(mapping, "range_m", context))
+        bearing, range_m, course, speed = _numbers(
+            mapping, ("bearing_deg", "range_m", "course_deg", "speed_mps"), context
+        )
         if range_m <= 0.0:
             raise ConfigError(f"{context}: range_m must be positive, got {range_m}")
         # Relative placement: bearing measured clockwise from own course.
@@ -135,8 +155,8 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
             return VesselState(
                 own.north + range_m * math.cos(theta),
                 own.east + range_m * math.sin(theta),
-                float(_require(mapping, "course_deg", context)),
-                float(_require(mapping, "speed_mps", context)),
+                course,
+                speed,
             )
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
@@ -144,10 +164,7 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
 
 
 def _parse_diag(value, context: str) -> tuple[float, float, float, float]:
-    try:
-        entries = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: expected 4 numbers") from exc
+    entries = _number_list(value, context)
     if len(entries) != 4:
         raise ConfigError(f"{context}: expected 4 entries, got {len(entries)}")
     if not all(math.isfinite(v) for v in entries):
@@ -159,7 +176,7 @@ def _parse_diag(value, context: str) -> tuple[float, float, float, float]:
 
 _CONFIG_FIELDS = {
     "own_ship", "own_diag", "target", "diag", "alpha_list", "interpretation",
-    "d_act_m", "t_aware_s", "t_act_s", "n_samples", "seed", "methods",
+    "d_act_m", "t_aware_s", "n_samples", "seed", "methods",
 }
 
 
@@ -174,10 +191,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     diag = _parse_diag(_require(raw, "diag", "config"), "diag")
     own_diag = _parse_diag(raw.get("own_diag", (0.0, 0.0, 0.0, 0.0)), "own_diag")
 
-    try:
-        alpha_list = tuple(float(a) for a in _require(raw, "alpha_list", "config"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("alpha_list: expected a list of numbers") from exc
+    alpha_list = _number_list(_require(raw, "alpha_list", "config"), "alpha_list")
     if not alpha_list:
         raise ConfigError("alpha_list: must not be empty")
     if not all(math.isfinite(a) for a in alpha_list):
@@ -193,18 +207,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
             f"interpretation: expected 'stddev' or 'variance', got {interp_name!r}"
         ) from None
 
-    d_act = float(_require(raw, "d_act_m", "config"))
+    d_act = _number(_require(raw, "d_act_m", "config"), "d_act_m")
     if not (d_act > 0 and math.isfinite(d_act)):
         raise ConfigError(f"d_act_m: must be positive and finite, got {d_act}")
-    t_aware = float(raw.get("t_aware_s", 600.0))
-    t_act = float(raw.get("t_act_s", t_aware))
-    if t_aware <= 0 or not 0 < t_act <= t_aware:
-        raise ConfigError("t_aware_s/t_act_s: need 0 < t_act_s <= t_aware_s")
+    # Infinity is a valid horizon: the CPA window is then unbounded.
+    t_aware = _number(raw.get("t_aware_s", 600.0), "t_aware_s")
+    if not t_aware > 0:
+        raise ConfigError(f"t_aware_s: must be positive, got {t_aware}")
 
-    n_samples = int(_require(raw, "n_samples", "config"))
+    n_samples = _number(_require(raw, "n_samples", "config"), "n_samples", integer=True)
     if n_samples < 1:
         raise ConfigError(f"n_samples: must be >= 1, got {n_samples}")
-    seed = int(_require(raw, "seed", "config"))
+    seed = _number(_require(raw, "seed", "config"), "seed", integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     method_names = raw.get("methods", ["kde", "des"])
     if not method_names:
@@ -223,7 +239,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         interpretation=interpretation,
         d_act_m=d_act,
         t_aware_s=t_aware,
-        t_act_s=t_act,
         n_samples=n_samples,
         seed=seed,
         methods=methods,
@@ -273,9 +288,6 @@ def _row_from(assessment: RiskAssessment, alpha: float) -> ResultRow:
 def run_scenario(config: ScenarioConfig) -> list[ResultRow]:
     """Evaluate every (alpha, method) combination of a scenario config."""
     zone = ComfortZone(config.d_act_m, config.t_aware_s)
-    auto_cfg = AutomatonConfig(
-        d_act=config.d_act_m, t_aware=config.t_aware_s, t_act=config.t_act_s
-    )
 
     def one_alpha(alpha: float) -> list[ResultRow]:
         own_unc = make_uncertainty(config.own_diag, alpha, config.interpretation)
@@ -290,7 +302,7 @@ def run_scenario(config: ScenarioConfig) -> list[ResultRow]:
             else:
                 assessment = assess_des(
                     config.own_ship, own_unc, config.target, tgt_unc,
-                    zone, config.n_samples, config.seed, cfg=auto_cfg,
+                    zone, config.n_samples, config.seed,
                 )
             rows.append(_row_from(assessment, alpha))
         return rows
@@ -335,13 +347,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = _replace(config, seed=int(args.seed))
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
+            config = replace(config, seed=args.seed)
         if args.samples is not None:
             if args.samples < 1:
                 raise ConfigError("--samples must be >= 1")
-            config = _replace(config, n_samples=int(args.samples))
+            config = replace(config, n_samples=args.samples)
         if args.method != "both":
-            config = _replace(config, methods=(Method(args.method),))
+            config = replace(config, methods=(Method(args.method),))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -364,12 +378,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cannot write CSV: {exc}", file=sys.stderr)
             return 4
     return 0
-
-
-def _replace(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    from dataclasses import replace
-
-    return replace(config, **changes)
 
 
 def _format_bearing(bearing: float) -> str:

@@ -6,15 +6,22 @@ regions (head-on / starboard / overtaking / port), and the ordered region
 pair maps into an applicable rule plus the acting vessel's give-way or
 stand-on obligation.
 
-Region band boundaries (degrees): head-on covers [0, 5] and (355, 360) plus
-any pair whose courses are within 5 deg of reciprocal; starboard covers
-(5, 112.5]; overtaking (112.5, 247.5]; port (247.5, 355].  The course
-proximity test uses |dpsi| uniformly in all bands so the mapping is total.
+Region band boundaries (degrees, ``BAND_EDGES``): head-on covers [0, 5] and
+(355, 360) plus any pair whose courses are within ``HEAD_ON_COURSE_DEG`` of
+reciprocal; starboard covers (5, 112.5]; overtaking (112.5, 247.5]; port
+(247.5, 355].  The course proximity test uses |dpsi| uniformly in all bands
+so the mapping is total.
+
+This module owns each of these decisions once.  The scalar path
+(``classify_pair``) and the array path (``situation_codes``) stay separate,
+since only the scalar path is fast for one pair, but read the same edges,
+course test and table.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -26,7 +33,6 @@ from .kinematics import (
     VesselState,
     cpa,
     reciprocal_course,
-    reciprocal_course_arrays,
     relative_bearing,
     wrap_degrees,
 )
@@ -39,6 +45,23 @@ class Region(IntEnum):
     STARBOARD = 1
     OVERTAKING = 2
     PORT = 3
+
+
+# Upper band edges (deg).  A bearing b lies in band bisect_left(BAND_EDGES, b)
+# of _BAND_REGIONS, so each edge belongs to the band below it and the
+# head-on band wraps through north.
+BAND_EDGES: tuple[float, ...] = (5.0, 112.5, 247.5, 355.0)
+_BAND_REGIONS = (Region.HEAD_ON, Region.STARBOARD, Region.OVERTAKING, Region.PORT, Region.HEAD_ON)
+_BAND_REGION_CODES = np.array(_BAND_REGIONS, dtype=np.int64)
+# (lo, hi) bearing arc of each region, indexed by Region.
+REGION_ARCS = tuple(zip(BAND_EDGES[-1:] + BAND_EDGES[:-1], BAND_EDGES))
+# Courses within this many degrees of reciprocal make every bearing head-on.
+HEAD_ON_COURSE_DEG = 5.0
+
+
+def course_head_on(dpsi: float | np.ndarray) -> bool | np.ndarray:
+    """Head-on course test on the course-opposition measure, float or array."""
+    return abs(dpsi) <= HEAD_ON_COURSE_DEG
 
 
 class Rule(Enum):
@@ -119,17 +142,20 @@ _OBLIGATION = np.array(
 )
 
 
+def situation_masses(joint: np.ndarray) -> tuple[np.ndarray, float]:
+    """P(rule) in RULE_VALUES order and the give-way mass of a 4x4 region-pair
+    joint, each summed over the cells in row-major order."""
+    cells = joint.ravel()
+    p_rule = np.bincount(_RULE_INDEX.ravel(), weights=cells, minlength=len(RULE_VALUES))
+    give_way = np.bincount(_OBLIGATION.ravel(), weights=cells, minlength=2)
+    return p_rule, float(give_way[Obligation.GIVE_WAY])
+
+
 def bearing_region(beta: float, own_course: float, other_course: float) -> Region:
     """Map a relative bearing (deg) and the two courses into a Region."""
-    beta = wrap_degrees(beta)
-    dpsi = reciprocal_course(own_course, other_course)
-    if beta <= 5.0 or beta > 355.0 or abs(dpsi) <= 5.0:
+    if course_head_on(reciprocal_course(own_course, other_course)):
         return Region.HEAD_ON
-    if beta <= 112.5:
-        return Region.STARBOARD
-    if beta <= 247.5:
-        return Region.OVERTAKING
-    return Region.PORT
+    return _BAND_REGIONS[bisect_left(BAND_EDGES, wrap_degrees(beta))]
 
 
 def mutual_situation(own_region: Region, other_region: Region) -> SituationOutcome:
@@ -148,6 +174,27 @@ def give_way_pairs() -> frozenset[tuple[Region, Region]]:
     )
 
 
+def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, SituationOutcome]:
+    """(dcpa, tcpa, outcome) of one deterministic pair, j acting.
+
+    A degenerate pair (matched velocities) has no closest approach: its
+    DCPA is the current separation and its TCPA is +inf.
+
+    Raises:
+        CoincidentPositions: propagated from the bearing computation.
+    """
+    try:
+        result = cpa(j, k)
+        dcpa, tcpa = result.dcpa, result.tcpa
+    except DegenerateRelativeMotion:
+        dcpa, tcpa = math.hypot(j.north - k.north, j.east - k.east), math.inf
+    outcome = mutual_situation(
+        bearing_region(relative_bearing(j, k), j.course, k.course),
+        bearing_region(relative_bearing(k, j), k.course, j.course),
+    )
+    return dcpa, tcpa, outcome
+
+
 def classify_sample(
     own: VesselState, other: VesselState, zone: ComfortZone
 ) -> tuple[bool, SituationOutcome]:
@@ -160,18 +207,8 @@ def classify_sample(
     Raises:
         CoincidentPositions: propagated from the bearing computation.
     """
-    try:
-        result = cpa(own, other)
-        risk = result.dcpa <= zone.d_act and 0.0 <= result.tcpa <= zone.t_aware
-    except DegenerateRelativeMotion:
-        separation = math.hypot(own.north - other.north, own.east - other.east)
-        risk = separation <= zone.d_act
-    beta_own = relative_bearing(own, other)
-    beta_other = relative_bearing(other, own)
-    outcome = mutual_situation(
-        bearing_region(beta_own, own.course, other.course),
-        bearing_region(beta_other, other.course, own.course),
-    )
+    dcpa, tcpa, outcome = classify_pair(own, other)
+    risk = dcpa <= zone.d_act and (tcpa == math.inf or 0.0 <= tcpa <= zone.t_aware)
     return risk, outcome
 
 
@@ -182,16 +219,8 @@ def classify_sample(
 
 def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Region indices (Region values) for bearing/course-opposition columns."""
-    head_on = (beta <= 5.0) | (beta > 355.0) | (np.abs(dpsi) <= 5.0)
-    return np.where(
-        head_on,
-        int(Region.HEAD_ON),
-        np.where(
-            beta <= 112.5,
-            int(Region.STARBOARD),
-            np.where(beta <= 247.5, int(Region.OVERTAKING), int(Region.PORT)),
-        ),
-    )
+    bands = _BAND_REGION_CODES[np.searchsorted(BAND_EDGES, beta, side="left")]
+    return np.where(course_head_on(dpsi), int(Region.HEAD_ON), bands)
 
 
 def situation_codes(
@@ -205,7 +234,7 @@ def situation_codes(
     Returns (own_region, other_region, rule_index, obligation) integer
     columns, with rule_index indexing RULE_VALUES.
     """
-    dpsi = reciprocal_course_arrays(course_own, course_other)
+    dpsi = reciprocal_course(course_own, course_other)
     own_region = region_codes(beta_own, dpsi)
     # |dpsi| is symmetric between the two viewpoints, so reuse it.
     other_region = region_codes(beta_other, dpsi)

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assessment import Method, RiskAssessment, SituationDistribution, assessment_from_counts
-from .automaton import AutomatonConfig
 from .colregs import (
+    HEAD_ON_COURSE_DEG,
+    REGION_ARCS,
+    RULE_VALUES,
     ComfortZone,
     Obligation,
     Region,
-    Rule,
-    mutual_situation,
     situation_codes,
+    situation_masses,
 )
 from .density import (
     DensityEstimate,
@@ -33,17 +34,8 @@ from .density import (
     integrate,
     select_bandwidth,
 )
-from .kinematics import VesselState, bearing_arrays, cpa_arrays, reciprocal_course_arrays
+from .kinematics import VesselState, bearing_arrays, cpa_arrays, reciprocal_course
 from .sampling import SampleBatch, StateUncertainty, draw_pair, pair_stream_seeds
-
-_REGIONS = (Region.HEAD_ON, Region.STARBOARD, Region.OVERTAKING, Region.PORT)
-# Bearing bands per region; the head-on band wraps through north.
-_REGION_ARCS = {
-    Region.HEAD_ON: (355.0, 5.0),
-    Region.STARBOARD: (5.0, 112.5),
-    Region.OVERTAKING: (112.5, 247.5),
-    Region.PORT: (247.5, 355.0),
-}
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
         dcpa=dcpa,
         bearing_jk=bearing_arrays(sj.north, sj.east, sj.course, sk.north, sk.east),
         bearing_kj=bearing_arrays(sk.north, sk.east, sk.course, sj.north, sj.east),
-        course_delta=reciprocal_course_arrays(sj.course, sk.course),
+        course_delta=reciprocal_course(sj.course, sk.course),
         degenerate=degenerate,
     )
 
@@ -115,25 +107,19 @@ def _region_probabilities(
     course-proximity event (treated as independent); the other bands are
     scaled by the complement so the four probabilities sum to one.
     """
-    band = np.array([bearing_density.mass(*_REGION_ARCS[r]) for r in _REGIONS])
+    band = np.array([bearing_density.mass(*arc) for arc in REGION_ARCS])
     probs = band * (1.0 - p_course_opposed)
     head_on = band[0] + p_course_opposed - band[0] * p_course_opposed
     probs[0] = head_on
     return probs
 
 
-def _situation_from_marginals(
-    own: np.ndarray, other: np.ndarray
-) -> SituationDistribution:
-    joint = {
-        (a, t): float(own[a] * other[t])
-        for a in _REGIONS
-        for t in _REGIONS
-    }
+def _situation(own: np.ndarray, other: np.ndarray, joint: np.ndarray) -> SituationDistribution:
+    """Situation record from the two region marginals and the 4x4 joint."""
     return SituationDistribution(
-        own_regions={r: float(own[r]) for r in _REGIONS},
-        other_regions={r: float(other[r]) for r in _REGIONS},
-        joint=joint,
+        own_regions={r: float(own[r]) for r in Region},
+        other_regions={r: float(other[r]) for r in Region},
+        joint={(a, t): float(joint[a, t]) for a in Region for t in Region},
     )
 
 
@@ -173,7 +159,7 @@ def assess_kde(
         p_window = 0.0
 
     opposed_density = _BufferDensity(buf.course_delta, Topology.LINE, bandwidth)
-    p_course_opposed = opposed_density.mass(-5.0, 5.0)
+    p_course_opposed = opposed_density.mass(-HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG)
 
     own = _region_probabilities(
         _BufferDensity(buf.bearing_jk, Topology.CIRCLE360, bandwidth), p_course_opposed
@@ -182,27 +168,19 @@ def assess_kde(
         _BufferDensity(buf.bearing_kj, Topology.CIRCLE360, bandwidth), p_course_opposed
     )
 
-    p_rule = {rule: 0.0 for rule in Rule}
-    give_way_fraction = 0.0
-    for a in _REGIONS:
-        for t in _REGIONS:
-            cell = float(own[a] * other[t])
-            outcome = mutual_situation(a, t)
-            p_rule[outcome.rule] += cell
-            if outcome.obligation is Obligation.GIVE_WAY:
-                give_way_fraction += cell
-
+    joint = np.outer(own, other)
+    rule_masses, give_way_fraction = situation_masses(joint)
     p_give_way = give_way_fraction * p_risk
     return RiskAssessment(
         p_risk=p_risk,
         p_tcpa_window=p_window,
-        p_rule=p_rule,
+        p_rule={rule: float(mass) for rule, mass in zip(RULE_VALUES, rule_masses)},
         p_give_way=p_give_way,
         p_stand_on=1.0 - p_give_way,
         method=Method.KDE,
         n_samples=n,
         seed=seed,
-        situation=_situation_from_marginals(own, other),
+        situation=_situation(own, other, joint),
     )
 
 
@@ -214,7 +192,6 @@ def assess_des(
     zone: ComfortZone,
     n: int,
     seed: int,
-    cfg: AutomatonConfig | None = None,
 ) -> RiskAssessment:
     """Counting-pipeline assessment of one vessel pair.
 
@@ -226,38 +203,28 @@ def assess_des(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if cfg is None:
-        cfg = AutomatonConfig(d_act=zone.d_act, t_aware=zone.t_aware)
     batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
     buf = encounter_buffers(batch)
 
-    risk_count = int(np.count_nonzero(buf.dcpa <= cfg.d_act))
-    window_count = int(np.count_nonzero((buf.tcpa >= 0.0) & (buf.tcpa <= cfg.t_aware)))
+    risk_count = int(np.count_nonzero(buf.dcpa <= zone.d_act))
+    window_count = int(np.count_nonzero((buf.tcpa >= 0.0) & (buf.tcpa <= zone.t_aware)))
 
     own_r, other_r, rule_idx, obligation = situation_codes(
         buf.bearing_jk, buf.bearing_kj, batch.states_j.course, batch.states_k.course
     )
     event_counts = np.bincount(rule_idx * 2 + obligation, minlength=8)
-    rule_values = (Rule.R0, Rule.R13, Rule.R14, Rule.R15)
-    situation_counts = {}
-    for idx, rule in enumerate(rule_values):
-        for oblig in (Obligation.STAND_ON, Obligation.GIVE_WAY):
-            count = int(event_counts[idx * 2 + int(oblig)])
-            if count:
-                situation_counts[(rule, oblig)] = count
-
-    joint_counts = np.bincount(own_r * 4 + other_r, minlength=16)
-    joint = {
-        (a, t): float(joint_counts[int(a) * 4 + int(t)] / n)
-        for a in _REGIONS
-        for t in _REGIONS
+    situation_counts = {
+        (rule, oblig): int(event_counts[idx * 2 + oblig])
+        for idx, rule in enumerate(RULE_VALUES)
+        for oblig in (Obligation.STAND_ON, Obligation.GIVE_WAY)
+        if event_counts[idx * 2 + oblig]
     }
-    own_marginal = np.bincount(own_r, minlength=4) / n
-    other_marginal = np.bincount(other_r, minlength=4) / n
-    situation = SituationDistribution(
-        own_regions={r: float(own_marginal[r]) for r in _REGIONS},
-        other_regions={r: float(other_marginal[r]) for r in _REGIONS},
-        joint=joint,
+
+    joint_counts = np.bincount(own_r * 4 + other_r, minlength=16).reshape(4, 4)
+    situation = _situation(
+        np.bincount(own_r, minlength=4) / n,
+        np.bincount(other_r, minlength=4) / n,
+        joint_counts / n,
     )
 
     return assessment_from_counts(

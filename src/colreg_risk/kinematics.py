@@ -7,7 +7,9 @@ ground.  Velocity components are ordered (north, east) so that a course of
 
 All functions are pure; scalar entry points operate on ``VesselState`` and
 the ``*_arrays`` kernels run the same math vectorised over numpy columns
-for the Monte-Carlo layers.
+for the Monte-Carlo layers.  ``wrap_degrees`` and ``reciprocal_course``
+take floats and numpy arrays alike.  The encounter decisions built on this
+geometry (bearing regions, the situation table) live in ``colregs``.
 """
 
 from __future__ import annotations
@@ -150,8 +152,10 @@ def relative_bearing(origin: VesselState, target: VesselState) -> float:
     return wrap_degrees(absolute - origin.course)
 
 
-def reciprocal_course(psi_j: float, psi_k: float) -> float:
-    """Signed course-opposition measure in [-180, 180).
+def reciprocal_course(
+    psi_j: float | np.ndarray, psi_k: float | np.ndarray
+) -> float | np.ndarray:
+    """Signed course-opposition measure in [-180, 180), for floats or arrays.
 
     Zero means exactly reciprocal courses; identical courses map to -180.
     """
@@ -216,7 +220,3 @@ def bearing_arrays(
     absolute = np.degrees(np.arctan2(east_k - east_j, north_k - north_j))
     return wrap_degrees(absolute - course_j)
 
-
-def reciprocal_course_arrays(psi_j: np.ndarray, psi_k: np.ndarray) -> np.ndarray:
-    """Vectorised signed course-opposition measure in [-180, 180)."""
-    return (psi_j - psi_k) % 360.0 - 180.0

@@ -22,7 +22,15 @@ from colreg_risk.automaton import EmptyInput, MARKED_STATES, STATES, SITUATION_W
 from colreg_risk.kinematics import DegenerateRelativeMotion
 from colreg_risk.sampling import StateUncertainty, draw_pair
 
-from scenarios import OWN_1, OWN_2, TARGET_1, TARGET_2
+from scenarios import (
+    EXPECTED_TABLE,
+    OWN_1,
+    OWN_2,
+    TARGET_1,
+    TARGET_2,
+    reference_bearing,
+    reference_region,
+)
 
 CFG = AutomatonConfig(d_act=150.0, t_aware=600.0)
 
@@ -178,6 +186,35 @@ class TestAgreementWithClassifier:
                 assert expected_word in s
             else:
                 assert not set("u4 u5 u6 u7 u8".split()).intersection(s)
+
+    def test_situation_word_matches_independent_oracle(self):
+        # Test-side bearings, literal band edges and the transcribed table;
+        # nothing here shares the library's classifier.
+        words = {
+            (Rule.R13, Obligation.STAND_ON): "u4", (Rule.R13, Obligation.GIVE_WAY): "u5",
+            (Rule.R14, Obligation.GIVE_WAY): "u6", (Rule.R15, Obligation.STAND_ON): "u7",
+            (Rule.R15, Obligation.GIVE_WAY): "u8",
+        }
+        rng = np.random.default_rng(69)
+        pairs = [(random_state(rng), random_state(rng)) for _ in range(1000)]
+        for edge in (0.0, 5.0, 112.5, 247.5, 355.0):
+            for offset in (-1e-7, 0.0, 1e-7):
+                own = random_state(rng)
+                theta = math.radians(own.course + edge + offset)
+                course = float(rng.choice([own.course, (own.course + 175.0) % 360.0,
+                                           float(rng.uniform(0, 360))]))
+                pairs.append((own, VesselState(own.north + 800.0 * math.cos(theta),
+                                               own.east + 800.0 * math.sin(theta),
+                                               course, 8.0)))
+        for a, b in pairs:
+            cell = (reference_region(reference_bearing(a, b), a.course, b.course),
+                    reference_region(reference_bearing(b, a), b.course, a.course))
+            expected = words.get(EXPECTED_TABLE[cell], "")
+            emitted = run_trace(a, b, CFG)[1][3]
+            assert emitted == expected
+            assert [w for w in run_once(a, b, CFG) if w in words.values()] == (
+                [expected] if expected else []
+            )
 
     def test_u15_tracks_dcpa_threshold(self):
         rng = np.random.default_rng(64)

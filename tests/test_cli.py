@@ -92,6 +92,48 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="alpha_list"):
             parse_config(scenario1_raw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_act_m", "x"), ("d_act_m", None), ("d_act_m", True),
+        ("t_aware_s", "x"), ("t_aware_s", None),
+        ("n_samples", "x"), ("n_samples", None), ("n_samples", 1.5), ("n_samples", True),
+        ("seed", "x"), ("seed", None), ("seed", 1.7), ("seed", False), ("seed", -1),
+        ("bearing_deg", "x"), ("bearing_deg", None), ("range_m", "x"), ("range_m", None),
+    ])
+    def test_bad_scalar_field_exits_2(self, tmp_path, scenario1_raw, capsys, field, value):
+        if field in ("bearing_deg", "range_m"):
+            scenario1_raw["target"] = {"bearing_deg": 30.0, "range_m": 1000.0,
+                                       "course_deg": 270.0, "speed_mps": 10.0}
+            scenario1_raw["target"][field] = value
+        else:
+            scenario1_raw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            parse_config(scenario1_raw)
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_integral_float_count_accepted(self, scenario1_raw):
+        scenario1_raw["n_samples"] = 2000.0
+        config = parse_config(scenario1_raw)
+        assert config.n_samples == 2000 and isinstance(config.n_samples, int)
+
+    def test_large_seed_kept_exact(self, scenario1_raw):
+        scenario1_raw["seed"] = 2**62 + 1
+        assert parse_config(scenario1_raw).seed == 2**62 + 1
+
+    def test_infinite_awareness_horizon_accepted(self, tmp_path, scenario1_raw):
+        scenario1_raw["t_aware_s"] = float("inf")
+        assert parse_config(scenario1_raw).t_aware_s == float("inf")
+        path = write_config(tmp_path, scenario1_raw)
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        assert load_config(path).t_aware_s == float("inf")
+
+    def test_t_act_s_is_an_unknown_field(self, tmp_path, scenario1_raw, capsys):
+        scenario1_raw["t_act_s"] = 300.0
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "t_act_s" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_run_small_sample(self, tmp_path, scenario1_raw, capsys):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from colreg_risk import (
     Obligation,
@@ -12,46 +16,31 @@ from colreg_risk import (
     give_way_pairs,
     mutual_situation,
 )
-from colreg_risk.colregs import region_codes, situation_codes
-from colreg_risk.kinematics import reciprocal_course
+from colreg_risk.colregs import REGION_ARCS, classify_pair, region_codes, situation_codes
+from colreg_risk.kinematics import bearing_arrays, reciprocal_course
 
-from scenarios import OWN_1, OWN_2, OWN_3, TARGET_1, TARGET_2, TARGET_3, ZONE
+from scenarios import (
+    EXPECTED_TABLE,
+    HO,
+    OT,
+    OWN_1,
+    OWN_2,
+    OWN_3,
+    PS,
+    SB,
+    TARGET_1,
+    TARGET_2,
+    TARGET_3,
+    ZONE,
+    reference_region,
+)
 
-HO, SB, OT, PS = Region.HEAD_ON, Region.STARBOARD, Region.OVERTAKING, Region.PORT
-
-# Independent transcription of the sixteen-cell mutual mapping, kept in the
-# test so the implementation table is checked cell by cell.
-EXPECTED_TABLE = {
-    (HO, HO): (Rule.R14, Obligation.GIVE_WAY),
-    (HO, SB): (Rule.R15, Obligation.STAND_ON),
-    (HO, OT): (Rule.R13, Obligation.GIVE_WAY),
-    (HO, PS): (Rule.R15, Obligation.GIVE_WAY),
-    (SB, HO): (Rule.R15, Obligation.GIVE_WAY),
-    (SB, SB): (Rule.R0, Obligation.GIVE_WAY),
-    (SB, OT): (Rule.R13, Obligation.GIVE_WAY),
-    (SB, PS): (Rule.R15, Obligation.GIVE_WAY),
-    (OT, HO): (Rule.R13, Obligation.STAND_ON),
-    (OT, SB): (Rule.R13, Obligation.STAND_ON),
-    (OT, OT): (Rule.R0, Obligation.GIVE_WAY),
-    (OT, PS): (Rule.R13, Obligation.STAND_ON),
-    (PS, HO): (Rule.R15, Obligation.STAND_ON),
-    (PS, SB): (Rule.R15, Obligation.STAND_ON),
-    (PS, OT): (Rule.R13, Obligation.GIVE_WAY),
-    (PS, PS): (Rule.R0, Obligation.GIVE_WAY),
-}
-
-
-def reference_region(beta, psi_own, psi_other):
-    """Case-enumeration oracle for the region mapping."""
-    beta = beta % 360.0
-    dpsi = reciprocal_course(psi_own, psi_other)
-    if (0 <= beta <= 5) or (355 < beta < 360) or abs(dpsi) <= 5:
-        return HO
-    if 5 < beta <= 112.5:
-        return SB
-    if 112.5 < beta <= 247.5:
-        return OT
-    return PS
+# Deterministic property runs: no example database, a fixed example order.
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=150)
+LITERAL_EDGES = (5.0, 112.5, 247.5, 355.0)
+coords = st.floats(-5000.0, 5000.0)
+courses = st.floats(0.0, 360.0, exclude_max=True)
+bearings = st.one_of(st.sampled_from(LITERAL_EDGES + (0.0,)), courses)
 
 
 class TestBearingRegion:
@@ -158,16 +147,37 @@ class TestClassifySample:
         assert classify_sample(own, far, ZONE)[0] is False
 
 
+class TestClassifyPair:
+    def test_scenario2(self):
+        dcpa, tcpa, outcome = classify_pair(OWN_2, TARGET_2)
+        assert dcpa == pytest.approx(47.98, abs=0.01)
+        assert tcpa == pytest.approx(50.0, abs=0.5)
+        assert outcome == SituationOutcome(Rule.R15, Obligation.STAND_ON)
+
+    def test_degenerate_pair_falls_back_to_separation(self):
+        own = VesselState(0, 0, 45, 7)
+        other = VesselState(30, 40, 45, 7)
+        dcpa, tcpa, _ = classify_pair(own, other)
+        assert dcpa == 50.0 and tcpa == math.inf
+
+
 class TestVectorisedCodes:
+    def test_region_arcs(self):
+        assert REGION_ARCS == ((355.0, 5.0), (5.0, 112.5), (112.5, 247.5), (247.5, 355.0))
+
     def test_region_codes_match_scalar(self):
         rng = np.random.default_rng(22)
-        beta = rng.uniform(0, 360, 500)
-        own = rng.uniform(0, 360, 500)
-        other = rng.uniform(0, 360, 500)
+        edges = np.array([0.0, 5.0, 112.5, 247.5, 355.0])
+        beta = np.concatenate([rng.uniform(0, 360, 500), edges, np.nextafter(edges, 360.0)])
+        own = rng.uniform(0, 360, beta.size)
+        other = np.where(np.arange(beta.size) % 4 == 0, (own + 175.0) % 360.0,
+                         rng.uniform(0, 360, beta.size))
         dpsi = (own - other) % 360.0 - 180.0
         codes = region_codes(beta, dpsi)
-        for i in range(500):
-            assert codes[i] == int(bearing_region(float(beta[i]), float(own[i]), float(other[i])))
+        for i in range(beta.size):
+            args = float(beta[i]), float(own[i]), float(other[i])
+            assert codes[i] == int(reference_region(*args))
+            assert codes[i] == int(bearing_region(*args))
 
     def test_situation_codes_match_table(self):
         rng = np.random.default_rng(23)
@@ -183,3 +193,51 @@ class TestVectorisedCodes:
             expected = mutual_situation(Region(own_r[i]), Region(other_r[i]))
             assert rules[rule_idx[i]] is expected.rule
             assert oblig[i] == int(expected.obligation)
+
+
+def _rotate(state, theta):
+    c, s = math.cos(math.radians(theta)), math.sin(math.radians(theta))
+    return VesselState(
+        state.north * c - state.east * s, state.north * s + state.east * c,
+        (state.course + theta) % 360.0, state.speed,
+    )
+
+
+def _regions(j, k):
+    """(own, other) region codes of one pair through the array kernels."""
+    col = lambda *values: np.array(values, dtype=float)
+    beta_jk = bearing_arrays(col(j.north), col(j.east), col(j.course), col(k.north), col(k.east))
+    beta_kj = bearing_arrays(col(k.north), col(k.east), col(k.course), col(j.north), col(j.east))
+    own_r, other_r, _, _ = situation_codes(beta_jk, beta_kj, col(j.course), col(k.course))
+    return int(own_r[0]), int(other_r[0]), float(beta_jk[0]), float(beta_kj[0])
+
+
+def _edge_gap(beta):
+    return min(abs((beta - edge + 180.0) % 360.0 - 180.0) for edge in LITERAL_EDGES)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(jn=coords, je=coords, jc=courses, kn=coords, ke=coords, kc=courses,
+           theta=st.floats(0.0, 360.0))
+    def test_rotation_leaves_regions_unchanged(self, jn, je, jc, kn, ke, kc, theta):
+        assume(math.hypot(jn - kn, je - ke) > 1.0)
+        j, k = VesselState(jn, je, jc, 5.0), VesselState(kn, ke, kc, 5.0)
+        own, other, beta_jk, beta_kj = _regions(j, k)
+        dpsi = reciprocal_course(jc, kc)
+        assume(min(_edge_gap(beta_jk), _edge_gap(beta_kj), abs(abs(dpsi) - 5.0)) >= 1e-6)
+        assert _regions(_rotate(j, theta), _rotate(k, theta))[:2] == (own, other)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(st.lists(st.tuples(bearings, bearings, courses, st.sampled_from((175.0, 180.0, 185.0))),
+                    min_size=1, max_size=16))
+    def test_swapping_vessels_swaps_regions(self, rows):
+        beta_jk, beta_kj, course_j, offset = (np.array(c) for c in zip(*rows))
+        course_k = (course_j + offset) % 360.0
+        own, other, _, _ = situation_codes(beta_jk, beta_kj, course_j, course_k)
+        own_s, other_s, _, _ = situation_codes(beta_kj, beta_jk, course_k, course_j)
+        assert np.array_equal(own, other_s) and np.array_equal(other, own_s)
+        for i in range(len(rows)):
+            args = float(course_j[i]), float(course_k[i])
+            assert own[i] == reference_region(float(beta_jk[i]), *args)
+            assert other[i] == reference_region(float(beta_kj[i]), *args[::-1])

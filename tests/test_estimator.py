@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from colreg_risk import (
     AutomatonConfig,
@@ -12,8 +16,10 @@ from colreg_risk import (
     assess_des,
     assess_kde,
     encounter_buffers,
+    estimate_probabilities,
     make_uncertainty,
     propagation_study,
+    run_once,
 )
 from colreg_risk.density import TooFewSamples
 from colreg_risk.sampling import draw_pair
@@ -212,3 +218,57 @@ class TestPropagationStudy:
             propagation_study([0.0], 1000.0, 0, seed=19)
         with pytest.raises(ValueError):
             propagation_study([400.0], 1000.0, 10, seed=20)
+
+
+# Deterministic property runs: no example database, a fixed example order.
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=30)
+coords = st.floats(-3000.0, 3000.0)
+mean_states = st.builds(
+    VesselState, coords, coords, st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 15.0)
+)
+alphas = st.sampled_from((0.0, 0.1, 1.0, 5.0))
+
+
+def _uncertainties(alpha, exact_own):
+    unc = make_uncertainty(DIAG, alpha)
+    return (EXACT if exact_own else unc), unc
+
+
+class TestProperties:
+    @PROPERTY
+    @given(j=mean_states, k=mean_states, alpha=alphas, exact_own=st.booleans(),
+           n=st.integers(1, 40), seed=st.integers(0, 2**63 - 1),
+           d_act=st.floats(10.0, 3000.0), t_aware=st.floats(10.0, 1000.0))
+    def test_des_equals_per_sample_automaton(self, j, k, alpha, exact_own, n, seed,
+                                             d_act, t_aware):
+        own_unc, tgt_unc = _uncertainties(alpha, exact_own)
+        assume(math.hypot(j.north - k.north, j.east - k.east) > 1.0)
+        batch = draw_pair(j, own_unc, k, tgt_unc, n, seed)
+        assume(np.all(batch.states_j.speed >= 0.0) and np.all(batch.states_k.speed >= 0.0))
+        cfg = AutomatonConfig(d_act=d_act, t_aware=t_aware)
+        scalar = estimate_probabilities(
+            [run_once(batch.states_j.state(i), batch.states_k.state(i), cfg) for i in range(n)]
+        )
+        vector = assess_des(j, own_unc, k, tgt_unc, cfg.zone(), n, seed)
+        assert vector.p_risk == scalar.p_risk
+        assert vector.p_tcpa_window == scalar.p_tcpa_window
+        assert dict(vector.p_rule) == dict(scalar.p_rule)
+        assert vector.p_give_way == scalar.p_give_way
+
+    @settings(PROPERTY, max_examples=8)
+    @given(j=mean_states, k=mean_states, alpha=alphas, exact_own=st.booleans(),
+           seed=st.integers(0, 2**63 - 1))
+    def test_probabilities_in_range(self, j, k, alpha, exact_own, seed):
+        own_unc, tgt_unc = _uncertainties(alpha, exact_own)
+        assume(math.hypot(j.north - k.north, j.east - k.east) > 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kde = assess_kde(j, own_unc, k, tgt_unc, ZONE, 1000, seed)
+        des = assess_des(j, own_unc, k, tgt_unc, ZONE, 1000, seed)
+        # KDE band integrals may overshoot 1 by rounding (about one ulp);
+        # the counts are exact.
+        for a, slack in ((kde, 1e-12), (des, 0.0)):
+            values = [a.p_risk, a.p_tcpa_window, a.p_give_way, a.p_stand_on,
+                      *a.p_rule.values()]
+            assert all(-slack <= v <= 1.0 + slack for v in values)
+            assert abs(math.fsum(a.p_rule.values()) - 1.0) <= 1e-12

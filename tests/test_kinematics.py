@@ -15,7 +15,6 @@ from colreg_risk import (
 from colreg_risk.kinematics import (
     bearing_arrays,
     cpa_arrays,
-    reciprocal_course_arrays,
     wrap_degrees,
 )
 
@@ -225,10 +224,14 @@ class TestArrayKernels:
 
     def test_reciprocal_arrays_match_scalar(self):
         rng = np.random.default_rng(19)
-        pj, pk = rng.uniform(0, 360, 200), rng.uniform(0, 360, 200)
-        arr = reciprocal_course_arrays(pj, pk)
-        for i in range(200):
-            assert arr[i] == pytest.approx(reciprocal_course(float(pj[i]), float(pk[i])))
+        pj = np.concatenate([rng.uniform(0, 360, 200), [0.0, 90.0, 0.0, 359.5]])
+        pk = np.concatenate([rng.uniform(0, 360, 200), [180.0, 90.0, 174.5, 184.5]])
+        arr = reciprocal_course(pj, pk)
+        assert isinstance(arr, np.ndarray) and arr.shape == pj.shape
+        for i in range(pj.size):
+            oracle = (float(pj[i]) - float(pk[i])) % 360.0 - 180.0
+            assert arr[i] == oracle
+            assert arr[i] == reciprocal_course(float(pj[i]), float(pk[i]))
 
 
 class TestValidation:
