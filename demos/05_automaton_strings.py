@@ -11,7 +11,7 @@ transitions estimates the automaton's behavioral relation.
 """
 
 from colreg_risk import (
-    AutomatonConfig,
+    ComfortZone,
     StateUncertainty,
     VesselState,
     estimate_behavioral_relation,
@@ -21,14 +21,14 @@ from colreg_risk import (
 )
 from colreg_risk.sampling import draw_pair
 
-cfg = AutomatonConfig(d_act=150.0, t_aware=600.0)
+zone = ComfortZone(d_act=150.0, t_aware=600.0)
 
 own = VesselState(0, 0, 0, 10)
 target = VesselState(995.40, -95.85, 174.5, 10)
-print("nominal head-on/port boundary run:", run_once(own, target, cfg))
+print("nominal head-on/port boundary run:", run_once(own, target, zone))
 
 crossing = VesselState(1250, 1000, 270, 10)
-print("nominal starboard-crossing run:   ", run_once(own, crossing, cfg))
+print("nominal starboard-crossing run:   ", run_once(own, crossing, zone))
 print()
 
 # Sample the boundary encounter under tracker noise and aggregate.
@@ -36,7 +36,7 @@ unc = StateUncertainty(10.0, 10.0, 2.0, 2.0)
 batch = draw_pair(own, StateUncertainty(0, 0, 0, 0), target, unc, 4000,
                   seed=7, clamp_speed=True)
 strings = [
-    run_once(batch.states_j.state(i), batch.states_k.state(i), cfg)
+    run_once(batch.states_j.state(i), batch.states_k.state(i), zone)
     for i in range(batch.n)
 ]
 assessment = estimate_probabilities(strings, seed=7)
@@ -48,7 +48,7 @@ print()
 
 # The empirical behavioral relation: word probabilities per source state.
 runs = [
-    run_trace(batch.states_j.state(i), batch.states_k.state(i), cfg)
+    run_trace(batch.states_j.state(i), batch.states_k.state(i), zone)
     for i in range(500)
 ]
 relation = estimate_behavioral_relation(runs)

@@ -6,13 +6,15 @@ instance used here is input-free: every evaluation walks the thirteen-state
 loop U1 -> U2 -> ... -> U13 -> U1 once, and the words emitted along the way
 form a string that encodes the outcome:
 
-* U1 emits ``aware_d`` when DCPA is inside the awareness radius,
-* U2 emits ``aware_t`` when the CPA lies within the awareness horizon,
+* U1 emits ``aware_d`` when DCPA is inside the awareness radius, twice the
+  action radius,
+* U2 emits ``aware_t`` when the CPA lies within the awareness window,
 * U4 emits the situation word (``u4``/``u5`` for rule 13 stand-on/give-way,
   ``u6`` for rule 14, ``u7``/``u8`` for rule 15 stand-on/give-way) or stays
   silent when no rule applies,
 * U8 emits ``u15`` when DCPA is inside the action radius,
-* U9 emits ``act_t`` when the CPA lies within the action horizon,
+* U9 emits ``act_t`` when the CPA lies within the action horizon, which is
+  the awareness window, so it fires exactly when ``aware_t`` does,
 * all other states are silent pass-throughs.
 
 Strings from repeated runs over sampled states turn into empirical event
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .assessment import Method, RiskAssessment, assessment_from_counts
 from .colregs import ComfortZone, Obligation, Rule, SituationOutcome, classify_pair
@@ -61,33 +63,9 @@ class EmptyInput(ValueError):
     """Raised when an estimator receives no runs."""
 
 
-@dataclass(frozen=True)
-class AutomatonConfig:
-    """Thresholds for the word-emitting states.
-
-    d_aware defaults to twice the action radius and t_act to the awareness
-    horizon, so the extra words never constrain the in-scope probabilities
-    unless explicitly configured.
-    """
-
-    d_act: float
-    t_aware: float
-    d_aware: float | None = None
-    t_act: float | None = None
-
-    def __post_init__(self) -> None:
-        self.zone()  # validates d_act and t_aware
-        if self.d_aware is None:
-            object.__setattr__(self, "d_aware", 2.0 * self.d_act)
-        if self.t_act is None:
-            object.__setattr__(self, "t_act", self.t_aware)
-        if self.d_aware < self.d_act:
-            raise ValueError("d_aware must be >= d_act")
-        if not 0.0 < self.t_act <= self.t_aware:
-            raise ValueError("t_act must satisfy 0 < t_act <= t_aware")
-
-    def zone(self) -> ComfortZone:
-        return ComfortZone(self.d_act, self.t_aware)
+# The automaton reads the comfort zone directly; the old name stays for
+# callers that construct it.
+AutomatonConfig = ComfortZone
 
 
 @dataclass(frozen=True)
@@ -120,20 +98,21 @@ class StochasticAutomaton:
             raise ValueError(f"initial distribution sums to {total_p0}")
 
 
-def _encounter_words(j: VesselState, k: VesselState, cfg: AutomatonConfig) -> dict[str, str]:
+def _encounter_words(j: VesselState, k: VesselState, zone: ComfortZone) -> dict[str, str]:
     """Words emitted by the testing states for one deterministic pair."""
     dcpa, tcpa, outcome = classify_pair(j, k)
+    in_window = zone.in_window(tcpa)
     return {
-        "U1": WORD_AWARE_DIST if dcpa <= cfg.d_aware else EPSILON,
-        "U2": WORD_AWARE_TIME if 0.0 <= tcpa <= cfg.t_aware else EPSILON,
+        "U1": WORD_AWARE_DIST if dcpa <= 2.0 * zone.d_act else EPSILON,
+        "U2": WORD_AWARE_TIME if in_window else EPSILON,
         "U4": SITUATION_WORDS.get(outcome, EPSILON),
-        "U8": WORD_RISK_ACT if dcpa <= cfg.d_act else EPSILON,
-        "U9": WORD_ACT_TIME if 0.0 <= tcpa <= cfg.t_act else EPSILON,
+        "U8": WORD_RISK_ACT if zone.at_risk(dcpa) else EPSILON,
+        "U9": WORD_ACT_TIME if in_window else EPSILON,
     }
 
 
 def run_trace(
-    j: VesselState, k: VesselState, cfg: AutomatonConfig
+    j: VesselState, k: VesselState, zone: ComfortZone
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """One full loop: aligned (state sequence, per-transition words).
 
@@ -141,15 +120,15 @@ def run_trace(
     marked U1); words[i] is emitted on the transition out of states[i] and
     is the empty string for silent transitions.
     """
-    emitted = _encounter_words(j, k, cfg)
+    emitted = _encounter_words(j, k, zone)
     states = STATES + ("U1",)
     words = tuple(emitted.get(src, EPSILON) for src in STATES)
     return states, words
 
 
-def run_once(j: VesselState, k: VesselState, cfg: AutomatonConfig) -> RunString:
+def run_once(j: VesselState, k: VesselState, zone: ComfortZone) -> RunString:
     """Output string of one loop: the non-silent words in emission order."""
-    _, words = run_trace(j, k, cfg)
+    _, words = run_trace(j, k, zone)
     return tuple(word for word in words if word)
 
 
@@ -230,32 +209,25 @@ class EmpiricalBehavior:
             return 0.0
         return self.counts.get((next_state, word, state), 0) / seen
 
-    def transition_probability(self, next_state: str, state: str) -> float:
+    def _share(self, state: str, keep: Callable[[str, str], bool]) -> float:
+        """Summed counts of the transitions out of ``state`` whose (next
+        state, word) ``keep`` accepts, divided once by the visits."""
         seen = self.visits.get(state, 0)
         if seen == 0:
             return 0.0
         total = sum(
-            c for (nxt, _w, src), c in self.counts.items()
-            if src == state and nxt == next_state
+            c for (nxt, w, src), c in self.counts.items() if src == state and keep(nxt, w)
         )
         return total / seen
+
+    def transition_probability(self, next_state: str, state: str) -> float:
+        return self._share(state, lambda nxt, _w: nxt == next_state)
 
     def output_probability(self, word: str, state: str) -> float:
-        seen = self.visits.get(state, 0)
-        if seen == 0:
-            return 0.0
-        total = sum(
-            c for (_nxt, w, src), c in self.counts.items()
-            if src == state and w == word
-        )
-        return total / seen
+        return self._share(state, lambda _nxt, w: w == word)
 
     def outgoing_mass(self, state: str) -> float:
-        seen = self.visits.get(state, 0)
-        if seen == 0:
-            return 0.0
-        total = sum(c for (_n, _w, src), c in self.counts.items() if src == state)
-        return total / seen
+        return self._share(state, lambda _nxt, _w: True)
 
     def as_automaton(self) -> StochasticAutomaton:
         words = sorted({w for (_n, w, _s) in self.counts})
@@ -319,9 +291,8 @@ def estimate_behavioral_relation(
         n_runs += 1
         if len(states) != len(words) + 1:
             raise ValueError("trajectories misaligned: need one word per transition")
-        for i, word in enumerate(words):
-            visits[states[i]] += 1
-            counts[(states[i + 1], word, states[i])] += 1
+        counts.update(zip(states[1:], words, states))
+        visits.update(states[:-1])
     if n_runs == 0:
         raise EmptyInput("no runs given")
     return EmpiricalBehavior(counts=dict(counts), visits=dict(visits))

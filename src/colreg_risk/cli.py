@@ -97,6 +97,11 @@ def _require(mapping: dict, field: str, context: str):
     return mapping[field]
 
 
+def _check_object(value, context: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected a JSON object, got {value!r:.60}")
+
+
 def _check_unknown(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -130,6 +135,7 @@ def _number_list(value, context: str) -> tuple[float, ...]:
 
 
 def _parse_state(mapping: dict, context: str) -> VesselState:
+    _check_object(mapping, context)
     fields = ("north_m", "east_m", "course_deg", "speed_mps")
     _check_unknown(mapping, set(fields), context)
     values = _numbers(mapping, fields, context)
@@ -140,6 +146,7 @@ def _parse_state(mapping: dict, context: str) -> VesselState:
 
 
 def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
+    _check_object(mapping, context)
     if "bearing_deg" in mapping:
         _check_unknown(
             mapping, {"bearing_deg", "range_m", "course_deg", "speed_mps"}, context
@@ -182,8 +189,7 @@ _CONFIG_FIELDS = {
 
 def parse_config(raw: dict) -> ScenarioConfig:
     """Validate a scenario config mapping; rejects unknown fields."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    _check_object(raw, "config")
     _check_unknown(raw, _CONFIG_FIELDS, "config")
 
     own = _parse_state(_require(raw, "own_ship", "config"), "own_ship")
@@ -223,6 +229,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     method_names = raw.get("methods", ["kde", "des"])
+    if not isinstance(method_names, (list, tuple)):
+        raise ConfigError(
+            f"methods: expected a list such as [\"kde\", \"des\"], got {method_names!r:.60}"
+        )
     if not method_names:
         raise ConfigError("methods: must not be empty")
     try:
@@ -438,6 +448,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     if not bearings:
         print("no bearings given", file=sys.stderr)
+        return 2
+    if not all(0.0 <= b < 360.0 for b in bearings):
+        print(f"--bearings must lie in [0, 360), got {args.bearings!r}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.range) and args.range > 0.0):
+        print(f"--range must be positive and finite, got {args.range}", file=sys.stderr)
         return 2
     if args.samples < 2:
         print("--samples must be >= 2", file=sys.stderr)

@@ -87,7 +87,11 @@ class SituationOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class ComfortZone:
-    """Risk thresholds: action radius d_act (m) and awareness horizon t_aware (s)."""
+    """Risk thresholds: action radius d_act (m) and awareness horizon t_aware (s).
+
+    The zone owns the risk test and the window test; both take a float or
+    an array and use operators only, so a float costs no numpy call.
+    """
 
     d_act: float
     t_aware: float
@@ -97,6 +101,14 @@ class ComfortZone:
             raise ValueError(f"d_act must be positive, got {self.d_act}")
         if not self.t_aware > 0.0:
             raise ValueError(f"t_aware must be positive, got {self.t_aware}")
+
+    def at_risk(self, dcpa: float | np.ndarray) -> bool | np.ndarray:
+        """DCPA inside the action radius."""
+        return dcpa <= self.d_act
+
+    def in_window(self, tcpa: float | np.ndarray) -> bool | np.ndarray:
+        """CPA inside the awareness window 0 <= TCPA <= t_aware."""
+        return (tcpa >= 0.0) & (tcpa <= self.t_aware)
 
 
 # Rows: acting vessel's region.  Columns: target vessel's region, both in
@@ -208,7 +220,7 @@ def classify_sample(
         CoincidentPositions: propagated from the bearing computation.
     """
     dcpa, tcpa, outcome = classify_pair(own, other)
-    risk = dcpa <= zone.d_act and (tcpa == math.inf or 0.0 <= tcpa <= zone.t_aware)
+    risk = zone.at_risk(dcpa) and (tcpa == math.inf or zone.in_window(tcpa))
     return risk, outcome
 
 

@@ -378,9 +378,9 @@ def select_bandwidth(
     if method == "isj":
         try:
             return bandwidth_isj(samples, topology)
-        except FixedPointFailure:
+        except (FixedPointFailure, TooFewSamples) as exc:
             warnings.warn(
-                "plug-in bandwidth fixed point did not converge; "
+                f"plug-in bandwidth unavailable ({exc}); "
                 "falling back to Silverman's rule",
                 RuntimeWarning,
                 stacklevel=2,

@@ -78,14 +78,14 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
 
 
 class _BufferDensity:
-    def __init__(self, values: np.ndarray, topology: Topology, selector: str):
+    def __init__(self, values: np.ndarray, topology: Topology):
         self.topology = topology
         if values.size and float(np.ptp(values)) == 0.0:
             self.point: float | None = float(values[0])
             self.estimate: DensityEstimate | None = None
         else:
             self.point = None
-            h = select_bandwidth(values, selector, topology)
+            h = select_bandwidth(values, topology=topology)
             self.estimate = fit(values, h, topology)
 
     def mass(self, lo: float, hi: float) -> float:
@@ -131,7 +131,6 @@ def assess_kde(
     zone: ComfortZone,
     n: int,
     seed: int,
-    bandwidth: str = "isj",
 ) -> RiskAssessment:
     """Density-pipeline assessment of one vessel pair.
 
@@ -147,25 +146,25 @@ def assess_kde(
     batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
     buf = encounter_buffers(batch)
 
-    dcpa_density = _BufferDensity(buf.dcpa, Topology.LINE, bandwidth)
+    dcpa_density = _BufferDensity(buf.dcpa, Topology.LINE)
     p_risk = dcpa_density.mass(0.0, zone.d_act)
 
     finite = np.isfinite(buf.tcpa)
     finite_frac = float(np.mean(finite))
     if finite_frac > 0.0:
-        tcpa_density = _BufferDensity(buf.tcpa[finite], Topology.LINE, bandwidth)
+        tcpa_density = _BufferDensity(buf.tcpa[finite], Topology.LINE)
         p_window = finite_frac * tcpa_density.mass(0.0, zone.t_aware)
     else:
         p_window = 0.0
 
-    opposed_density = _BufferDensity(buf.course_delta, Topology.LINE, bandwidth)
+    opposed_density = _BufferDensity(buf.course_delta, Topology.LINE)
     p_course_opposed = opposed_density.mass(-HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG)
 
     own = _region_probabilities(
-        _BufferDensity(buf.bearing_jk, Topology.CIRCLE360, bandwidth), p_course_opposed
+        _BufferDensity(buf.bearing_jk, Topology.CIRCLE360), p_course_opposed
     )
     other = _region_probabilities(
-        _BufferDensity(buf.bearing_kj, Topology.CIRCLE360, bandwidth), p_course_opposed
+        _BufferDensity(buf.bearing_kj, Topology.CIRCLE360), p_course_opposed
     )
 
     joint = np.outer(own, other)
@@ -206,8 +205,8 @@ def assess_des(
     batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
     buf = encounter_buffers(batch)
 
-    risk_count = int(np.count_nonzero(buf.dcpa <= zone.d_act))
-    window_count = int(np.count_nonzero((buf.tcpa >= 0.0) & (buf.tcpa <= zone.t_aware)))
+    risk_count = int(np.count_nonzero(zone.at_risk(buf.dcpa)))
+    window_count = int(np.count_nonzero(zone.in_window(buf.tcpa)))
 
     own_r, other_r, rule_idx, obligation = situation_codes(
         buf.bearing_jk, buf.bearing_kj, batch.states_j.course, batch.states_k.course

@@ -68,9 +68,6 @@ class StateUncertainty:
         )
 
 
-NO_UNCERTAINTY = StateUncertainty(0.0, 0.0, 0.0, 0.0)
-
-
 def make_uncertainty(
     diag: Sequence[float],
     alpha: float,

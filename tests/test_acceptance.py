@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from colreg_risk import (
-    AutomatonConfig,
     Rule,
     StateUncertainty,
     VesselState,
@@ -285,7 +284,7 @@ class TestCriterion08KsDiagnostic:
 class TestCriterion09AutomatonConsistency:
     def test_agreement_partition_and_sums(self):
         rng = np.random.default_rng(SEED + 3)
-        cfg = AutomatonConfig(d_act=ZONE.d_act, t_aware=ZONE.t_aware)
+        cfg = ZONE
         zone_inf = type(ZONE)(ZONE.d_act, math.inf)
         events = [
             (Rule.R0, Obligation.GIVE_WAY), (Rule.R13, Obligation.STAND_ON),
@@ -315,7 +314,7 @@ class TestCriterion09AutomatonConsistency:
 
     def test_behavioral_relation_row_sums(self):
         rng = np.random.default_rng(SEED + 4)
-        cfg = AutomatonConfig(d_act=ZONE.d_act, t_aware=ZONE.t_aware)
+        cfg = ZONE
         runs = []
         for _ in range(500):
             a = VesselState(float(rng.uniform(-3000, 3000)), float(rng.uniform(-3000, 3000)),

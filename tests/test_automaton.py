@@ -32,7 +32,7 @@ from scenarios import (
     reference_region,
 )
 
-CFG = AutomatonConfig(d_act=150.0, t_aware=600.0)
+CFG = ComfortZone(d_act=150.0, t_aware=600.0)
 
 SITUATION_EVENTS = [
     (Rule.R0, Obligation.GIVE_WAY),
@@ -60,17 +60,15 @@ def cpa_time(a, b):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = AutomatonConfig(d_act=150.0, t_aware=600.0)
-        assert cfg.d_aware == 300.0 and cfg.t_act == 600.0
-        assert cfg.zone() == ComfortZone(150.0, 600.0)
+        # The automaton takes the comfort zone; the old name is an alias.
+        assert AutomatonConfig is ComfortZone
+        assert AutomatonConfig(d_act=150.0, t_aware=600.0) == ComfortZone(150.0, 600.0)
 
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             AutomatonConfig(d_act=0.0, t_aware=600.0)
         with pytest.raises(ValueError):
-            AutomatonConfig(d_act=150.0, t_aware=600.0, d_aware=100.0)
-        with pytest.raises(ValueError):
-            AutomatonConfig(d_act=150.0, t_aware=600.0, t_act=601.0)
+            AutomatonConfig(d_act=150.0, t_aware=0.0)
 
 
 class TestRunOnce:
@@ -226,8 +224,68 @@ class TestAgreementWithClassifier:
                 dcpa = math.hypot(a.north - b.north, a.east - b.east)
             assert ("u15" in run_once(a, b, CFG)) == (dcpa <= CFG.d_act)
 
+    def test_awareness_and_action_words_match_literal_thresholds(self):
+        # d_act = 150: the awareness radius is 300 m; U2 and U9 both test
+        # 0 <= TCPA <= t_aware.  Axis-aligned pairs put DCPA and TCPA
+        # exactly on (and one ulp past) the thresholds; every tenth random
+        # pair is degenerate (TCPA = inf).
+        rng = np.random.default_rng(71)
+        own = VesselState(0.0, 0.0, 0.0, 10.0)
+        pairs = [
+            (own, VesselState(north, east, 0.0, speed))
+            for east in (150.0, 300.0, math.nextafter(300.0, math.inf), 0.0)
+            for north in (-500.0, -6000.0, math.nextafter(-6000.0, -math.inf), -5.0, 500.0)
+            for speed in (10.0, 20.0)
+        ]
+        for i in range(1000):
+            a, b = random_state(rng), random_state(rng)
+            if i % 10 == 0:
+                b = VesselState(a.north + float(rng.uniform(-400, 400)),
+                                a.east + float(rng.uniform(-400, 400)), a.course, a.speed)
+            pairs.append((a, b))
+        for t_aware in (600.0, 50.0, math.inf):
+            zone = ComfortZone(150.0, t_aware)
+            for a, b in pairs:
+                try:
+                    dcpa = cpa(a, b).dcpa
+                except DegenerateRelativeMotion:
+                    dcpa = math.hypot(a.north - b.north, a.east - b.east)
+                tcpa = cpa_time(a, b)
+                words = run_trace(a, b, zone)[1]
+                assert (words[0] == "aware_d") == (dcpa <= 300.0)
+                assert (words[1] == "aware_t") == (0.0 <= tcpa <= t_aware)
+                assert (words[8] == "act_t") == (0.0 <= tcpa <= t_aware)
+
 
 class TestBehavioralRelation:
+    def test_counts_match_reference_loop(self):
+        rng = np.random.default_rng(72)
+        runs = [run_trace(random_state(rng), random_state(rng), CFG) for _ in range(300)]
+        # Hand-made runs with other state orders and list sequences.
+        runs += [(("U1", "U3", "U1"), ("x", "")), (["U3", "U1"], ["y"]), (("U9",), ())]
+        counts, visits = {}, {}
+        for states, words in runs:
+            for i, word in enumerate(words):
+                visits[states[i]] = visits.get(states[i], 0) + 1
+                key = (states[i + 1], word, states[i])
+                counts[key] = counts.get(key, 0) + 1
+        rel = estimate_behavioral_relation(runs)
+        assert list(rel.counts.items()) == list(counts.items())
+        assert list(rel.visits.items()) == list(visits.items())
+        words = {w for (_n, w, _s) in counts} | {"absent"}
+        for state in list(visits) + ["U0"]:
+            seen = visits.get(state, 0)
+            for nxt in list(visits) + ["U0"]:
+                total = sum(c for (n, _w, s), c in counts.items() if s == state and n == nxt)
+                assert rel.transition_probability(nxt, state) == (total / seen if seen else 0.0)
+            for word in words:
+                total = sum(c for (_n, w, s), c in counts.items() if s == state and w == word)
+                assert rel.output_probability(word, state) == (total / seen if seen else 0.0)
+
+    def test_misaligned_run_rejected(self):
+        with pytest.raises(ValueError, match="misaligned"):
+            estimate_behavioral_relation([(("U1", "U2"), ("a", "b"))])
+
     def test_single_run_is_deterministic(self):
         rel = estimate_behavioral_relation([run_trace(OWN_2, TARGET_2, CFG)])
         states, words = run_trace(OWN_2, TARGET_2, CFG)

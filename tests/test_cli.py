@@ -112,6 +112,20 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("own_ship", 5), ("own_ship", None), ("own_ship", [0, 0, 0, 10]),
+        ("target", 5), ("target", None), ("target", "bearing_deg"),
+        ("methods", 5), ("methods", None), ("methods", {"kde": 1}), ("methods", "kde"),
+    ])
+    def test_section_of_wrong_type_exits_2(self, tmp_path, scenario1_raw, capsys, field, value):
+        scenario1_raw[field] = value
+        expected = "expected a list" if field == "methods" else "expected a JSON object"
+        with pytest.raises(ConfigError, match=f"{field}: {expected}"):
+            parse_config(scenario1_raw)
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_integral_float_count_accepted(self, scenario1_raw):
         scenario1_raw["n_samples"] = 2000.0
         config = parse_config(scenario1_raw)
@@ -204,6 +218,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--samples", "1500",
                      "--seed", "5", "--method", "des"]) == 0
 
+    def test_few_finite_tcpa_samples_run(self, tmp_path, capsys):
+        # Matched mean velocities: about 30 of 2000 TCPA samples are finite,
+        # too few for the plug-in selector, so KDE falls back to Silverman.
+        raw = {
+            "own_ship": {"north_m": 0, "east_m": 0, "course_deg": 0, "speed_mps": 10},
+            "target": {"north_m": 500, "east_m": 500, "course_deg": 0, "speed_mps": 10},
+            "diag": [10, 10, 0, 1.3e-5], "alpha_list": [1.0], "d_act_m": 150,
+            "n_samples": 2000, "seed": 1,
+        }
+        path = write_config(tmp_path, raw)
+        with pytest.warns(RuntimeWarning, match="Silverman"):
+            assert main(["run", "--config", str(path)]) == 0
+        assert "kde" in capsys.readouterr().out
+
 
 class TestAnalyzeCommand:
     def test_outputs(self, tmp_path, capsys):
@@ -249,6 +277,15 @@ class TestAnalyzeCommand:
 
     def test_bad_bearings(self, capsys, tmp_path):
         assert main(["analyze", "--bearings", "abc", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("arg", ["--bearings=400", "--bearings=-10", "--bearings=nan",
+                                     "--bearings=0,360", "--bearings=inf", "--range=nan",
+                                     "--range=inf", "--range=0", "--range=-5"])
+    def test_bad_placement_exits_2(self, capsys, tmp_path, arg):
+        out_dir = tmp_path / "x"
+        assert main(["analyze", arg, "--samples", "300", "--out", str(out_dir)]) == 2
+        assert arg.split("=")[0] in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_tiny_sample_count_still_normalised(self, tmp_path):
         # The plug-in selector cannot run on ten samples; the export falls

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colreg_risk import (
+    ComfortZone,
     Obligation,
     Region,
     Rule,
@@ -145,6 +146,35 @@ class TestClassifySample:
         far = VesselState(5000, 0, 0, 10)
         assert classify_sample(own, near, ZONE)[0] is True
         assert classify_sample(own, far, ZONE)[0] is False
+
+
+class TestComfortZonePredicates:
+    # d_act = 150, t_aware = 600; the expectations below are written out.
+    VALUES = (0.0, -0.0, 150.0, math.nextafter(150.0, math.inf), 600.0,
+              math.nextafter(600.0, math.inf), -1e-300, math.inf, -math.inf, math.nan)
+    AT_RISK = (True, True, True, False, False, False, True, False, True, False)
+    IN_WINDOW = (True, True, True, True, True, False, False, False, False, False)
+
+    @pytest.mark.parametrize("t_aware", [600.0, math.inf])
+    def test_float_and_array_agree(self, t_aware):
+        zone = ComfortZone(150.0, t_aware)
+        column = np.array(self.VALUES)
+        risk, window = zone.at_risk(column), zone.in_window(column)
+        assert risk.dtype == bool and window.dtype == bool
+        for i, value in enumerate(self.VALUES):
+            assert type(zone.at_risk(value)) is bool
+            assert type(zone.in_window(value)) is bool
+            assert zone.at_risk(value) == risk[i]
+            assert zone.in_window(value) == window[i]
+
+    def test_literal_thresholds(self):
+        assert tuple(ZONE.at_risk(v) for v in self.VALUES) == self.AT_RISK
+        assert tuple(ZONE.in_window(v) for v in self.VALUES) == self.IN_WINDOW
+        # An unbounded horizon admits every non-negative TCPA, inf included.
+        unbounded = ComfortZone(150.0, math.inf)
+        assert tuple(unbounded.in_window(v) for v in self.VALUES) == (
+            self.IN_WINDOW[:5] + (True, False, True, False, False)
+        )
 
 
 class TestClassifyPair:

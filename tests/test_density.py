@@ -204,6 +204,13 @@ class TestIsj:
             h = density_module.select_bandwidth(x, "isj")
         assert h == pytest.approx(bandwidth_silverman(x))
 
+    @pytest.mark.parametrize("n", [2, 49])
+    def test_fallback_on_too_few_samples(self, n):
+        x = np.random.default_rng(45).standard_normal(n)
+        with pytest.warns(RuntimeWarning, match="at least 50 samples"):
+            h = select_bandwidth(x, "isj")
+        assert h == bandwidth_silverman(x)
+
 
 def _isj_golden_inputs():
     rng = np.random.default_rng(103)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colreg_risk import (
-    AutomatonConfig,
+    ComfortZone,
     Method,
     Rule,
     StateUncertainty,
@@ -87,7 +87,7 @@ class TestDesPath:
     def test_matches_scalar_automaton(self):
         from colreg_risk import run_once
 
-        cfg = AutomatonConfig(d_act=ZONE.d_act, t_aware=ZONE.t_aware)
+        cfg = ZONE
         unc = make_uncertainty(DIAG, 1.0)
         n = 400
         batch = draw_pair(OWN_2, EXACT, TARGET_2, unc, n, seed=6, clamp_speed=True)
@@ -117,6 +117,23 @@ class TestDesPath:
 
 
 class TestKdePath:
+    def test_few_finite_tcpa_samples_fall_back_to_silverman(self):
+        # Matched mean velocities with a tiny speed spread: only a few dozen
+        # of the 2000 samples have a finite TCPA, too few for the plug-in
+        # selector, so the TCPA density uses Silverman's rule.
+        own = VesselState(0.0, 0.0, 0.0, 10.0)
+        target = VesselState(500.0, 500.0, 0.0, 10.0)
+        unc = StateUncertainty(10.0, 10.0, 0.0, 1.3e-5)
+        batch = draw_pair(own, EXACT, target, unc, 2000, seed=1)
+        tcpa = encounter_buffers(batch).tcpa
+        finite = np.isfinite(tcpa)
+        assert 2 <= np.unique(tcpa[finite]).size < 50
+        with pytest.warns(RuntimeWarning, match="Silverman"):
+            a = assess_kde(own, EXACT, target, unc, ZONE, 2000, seed=1)
+        des = assess_des(own, EXACT, target, unc, ZONE, 2000, seed=1)
+        assert 0.0 <= a.p_tcpa_window <= float(np.mean(finite))
+        assert a.p_tcpa_window == pytest.approx(des.p_tcpa_window, abs=0.01)
+
     def test_needs_enough_samples(self):
         with pytest.raises(TooFewSamples):
             assess_kde(OWN_1, EXACT, TARGET_1, make_uncertainty(DIAG, 1.0), ZONE, 500, seed=8)
@@ -245,11 +262,11 @@ class TestProperties:
         assume(math.hypot(j.north - k.north, j.east - k.east) > 1.0)
         batch = draw_pair(j, own_unc, k, tgt_unc, n, seed)
         assume(np.all(batch.states_j.speed >= 0.0) and np.all(batch.states_k.speed >= 0.0))
-        cfg = AutomatonConfig(d_act=d_act, t_aware=t_aware)
+        cfg = ComfortZone(d_act, t_aware)
         scalar = estimate_probabilities(
             [run_once(batch.states_j.state(i), batch.states_k.state(i), cfg) for i in range(n)]
         )
-        vector = assess_des(j, own_unc, k, tgt_unc, cfg.zone(), n, seed)
+        vector = assess_des(j, own_unc, k, tgt_unc, cfg, n, seed)
         assert vector.p_risk == scalar.p_risk
         assert vector.p_tcpa_window == scalar.p_tcpa_window
         assert dict(vector.p_rule) == dict(scalar.p_rule)
@@ -272,3 +289,17 @@ class TestProperties:
                       *a.p_rule.values()]
             assert all(-slack <= v <= 1.0 + slack for v in values)
             assert abs(math.fsum(a.p_rule.values()) - 1.0) <= 1e-12
+
+    @settings(PROPERTY, max_examples=8)
+    @given(j=mean_states, k=mean_states, alpha=alphas, exact_own=st.booleans(),
+           seed=st.integers(0, 2**63 - 1))
+    def test_same_seed_same_assessment(self, j, k, alpha, exact_own, seed):
+        own_unc, tgt_unc = _uncertainties(alpha, exact_own)
+        assume(math.hypot(j.north - k.north, j.east - k.east) > 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kde = [assess_kde(j, own_unc, k, tgt_unc, ZONE, 1000, seed) for _ in range(2)]
+        des = [assess_des(j, own_unc, k, tgt_unc, ZONE, 1000, seed) for _ in range(2)]
+        # Dataclass equality compares every field, the situation tables too.
+        assert kde[0] == kde[1]
+        assert des[0] == des[1]
