@@ -243,43 +243,6 @@ class EmpiricalBehavior:
         return automaton
 
 
-def write_strings(strings: Iterable[RunString], target) -> int:
-    """Dump run strings one per line, words comma-separated; returns count.
-
-    ``target`` is a path or an open text handle.  Silent runs produce an
-    empty line, so line counts always match run counts for offline
-    re-aggregation.
-    """
-
-    def _emit(handle) -> int:
-        count = 0
-        for s in strings:
-            handle.write(",".join(s))
-            handle.write("\n")
-            count += 1
-        return count
-
-    if hasattr(target, "write"):
-        return _emit(target)
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        return _emit(handle)
-
-
-def read_strings(source) -> list[RunString]:
-    """Inverse of ``write_strings`` for offline aggregation."""
-
-    def _parse(handle) -> list[RunString]:
-        return [
-            tuple(word for word in line.rstrip("\n").split(",") if word)
-            for line in handle
-        ]
-
-    if hasattr(source, "read"):
-        return _parse(source)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _parse(handle)
-
-
 def estimate_behavioral_relation(
     runs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> EmpiricalBehavior:

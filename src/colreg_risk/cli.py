@@ -50,10 +50,11 @@ from .density import (
     Topology,
     ZeroDispersion,
     bandwidth_grid_cv,
-    bandwidth_isj,
+    bandwidth_isj,  # not called here; perfbench's tracer wraps it in this namespace
     bandwidth_silverman,
     evaluate,
     fit,
+    select_bandwidth,
 )
 from .estimator import assess_des, assess_kde, propagation_study
 from .kinematics import VesselState, cpa, relative_bearing
@@ -394,38 +395,28 @@ def _format_bearing(bearing: float) -> str:
     return str(int(bearing)) if float(bearing).is_integer() else str(bearing)
 
 
-def _write_column_csv(path: Path, name: str, values: np.ndarray) -> None:
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """One header row, then one row per index of the equal-length columns."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([name])
-        for v in values:
-            writer.writerow([repr(float(v))])
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
 
 
-def _write_curve_csv(path: Path, xs: np.ndarray, ys: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "f_hat"])
-        for x, y in zip(xs, ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
+# Cross-validation cost is quadratic in the sample count, so the grid
+# selector sees at most this many samples per buffer.
+_CV_SAMPLE_CAP = 2000
 
 
-def _density_outputs(
-    values: np.ndarray, topology: Topology, selector: str, cv_cap: int = 2000
-):
+def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
     """Bandwidth report plus a sampled density curve for one buffer."""
     h_silverman = bandwidth_silverman(values)
-    try:
-        h_isj = bandwidth_isj(values, topology)
-    except (FixedPointFailure, TooFewSamples):
-        # The plug-in selector is data-hungry; small studies fall back to
-        # the rule of thumb so the export always succeeds.
-        h_isj = h_silverman
+    h_isj = select_bandwidth(values, topology)
     h_grid = None
     if selector == "grid":
-        # Cross-validation cost is quadratic: cap the sample count and span
-        # a bracket around the pilot bandwidth.
-        capped = values[:cv_cap] if values.size > cv_cap else values
+        # Span a bracket around the pilot bandwidth of the capped samples.
+        capped = values[:_CV_SAMPLE_CAP]
         pilot = bandwidth_silverman(capped)
         h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0)
     selected = {"isj": h_isj, "silverman": h_silverman, "grid": h_grid}[selector]
@@ -469,9 +460,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"output directory not writable: {exc}", file=sys.stderr)
         return 4
 
-    study = propagation_study(bearings, args.range, args.samples, args.seed)
-
     try:
+        study = propagation_study(bearings, args.range, args.samples, args.seed)
         bandwidth_rows = []
         for bearing in bearings:
             buffers = study[bearing]
@@ -481,9 +471,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 ("dcpa", buffers.dcpa, Topology.LINE),
                 ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
             ):
-                _write_column_csv(out_dir / f"{name}_{tag}.csv", name, values)
+                _write_csv(out_dir / f"{name}_{tag}.csv", [name], [values])
                 report, xs, ys = _density_outputs(values, topology, args.bandwidth)
-                _write_curve_csv(out_dir / f"kde_{name}_{tag}.csv", xs, ys)
+                _write_csv(out_dir / f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys])
                 bandwidth_rows.append(
                     [name, tag, repr(report.h_silverman), repr(report.h_isj),
                      "" if report.h_grid is None else repr(report.h_grid),

@@ -97,8 +97,10 @@ class ComfortZone:
     t_aware: float
 
     def __post_init__(self) -> None:
-        if not self.d_act > 0.0:
-            raise ValueError(f"d_act must be positive, got {self.d_act}")
+        # t_aware may be infinite (an unbounded window); d_act may not, since
+        # an infinite action radius would put every sample at risk.
+        if not (self.d_act > 0.0 and math.isfinite(self.d_act)):
+            raise ValueError(f"d_act must be positive and finite, got {self.d_act}")
         if not self.t_aware > 0.0:
             raise ValueError(f"t_aware must be positive, got {self.t_aware}")
 
@@ -164,7 +166,13 @@ def situation_masses(joint: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def bearing_region(beta: float, own_course: float, other_course: float) -> Region:
-    """Map a relative bearing (deg) and the two courses into a Region."""
+    """Map a relative bearing (deg) and the two courses into a Region.
+
+    Raises:
+        ValueError: a non-finite bearing, which lies in no band.
+    """
+    if not math.isfinite(beta):
+        raise ValueError(f"bearing must be finite, got {beta}")
     if course_head_on(reciprocal_course(own_course, other_course)):
         return Region.HEAD_ON
     return _BAND_REGIONS[bisect_left(BAND_EDGES, wrap_degrees(beta))]
@@ -230,23 +238,26 @@ def classify_sample(
 
 
 def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """Region indices (Region values) for bearing/course-opposition columns."""
+    """Region indices (Region values) for bearing/course-opposition columns.
+
+    Raises:
+        ValueError: a non-finite bearing, which lies in no band.
+    """
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("bearings must be finite")
     bands = _BAND_REGION_CODES[np.searchsorted(BAND_EDGES, beta, side="left")]
     return np.where(course_head_on(dpsi), int(Region.HEAD_ON), bands)
 
 
 def situation_codes(
-    beta_own: np.ndarray,
-    beta_other: np.ndarray,
-    course_own: np.ndarray,
-    course_other: np.ndarray,
+    beta_own: np.ndarray, beta_other: np.ndarray, dpsi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised mutual classification.
+    """Vectorised mutual classification from the two bearing columns and the
+    course-opposition column ``reciprocal_course(course_own, course_other)``.
 
     Returns (own_region, other_region, rule_index, obligation) integer
     columns, with rule_index indexing RULE_VALUES.
     """
-    dpsi = reciprocal_course(course_own, course_other)
     own_region = region_codes(beta_own, dpsi)
     # |dpsi| is symmetric between the two viewpoints, so reuse it.
     other_region = region_codes(beta_other, dpsi)

@@ -14,13 +14,11 @@ log-likelihood.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.fft import dct
@@ -369,53 +367,23 @@ def bandwidth_grid_cv(
 
 def select_bandwidth(
     samples: Iterable[float],
-    method: str = "isj",
     topology: Topology = Topology.LINE,
 ) -> float:
-    """Resolve a selector name, falling back from the plug-in rule on failure."""
-    if method == "silverman":
-        return bandwidth_silverman(samples)
-    if method == "isj":
-        try:
-            return bandwidth_isj(samples, topology)
-        except (FixedPointFailure, TooFewSamples) as exc:
-            warnings.warn(
-                f"plug-in bandwidth unavailable ({exc}); "
-                "falling back to Silverman's rule",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return bandwidth_silverman(samples)
-    raise ValueError(f"unknown bandwidth method {method!r}")
+    """The plug-in (ISJ) bandwidth, or Silverman's rule where it is unavailable.
 
-
-def bandwidth_report(
-    samples: Iterable[float],
-    selector: str = "isj",
-    topology: Topology = Topology.LINE,
-    grid: tuple[float, float, float] | None = None,
-    folds: int = 5,
-) -> BandwidthReport:
-    """Run the selectors side by side; the grid search is optional (slow)."""
-    h_silverman = bandwidth_silverman(samples)
+    This is the one fallback rule: too few samples for the plug-in selector
+    or an unbracketed fixed point both fall back, with a RuntimeWarning.
+    """
     try:
-        h_isj = bandwidth_isj(samples, topology)
-    except FixedPointFailure:
-        h_isj = h_silverman
-    h_grid = None
-    if grid is not None:
-        h_grid = bandwidth_grid_cv(samples, *grid, folds=folds)
-    if selector == "silverman":
-        selected = h_silverman
-    elif selector == "isj":
-        selected = h_isj
-    elif selector == "grid":
-        if h_grid is None:
-            raise ValueError("grid selector requested but no grid given")
-        selected = h_grid
-    else:
-        raise ValueError(f"unknown selector {selector!r}")
-    return BandwidthReport(h_silverman, h_isj, selected, h_grid)
+        return bandwidth_isj(samples, topology)
+    except (FixedPointFailure, TooFewSamples) as exc:
+        warnings.warn(
+            f"plug-in bandwidth unavailable ({exc}); "
+            "falling back to Silverman's rule",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return bandwidth_silverman(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +413,3 @@ def ks_normality(samples: Iterable[float]) -> tuple[float, float]:
     p_value = float(kolmogorov(math.sqrt(n) * statistic))
     return statistic, p_value
 
-
-def write_density_curve(
-    estimate: DensityEstimate,
-    lo: float,
-    hi: float,
-    num: int,
-    target: str | Path | IO[str],
-) -> None:
-    """Dump a sampled density curve as CSV columns (x, f_hat)."""
-    xs = np.linspace(lo, hi, num)
-    ys = evaluate(estimate, xs)
-
-    def _emit(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "f_hat"])
-        for x, y in zip(xs, ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
-
-    if hasattr(target, "write"):
-        _emit(target)  # type: ignore[arg-type]
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            _emit(handle)

@@ -38,6 +38,10 @@ from .kinematics import VesselState, bearing_arrays, cpa_arrays, reciprocal_cour
 from .sampling import SampleBatch, StateUncertainty, draw_pair, pair_stream_seeds
 
 
+class NonFiniteGeometry(FloatingPointError):
+    """Raised when a sampled batch overflows the CPA or bearing geometry."""
+
+
 @dataclass(frozen=True)
 class EncounterBuffers:
     """Per-sample CPA and bearing quantities for one sampled batch.
@@ -55,13 +59,18 @@ class EncounterBuffers:
 
 
 def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
-    """Vectorised CPA/bearing evaluation of a sampled batch."""
+    """Vectorised CPA/bearing evaluation of a sampled batch.
+
+    Raises:
+        NonFiniteGeometry: a non-finite DCPA, bearing or course delta, or a
+            NaN TCPA (+inf TCPA marks a degenerate pair and is kept).
+    """
     sj, sk = batch.states_j, batch.states_k
     tcpa, dcpa, degenerate = cpa_arrays(
         sj.north, sj.east, sj.course, sj.speed,
         sk.north, sk.east, sk.course, sk.speed,
     )
-    return EncounterBuffers(
+    buf = EncounterBuffers(
         tcpa=tcpa,
         dcpa=dcpa,
         bearing_jk=bearing_arrays(sj.north, sj.east, sj.course, sk.north, sk.east),
@@ -69,6 +78,13 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
         course_delta=reciprocal_course(sj.course, sk.course),
         degenerate=degenerate,
     )
+    finite = (buf.dcpa, buf.bearing_jk, buf.bearing_kj, buf.course_delta)
+    if np.isnan(tcpa).any() or not all(np.isfinite(col).all() for col in finite):
+        raise NonFiniteGeometry(
+            "sampled states overflow the CPA/bearing geometry "
+            "(non-finite DCPA, TCPA or bearing values)"
+        )
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +218,13 @@ def assess_des(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
-    buf = encounter_buffers(batch)
+    buf = encounter_buffers(draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed))
 
     risk_count = int(np.count_nonzero(zone.at_risk(buf.dcpa)))
     window_count = int(np.count_nonzero(zone.in_window(buf.tcpa)))
 
     own_r, other_r, rule_idx, obligation = situation_codes(
-        buf.bearing_jk, buf.bearing_kj, batch.states_j.course, batch.states_k.course
+        buf.bearing_jk, buf.bearing_kj, buf.course_delta
     )
     event_counts = np.bincount(rule_idx * 2 + obligation, minlength=8)
     situation_counts = {

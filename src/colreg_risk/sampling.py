@@ -59,14 +59,6 @@ class StateUncertainty:
             if value < 0.0:
                 raise NegativeInput(f"{name} must be >= 0, got {value}")
 
-    def is_zero(self) -> bool:
-        return (
-            self.sigma_north == 0.0
-            and self.sigma_east == 0.0
-            and self.sigma_course == 0.0
-            and self.sigma_speed == 0.0
-        )
-
 
 def make_uncertainty(
     diag: Sequence[float],

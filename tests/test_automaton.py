@@ -336,21 +336,6 @@ class TestBehavioralRelation:
             assert 0.0 <= prob <= 1.0
 
 
-class TestStringRoundTrip:
-    def test_write_and_read_back(self, tmp_path):
-        from colreg_risk.automaton import read_strings, write_strings
-
-        rng = np.random.default_rng(68)
-        strings = [run_once(random_state(rng), random_state(rng), CFG) for _ in range(50)]
-        strings.append(())  # a silent run must survive the round trip
-        path = tmp_path / "trace.csv"
-        assert write_strings(strings, path) == 51
-        assert read_strings(path) == strings
-        a = estimate_probabilities(strings)
-        b = estimate_probabilities(read_strings(path))
-        assert a.p_risk == b.p_risk and a.p_give_way == b.p_give_way
-
-
 class TestStochasticAutomatonValidation:
     def test_bad_mass_rejected(self):
         from colreg_risk import StochasticAutomaton

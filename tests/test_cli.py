@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +235,22 @@ class TestRunCommand:
         assert "kde" in capsys.readouterr().out
 
 
+    def test_overflowing_uncertainty_exits_3(self, tmp_path, scenario1_raw, capsys):
+        # alpha = 1e300 overflows the CPA geometry: a numeric failure, not a
+        # traceback from the density fit.
+        scenario1_raw["alpha_list"] = [1e300]
+        path = write_config(tmp_path, scenario1_raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            assert main(["run", "--config", str(path), "--samples", "2000"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
+def _bandwidth_rows(out_dir):
+    with open(out_dir / "bandwidths.csv", encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 class TestAnalyzeCommand:
     def test_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "study"
@@ -296,6 +314,50 @@ class TestAnalyzeCommand:
         curve = np.loadtxt(out_dir / "kde_tcpa_0.csv", delimiter=",", skiprows=1)
         mass = float(np.trapezoid(curve[:, 1], curve[:, 0]))
         assert mass == pytest.approx(1.0, abs=5e-3)
+
+    def test_tiny_sample_count_falls_back_with_warning(self, tmp_path):
+        # Ten samples are too few for the plug-in selector: the export takes
+        # Silverman's rule and says so, by the same rule as ``run``.
+        out_dir = tmp_path / "tiny"
+        with pytest.warns(RuntimeWarning, match="Silverman"):
+            assert main(["analyze", "--bearings", "0,45", "--samples", "10",
+                         "--out", str(out_dir), "--seed", "2"]) == 0
+        rows = _bandwidth_rows(out_dir)
+        assert len(rows) == 6
+        for row in rows:
+            assert float(row["h_isj"]) == float(row["h_silverman"]) > 0.0
+            assert row["selected"] == row["h_isj"]
+
+    @pytest.mark.parametrize("selector", ["isj", "silverman", "grid"])
+    def test_bandwidths_csv_records_the_selection(self, tmp_path, selector):
+        out_dir = tmp_path / selector
+        assert main(["analyze", "--bearings", "0,90", "--samples", "400",
+                     "--out", str(out_dir), "--seed", "5", "--bandwidth", selector]) == 0
+        rows = _bandwidth_rows(out_dir)
+        assert [(r["quantity"], r["bearing"]) for r in rows] == [
+            (q, b) for b in ("0", "90") for q in ("tcpa", "dcpa", "bearing")
+        ]
+        column = {"isj": "h_isj", "silverman": "h_silverman", "grid": "h_grid"}[selector]
+        for row in rows:
+            assert float(row["h_silverman"]) > 0.0 and float(row["h_isj"]) > 0.0
+            # The grid search runs only when it is the selector.
+            if selector == "grid":
+                assert float(row["h_grid"]) > 0.0
+            else:
+                assert row["h_grid"] == ""
+            assert row["selected"] == row[column]
+        curves = sorted(out_dir.glob("kde_*.csv"))
+        assert len(curves) == 6
+        for path in curves:
+            assert path.read_text(encoding="utf-8").split("\n", 1)[0] == "x,f_hat"
+
+    def test_overflowing_range_exits_3(self, tmp_path, capsys):
+        # A finite but huge range overflows the CPA geometry of the study.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            assert main(["analyze", "--bearings", "0", "--range", "1e308",
+                         "--samples", "300", "--out", str(tmp_path / "x")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_kde_sample_floor_reported_as_config_error(self, tmp_path, scenario1_raw, capsys):
         scenario1_raw["alpha_list"] = [1.0]

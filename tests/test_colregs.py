@@ -85,6 +85,13 @@ class TestBearingRegion:
             assert region in Region
             assert region is reference_region(float(beta), own, other)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bearing_rejected(self, beta):
+        # A NaN compares false against every edge and used to land in the
+        # head-on band; it lies in no band, so it is an error.
+        with pytest.raises(ValueError, match="finite"):
+            bearing_region(beta, 0.0, 90.0)
+
 
 class TestMutualSituation:
     def test_table_exhaustive(self):
@@ -177,6 +184,16 @@ class TestComfortZonePredicates:
         )
 
 
+    @pytest.mark.parametrize("d_act", [math.inf, math.nan, -math.inf])
+    def test_bad_action_radius_rejected(self, d_act):
+        # An infinite radius would put every sample at risk.
+        with pytest.raises(ValueError, match="d_act"):
+            ComfortZone(d_act, 600.0)
+
+    def test_infinite_horizon_accepted(self):
+        assert ComfortZone(150.0, math.inf).t_aware == math.inf
+
+
 class TestClassifyPair:
     def test_scenario2(self):
         dcpa, tcpa, outcome = classify_pair(OWN_2, TARGET_2)
@@ -209,6 +226,14 @@ class TestVectorisedCodes:
             assert codes[i] == int(reference_region(*args))
             assert codes[i] == int(bearing_region(*args))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_region_codes_reject_non_finite_bearing(self, bad):
+        beta = np.array([10.0, bad, 200.0])
+        with pytest.raises(ValueError, match="finite"):
+            region_codes(beta, np.full(3, 90.0))
+        with pytest.raises(ValueError, match="finite"):
+            situation_codes(np.full(3, 10.0), beta, np.full(3, 90.0))
+
     def test_situation_codes_match_table(self):
         rng = np.random.default_rng(23)
         beta_own = rng.uniform(0, 360, 400)
@@ -216,7 +241,7 @@ class TestVectorisedCodes:
         course_own = rng.uniform(0, 360, 400)
         course_other = rng.uniform(0, 360, 400)
         own_r, other_r, rule_idx, oblig = situation_codes(
-            beta_own, beta_other, course_own, course_other
+            beta_own, beta_other, reciprocal_course(course_own, course_other)
         )
         rules = (Rule.R0, Rule.R13, Rule.R14, Rule.R15)
         for i in range(400):
@@ -238,7 +263,9 @@ def _regions(j, k):
     col = lambda *values: np.array(values, dtype=float)
     beta_jk = bearing_arrays(col(j.north), col(j.east), col(j.course), col(k.north), col(k.east))
     beta_kj = bearing_arrays(col(k.north), col(k.east), col(k.course), col(j.north), col(j.east))
-    own_r, other_r, _, _ = situation_codes(beta_jk, beta_kj, col(j.course), col(k.course))
+    own_r, other_r, _, _ = situation_codes(
+        beta_jk, beta_kj, reciprocal_course(col(j.course), col(k.course))
+    )
     return int(own_r[0]), int(other_r[0]), float(beta_jk[0]), float(beta_kj[0])
 
 
@@ -264,8 +291,8 @@ class TestProperties:
     def test_swapping_vessels_swaps_regions(self, rows):
         beta_jk, beta_kj, course_j, offset = (np.array(c) for c in zip(*rows))
         course_k = (course_j + offset) % 360.0
-        own, other, _, _ = situation_codes(beta_jk, beta_kj, course_j, course_k)
-        own_s, other_s, _, _ = situation_codes(beta_kj, beta_jk, course_k, course_j)
+        own, other, _, _ = situation_codes(beta_jk, beta_kj, reciprocal_course(course_j, course_k))
+        own_s, other_s, _, _ = situation_codes(beta_kj, beta_jk, reciprocal_course(course_k, course_j))
         assert np.array_equal(own, other_s) and np.array_equal(other, own_s)
         for i in range(len(rows)):
             args = float(course_j[i]), float(course_k[i])

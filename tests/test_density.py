@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from colreg_risk import (
     Topology,
     bandwidth_grid_cv,
     bandwidth_isj,
-    bandwidth_report,
     bandwidth_silverman,
     evaluate,
     fit,
@@ -23,7 +21,6 @@ from colreg_risk.density import (
     TooFewSamples,
     ZeroDispersion,
     _derivative_norm,
-    write_density_curve,
 )
 
 
@@ -201,14 +198,14 @@ class TestIsj:
         rng = np.random.default_rng(44)
         x = rng.standard_normal(1000)
         with pytest.warns(RuntimeWarning):
-            h = density_module.select_bandwidth(x, "isj")
+            h = density_module.select_bandwidth(x)
         assert h == pytest.approx(bandwidth_silverman(x))
 
     @pytest.mark.parametrize("n", [2, 49])
     def test_fallback_on_too_few_samples(self, n):
         x = np.random.default_rng(45).standard_normal(n)
         with pytest.warns(RuntimeWarning, match="at least 50 samples"):
-            h = select_bandwidth(x, "isj")
+            h = select_bandwidth(x)
         assert h == bandwidth_silverman(x)
 
 
@@ -385,27 +382,3 @@ class TestKsNormality:
         x = np.abs(np.random.default_rng(49).standard_normal(10_000))
         _, p = ks_normality(x)
         assert p < 1e-4
-
-
-class TestReportAndDump:
-    def test_bandwidth_report_fields(self):
-        rng = np.random.default_rng(50)
-        x = rng.standard_normal(2000)
-        report = bandwidth_report(x, selector="isj", grid=(0.1, 0.6, 0.1))
-        assert report.h_silverman > 0 and report.h_isj > 0
-        assert report.h_grid is not None and report.h_grid > 0
-        assert report.selected == report.h_isj
-
-    def test_write_density_curve(self):
-        d = fit(np.random.default_rng(51).standard_normal(200), 0.5)
-        buffer = io.StringIO()
-        write_density_curve(d, -3.0, 3.0, 11, buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "x,f_hat"
-        assert len(lines) == 12
-        x0, f0 = lines[1].split(",")
-        assert float(x0) == -3.0 and float(f0) >= 0.0
-
-    def test_select_bandwidth_unknown_method(self):
-        with pytest.raises(ValueError):
-            select_bandwidth(np.arange(100.0), "magic")

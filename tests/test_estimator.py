@@ -22,6 +22,7 @@ from colreg_risk import (
     run_once,
 )
 from colreg_risk.density import TooFewSamples
+from colreg_risk.estimator import NonFiniteGeometry
 from colreg_risk.sampling import draw_pair
 
 from scenarios import DIAG, OWN_1, OWN_2, TARGET_1, TARGET_2, ZONE
@@ -58,6 +59,18 @@ class TestBuffers:
         assert np.all(buf.degenerate)
         assert np.all(np.isinf(buf.tcpa))
         assert np.allclose(buf.dcpa, 50.0)
+
+    def test_overflow_rejected(self):
+        # Sigmas near 1e301 overflow the CPA products to inf and NaN.
+        huge = make_uncertainty(DIAG, 1e300)
+        batch = draw_pair(OWN_2, huge, TARGET_2, huge, 50, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            with pytest.raises(NonFiniteGeometry):
+                encounter_buffers(batch)
+            for assess in (assess_kde, assess_des):
+                with pytest.raises(FloatingPointError):
+                    assess(OWN_2, huge, TARGET_2, huge, ZONE, 1000, 3)
 
 
 class TestZeroUncertainty:

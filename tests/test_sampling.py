@@ -31,7 +31,7 @@ class TestMakeUncertainty:
         assert unc.sigma_course == pytest.approx(math.sqrt(2))
 
     def test_zero_alpha(self):
-        assert make_uncertainty((10, 10, 2, 2), 0.0).is_zero()
+        assert make_uncertainty((10, 10, 2, 2), 0.0) == StateUncertainty(0, 0, 0, 0)
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeInput):
