@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .colregs import Obligation, Region, Rule
+from .colregs import N_EVENTS, RULE_VALUES, Region, Rule
 
 
 class Method(Enum):
@@ -31,8 +31,9 @@ class RiskAssessment:
     ``p_risk`` is P(DCPA <= d_act); ``p_tcpa_window`` is P(0 <= TCPA <=
     t_aware), reported separately because the action threshold alone
     drives the risk columns.  ``p_rule`` aggregates both obligations under
-    R13/R15 and always sums to one across the four rules.  ``p_stand_on``
-    is defined as 1 - p_give_way.
+    R13/R15, in RULE_VALUES order, and always sums to one across the four
+    rules.  ``p_give_way`` is the give-way share times ``p_risk`` and
+    ``p_stand_on`` is 1 - p_give_way.  Build one with ``from_shares``.
     """
 
     p_risk: float
@@ -45,54 +46,60 @@ class RiskAssessment:
     seed: int
     situation: SituationDistribution | None = None
 
-
-# The six (rule, obligation) events a classified sample can land in.
-SITUATION_EVENTS: tuple[tuple[Rule, Obligation], ...] = (
-    (Rule.R0, Obligation.GIVE_WAY),
-    (Rule.R13, Obligation.STAND_ON),
-    (Rule.R13, Obligation.GIVE_WAY),
-    (Rule.R14, Obligation.GIVE_WAY),
-    (Rule.R15, Obligation.STAND_ON),
-    (Rule.R15, Obligation.GIVE_WAY),
-)
+    @classmethod
+    def from_shares(
+        cls,
+        p_risk: float,
+        p_tcpa_window: float,
+        rule_shares: Iterable[float],
+        give_way_share: float,
+        method: Method,
+        n_samples: int,
+        seed: int,
+        situation: SituationDistribution | None = None,
+    ) -> RiskAssessment:
+        """The one constructor: P(rule) from shares in RULE_VALUES order, and
+        the give-way probability as the give-way share times the risk,
+        mirroring the conditional-times-marginal factorisation."""
+        p_give_way = give_way_share * p_risk
+        return cls(
+            p_risk=p_risk,
+            p_tcpa_window=p_tcpa_window,
+            p_rule=MappingProxyType(dict(zip(RULE_VALUES, map(float, rule_shares)))),
+            p_give_way=p_give_way,
+            p_stand_on=1.0 - p_give_way,
+            method=method,
+            n_samples=n_samples,
+            seed=seed,
+            situation=situation,
+        )
 
 
 def assessment_from_counts(
     risk_count: int,
     window_count: int,
-    situation_counts: Mapping[tuple[Rule, Obligation], int],
+    event_counts: Sequence[int],
     n: int,
     method: Method,
     seed: int,
     situation: SituationDistribution | None = None,
 ) -> RiskAssessment:
-    """Assemble a RiskAssessment from per-sample event counts.
+    """Assemble a RiskAssessment from per-sample counts.
 
-    Every sample must land in exactly one situation event; the give-way
-    probability is the give-way-classified fraction times the risk
-    probability, mirroring the conditional-times-marginal factorisation.
+    ``event_counts`` holds N_EVENTS situation event counts indexed by
+    ``colregs.event_code``; every sample must land in exactly one event.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    total = sum(situation_counts.get(event, 0) for event in SITUATION_EVENTS)
-    if total != n:
-        raise ValueError(f"situation counts sum to {total}, expected {n}")
-
-    p_rule = {rule: 0.0 for rule in Rule}
-    give_way_count = 0
-    for (rule, obligation), count in situation_counts.items():
-        p_rule[rule] += count / n
-        if obligation is Obligation.GIVE_WAY:
-            give_way_count += count
-
-    p_risk = risk_count / n
-    p_give_way = (give_way_count / n) * p_risk
-    return RiskAssessment(
-        p_risk=p_risk,
+    counts = [int(c) for c in event_counts]
+    if len(counts) != N_EVENTS or sum(counts) != n:
+        raise ValueError(f"need {N_EVENTS} event counts summing to {n}, got {counts}")
+    return RiskAssessment.from_shares(
+        p_risk=risk_count / n,
         p_tcpa_window=window_count / n,
-        p_rule=MappingProxyType(p_rule),
-        p_give_way=p_give_way,
-        p_stand_on=1.0 - p_give_way,
+        rule_shares=(stand_on / n + give_way / n
+                     for stand_on, give_way in zip(counts[0::2], counts[1::2])),
+        give_way_share=sum(counts[1::2]) / n,
         method=method,
         n_samples=n,
         seed=seed,

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assessment import Method, RiskAssessment, assessment_from_counts
-from .colregs import ComfortZone, Obligation, Rule, SituationOutcome, classify_pair
+from .colregs import (
+    N_EVENTS,
+    ComfortZone,
+    Obligation,
+    Rule,
+    SituationOutcome,
+    classify_pair,
+    event_code,
+)
 from .kinematics import VesselState
 
 RunString = tuple[str, ...]
@@ -49,7 +57,8 @@ SITUATION_WORDS: Mapping[SituationOutcome, str] = {
     SituationOutcome(Rule.R15, Obligation.STAND_ON): "u7",
     SituationOutcome(Rule.R15, Obligation.GIVE_WAY): "u8",
 }
-_EVENT_FOR_WORD = {word: outcome for outcome, word in SITUATION_WORDS.items()}
+_EVENT_CODE_FOR_WORD = {word: event_code(outcome) for outcome, word in SITUATION_WORDS.items()}
+_NO_RULE_CODE = event_code(SituationOutcome(Rule.R0, Obligation.GIVE_WAY))
 _ALL_SITUATION_WORDS = frozenset(SITUATION_WORDS.values())
 
 # Indicator event key for the collision-risk word.
@@ -165,25 +174,22 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
 
     risk_count = 0
     window_count = 0
-    situation_counts: Counter[tuple[Rule, Obligation]] = Counter()
+    counts = [0] * N_EVENTS
     for s in runs:
         present = set(s)
         if WORD_RISK_ACT in present:
             risk_count += 1
         if WORD_AWARE_TIME in present:
             window_count += 1
-        for word in ("u4", "u5", "u6", "u7", "u8"):
-            if word in present:
-                outcome = _EVENT_FOR_WORD[word]
-                situation_counts[(outcome.rule, outcome.obligation)] += 1
-                break
-        else:
-            situation_counts[(Rule.R0, Obligation.GIVE_WAY)] += 1
+        code = next(
+            (c for word, c in _EVENT_CODE_FOR_WORD.items() if word in present), _NO_RULE_CODE
+        )
+        counts[code] += 1
 
     return assessment_from_counts(
         risk_count=risk_count,
         window_count=window_count,
-        situation_counts=situation_counts,
+        event_counts=counts,
         n=len(runs),
         method=Method.DES,
         seed=seed,

@@ -44,7 +44,6 @@ from .colregs import (
     mutual_situation,
 )
 from .density import (
-    BandwidthReport,
     FixedPointFailure,
     TooFewSamples,
     Topology,
@@ -78,18 +77,6 @@ class ScenarioConfig:
     n_samples: int
     seed: int
     methods: tuple[Method, ...]
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    alpha: float
-    method: Method
-    p_risk: float
-    p_r0: float
-    p_r13: float
-    p_r14: float
-    p_r15: float
-    p_give_way: float
 
 
 def _require(mapping: dict, field: str, context: str):
@@ -213,6 +200,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"interpretation: expected 'stddev' or 'variance', got {interp_name!r}"
         ) from None
+    for alpha in alpha_list:
+        for name, entries in (("diag", diag), ("own_diag", own_diag)):
+            try:
+                make_uncertainty(entries, alpha, interpretation)
+            except ValueError as exc:
+                raise ConfigError(f"alpha_list: {alpha} times {name} overflows: {exc}") from None
 
     d_act = _number(_require(raw, "d_act_m", "config"), "d_act_m")
     if not (d_act > 0 and math.isfinite(d_act)):
@@ -283,40 +276,18 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(count, n_tasks))
 
 
-def _row_from(assessment: RiskAssessment, alpha: float) -> ResultRow:
-    return ResultRow(
-        alpha=alpha,
-        method=assessment.method,
-        p_risk=assessment.p_risk,
-        p_r0=assessment.p_rule[Rule.R0],
-        p_r13=assessment.p_rule[Rule.R13],
-        p_r14=assessment.p_rule[Rule.R14],
-        p_r15=assessment.p_rule[Rule.R15],
-        p_give_way=assessment.p_give_way,
-    )
-
-
-def run_scenario(config: ScenarioConfig) -> list[ResultRow]:
-    """Evaluate every (alpha, method) combination of a scenario config."""
+def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
+    """(alpha, assessment) rows for every (alpha, method) combination of a
+    scenario config, in config order."""
     zone = ComfortZone(config.d_act_m, config.t_aware_s)
 
-    def one_alpha(alpha: float) -> list[ResultRow]:
+    def one_alpha(alpha: float) -> list[tuple[float, RiskAssessment]]:
         own_unc = make_uncertainty(config.own_diag, alpha, config.interpretation)
         tgt_unc = make_uncertainty(config.diag, alpha, config.interpretation)
-        rows = []
-        for method in config.methods:
-            if method is Method.KDE:
-                assessment = assess_kde(
-                    config.own_ship, own_unc, config.target, tgt_unc,
-                    zone, config.n_samples, config.seed,
-                )
-            else:
-                assessment = assess_des(
-                    config.own_ship, own_unc, config.target, tgt_unc,
-                    zone, config.n_samples, config.seed,
-                )
-            rows.append(_row_from(assessment, alpha))
-        return rows
+        args = (config.own_ship, own_unc, config.target, tgt_unc, zone,
+                config.n_samples, config.seed)
+        return [(alpha, assess_kde(*args) if method is Method.KDE else assess_des(*args))
+                for method in config.methods]
 
     workers = _worker_count(len(config.alpha_list))
     if workers == 1:
@@ -327,31 +298,33 @@ def run_scenario(config: ScenarioConfig) -> list[ResultRow]:
     return [row for chunk in chunks for row in chunk]
 
 
-def format_table(rows: Sequence[ResultRow]) -> str:
-    header = (
-        f"{'alpha':>6}  {'method':>6}  {'p_risk':>7}  {'p_R0':>6}  "
-        f"{'p_R13':>6}  {'p_R14':>6}  {'p_R15':>6}  {'p_give_way':>10}"
-    )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row.alpha:>6.2f}  {row.method.value:>6}  {row.p_risk:>7.3f}  "
-            f"{row.p_r0:>6.3f}  {row.p_r13:>6.3f}  {row.p_r14:>6.3f}  "
-            f"{row.p_r15:>6.3f}  {row.p_give_way:>10.3f}"
-        )
+# Probability columns of a result row after alpha and method, with their
+# table widths; the values come from ``_probabilities``.
+_RESULT_COLUMNS = (
+    ("p_risk", 7), ("p_R0", 6), ("p_R13", 6), ("p_R14", 6), ("p_R15", 6), ("p_give_way", 10),
+)
+
+
+def _probabilities(a: RiskAssessment) -> tuple[float, ...]:
+    return (a.p_risk, *(a.p_rule[rule] for rule in Rule), a.p_give_way)
+
+
+def format_table(rows: Sequence[tuple[float, RiskAssessment]]) -> str:
+    columns = (("alpha", 6), ("method", 6), *_RESULT_COLUMNS)
+    lines = ["  ".join(f"{name:>{width}}" for name, width in columns)]
+    for alpha, a in rows:
+        cells = [f"{alpha:>6.2f}", f"{a.method.value:>6}"] + [
+            f"{value:>{width}.3f}" for value, (_, width) in zip(_probabilities(a), _RESULT_COLUMNS)
+        ]
+        lines.append("  ".join(cells))
     return "\n".join(lines)
 
 
-def write_rows_csv(rows: Sequence[ResultRow], handle: IO[str]) -> None:
+def write_rows_csv(rows: Sequence[tuple[float, RiskAssessment]], handle: IO[str]) -> None:
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(
-        ["alpha", "method", "p_risk", "p_R0", "p_R13", "p_R14", "p_R15", "p_give_way"]
-    )
-    for row in rows:
-        writer.writerow(
-            [repr(row.alpha), row.method.value]
-            + [repr(v) for v in (row.p_risk, row.p_r0, row.p_r13, row.p_r14, row.p_r15, row.p_give_way)]
-        )
+    writer.writerow(["alpha", "method", *(name for name, _ in _RESULT_COLUMNS)])
+    for alpha, a in rows:
+        writer.writerow([repr(alpha), a.method.value, *map(repr, _probabilities(a))])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -410,7 +383,9 @@ _CV_SAMPLE_CAP = 2000
 
 
 def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
-    """Bandwidth report plus a sampled density curve for one buffer."""
+    """The h_silverman, h_isj, h_grid and selected cells of bandwidths.csv,
+    h_grid blank unless the grid selector runs, plus a sampled density curve
+    for one buffer."""
     h_silverman = bandwidth_silverman(values)
     h_isj = select_bandwidth(values, topology)
     h_grid = None
@@ -420,15 +395,15 @@ def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
         pilot = bandwidth_silverman(capped)
         h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0)
     selected = {"isj": h_isj, "silverman": h_silverman, "grid": h_grid}[selector]
-    report = BandwidthReport(h_silverman, h_isj, selected, h_grid)
-    estimate = fit(values, report.selected, topology)
+    estimate = fit(values, selected, topology)
     if topology is Topology.CIRCLE360:
         xs = np.linspace(0.0, 360.0, 721)[:-1]
     else:
-        pad = 4.0 * report.selected
+        pad = 4.0 * selected
         xs = np.linspace(values.min() - pad, values.max() + pad, 512)
     ys = np.asarray(evaluate(estimate, xs))
-    return report, xs, ys
+    cells = [repr(h_silverman), repr(h_isj), "" if h_grid is None else repr(h_grid), repr(selected)]
+    return cells, xs, ys
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -472,13 +447,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
             ):
                 _write_csv(out_dir / f"{name}_{tag}.csv", [name], [values])
-                report, xs, ys = _density_outputs(values, topology, args.bandwidth)
+                cells, xs, ys = _density_outputs(values, topology, args.bandwidth)
                 _write_csv(out_dir / f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys])
-                bandwidth_rows.append(
-                    [name, tag, repr(report.h_silverman), repr(report.h_isj),
-                     "" if report.h_grid is None else repr(report.h_grid),
-                     repr(report.selected)]
-                )
+                bandwidth_rows.append([name, tag, *cells])
         with open(out_dir / "bandwidths.csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"])

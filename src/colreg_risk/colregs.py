@@ -15,7 +15,8 @@ so the mapping is total.
 This module owns each of these decisions once.  The scalar path
 (``classify_pair``) and the array path (``situation_codes``) stay separate,
 since only the scalar path is fast for one pair, but read the same edges,
-course test and table.
+course test and table.  Both counting pipelines count outcomes by one
+situation event code (``event_code``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .kinematics import (
     cpa,
     reciprocal_course,
     relative_bearing,
-    wrap_degrees,
 )
 
 
@@ -144,16 +144,20 @@ _SITUATION_TABLE: tuple[tuple[SituationOutcome, ...], ...] = (
     ),
 )
 
-# Integer lookup mirrors for the vectorised path.
 RULE_VALUES: tuple[Rule, ...] = (Rule.R0, Rule.R13, Rule.R14, Rule.R15)
-_RULE_INDEX = np.array(
-    [[RULE_VALUES.index(cell.rule) for cell in row] for row in _SITUATION_TABLE],
-    dtype=np.int64,
-)
-_OBLIGATION = np.array(
-    [[int(cell.obligation) for cell in row] for row in _SITUATION_TABLE],
-    dtype=np.int64,
-)
+# Situation events are counted as one vector: slot RULE_VALUES index x 2 +
+# obligation.  The R0 and R14 stand-on slots are always empty.
+N_EVENTS = 2 * len(RULE_VALUES)
+
+
+def event_code(outcome: SituationOutcome) -> int:
+    """Slot of an outcome in a situation event-count vector."""
+    return 2 * RULE_VALUES.index(outcome.rule) + int(outcome.obligation)
+
+
+# Event code of each (own, other) region cell, for the vectorised path.
+_EVENT_CODE = np.array([[event_code(cell) for cell in row] for row in _SITUATION_TABLE])
+_RULE_INDEX, _OBLIGATION = np.divmod(_EVENT_CODE, 2)
 
 
 def situation_masses(joint: np.ndarray) -> tuple[np.ndarray, float]:
@@ -165,17 +169,28 @@ def situation_masses(joint: np.ndarray) -> tuple[np.ndarray, float]:
     return p_rule, float(give_way[Obligation.GIVE_WAY])
 
 
+def event_counts(joint_counts: np.ndarray) -> np.ndarray:
+    """Situation event-count vector of a 4x4 (own, other) region count table."""
+    counts = np.zeros(N_EVENTS, dtype=np.int64)
+    np.add.at(counts, _EVENT_CODE, joint_counts)
+    return counts
+
+
 def bearing_region(beta: float, own_course: float, other_course: float) -> Region:
     """Map a relative bearing (deg) and the two courses into a Region.
 
     Raises:
-        ValueError: a non-finite bearing, which lies in no band.
+        ValueError: a bearing outside [0, 360) or non-finite, or a
+            non-finite course delta; neither lies in any band.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"bearing must be finite, got {beta}")
-    if course_head_on(reciprocal_course(own_course, other_course)):
+    if not 0.0 <= beta < 360.0:
+        raise ValueError(f"bearing must be finite and in [0, 360), got {beta}")
+    dpsi = reciprocal_course(own_course, other_course)
+    if not math.isfinite(dpsi):
+        raise ValueError(f"course delta must be finite, got {dpsi}")
+    if course_head_on(dpsi):
         return Region.HEAD_ON
-    return _BAND_REGIONS[bisect_left(BAND_EDGES, wrap_degrees(beta))]
+    return _BAND_REGIONS[bisect_left(BAND_EDGES, beta)]
 
 
 def mutual_situation(own_region: Region, other_region: Region) -> SituationOutcome:
@@ -241,26 +256,21 @@ def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Region indices (Region values) for bearing/course-opposition columns.
 
     Raises:
-        ValueError: a non-finite bearing, which lies in no band.
+        ValueError: a bearing outside [0, 360) or non-finite, or a
+            non-finite course delta, as ``bearing_region``.
     """
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("bearings must be finite")
+    if not np.all((beta >= 0.0) & (beta < 360.0)):
+        raise ValueError("bearings must be finite and in [0, 360)")
+    if not np.all(np.isfinite(dpsi)):
+        raise ValueError("course deltas must be finite")
     bands = _BAND_REGION_CODES[np.searchsorted(BAND_EDGES, beta, side="left")]
     return np.where(course_head_on(dpsi), int(Region.HEAD_ON), bands)
 
 
 def situation_codes(
     beta_own: np.ndarray, beta_other: np.ndarray, dpsi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised mutual classification from the two bearing columns and the
-    course-opposition column ``reciprocal_course(course_own, course_other)``.
-
-    Returns (own_region, other_region, rule_index, obligation) integer
-    columns, with rule_index indexing RULE_VALUES.
-    """
-    own_region = region_codes(beta_own, dpsi)
-    # |dpsi| is symmetric between the two viewpoints, so reuse it.
-    other_region = region_codes(beta_other, dpsi)
-    rule_index = _RULE_INDEX[own_region, other_region]
-    obligation = _OBLIGATION[own_region, other_region]
-    return own_region, other_region, rule_index, obligation
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised (own_region, other_region) columns from the two bearing
+    columns and the course-opposition column ``reciprocal_course(course_own,
+    course_other)``; |dpsi| is symmetric between the two viewpoints."""
+    return region_codes(beta_own, dpsi), region_codes(beta_other, dpsi)

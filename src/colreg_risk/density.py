@@ -73,16 +73,6 @@ class DensityEstimate:
     topology: Topology
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
-    """Bandwidths from the available selectors plus the one chosen."""
-
-    h_silverman: float
-    h_isj: float
-    selected: float
-    h_grid: float | None = None
-
-
 def _as_samples(samples: Iterable[float], minimum: int) -> np.ndarray:
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < minimum:
@@ -270,7 +260,8 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     Raises:
         TooFewSamples: fewer than 50 samples (the selector is data-hungry).
         ZeroDispersion: all samples identical.
-        FixedPointFailure: no root bracketed; fall back to Silverman.
+        FixedPointFailure: no root bracketed, or a sample range too narrow
+            for the 2**14-bin grid at its magnitude; fall back to Silverman.
     """
     arr = _as_samples(samples, 50)
     if topology is Topology.CIRCLE360:
@@ -281,6 +272,11 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     lo = float(arr.min()) - 3.0 * pilot
     hi = float(arr.max()) + 3.0 * pilot
     span = hi - lo
+    # A spread narrow against its magnitude leaves fewer representable
+    # values than grid edges; the plug-in rule has no grid to run on.
+    edges = np.linspace(lo, hi, n_bins + 1)
+    if not np.all(edges[1:] > edges[:-1]):
+        raise FixedPointFailure(f"range {span!r} too narrow for {n_bins} bins at {hi!r}")
     counts, _ = np.histogram(arr, bins=n_bins, range=(lo, hi))
     rel_freq = counts / arr.size
 

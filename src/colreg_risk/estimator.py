@@ -19,10 +19,9 @@ from .assessment import Method, RiskAssessment, SituationDistribution, assessmen
 from .colregs import (
     HEAD_ON_COURSE_DEG,
     REGION_ARCS,
-    RULE_VALUES,
     ComfortZone,
-    Obligation,
     Region,
+    event_counts,
     situation_codes,
     situation_masses,
 )
@@ -185,13 +184,11 @@ def assess_kde(
 
     joint = np.outer(own, other)
     rule_masses, give_way_fraction = situation_masses(joint)
-    p_give_way = give_way_fraction * p_risk
-    return RiskAssessment(
+    return RiskAssessment.from_shares(
         p_risk=p_risk,
         p_tcpa_window=p_window,
-        p_rule={rule: float(mass) for rule, mass in zip(RULE_VALUES, rule_masses)},
-        p_give_way=p_give_way,
-        p_stand_on=1.0 - p_give_way,
+        rule_shares=rule_masses,
+        give_way_share=give_way_fraction,
         method=Method.KDE,
         n_samples=n,
         seed=seed,
@@ -223,28 +220,16 @@ def assess_des(
     risk_count = int(np.count_nonzero(zone.at_risk(buf.dcpa)))
     window_count = int(np.count_nonzero(zone.in_window(buf.tcpa)))
 
-    own_r, other_r, rule_idx, obligation = situation_codes(
-        buf.bearing_jk, buf.bearing_kj, buf.course_delta
-    )
-    event_counts = np.bincount(rule_idx * 2 + obligation, minlength=8)
-    situation_counts = {
-        (rule, oblig): int(event_counts[idx * 2 + oblig])
-        for idx, rule in enumerate(RULE_VALUES)
-        for oblig in (Obligation.STAND_ON, Obligation.GIVE_WAY)
-        if event_counts[idx * 2 + oblig]
-    }
-
+    own_r, other_r = situation_codes(buf.bearing_jk, buf.bearing_kj, buf.course_delta)
     joint_counts = np.bincount(own_r * 4 + other_r, minlength=16).reshape(4, 4)
     situation = _situation(
-        np.bincount(own_r, minlength=4) / n,
-        np.bincount(other_r, minlength=4) / n,
-        joint_counts / n,
+        joint_counts.sum(axis=1) / n, joint_counts.sum(axis=0) / n, joint_counts / n
     )
 
     return assessment_from_counts(
         risk_count=risk_count,
         window_count=window_count,
-        situation_counts=situation_counts,
+        event_counts=event_counts(joint_counts),
         n=n,
         method=Method.DES,
         seed=seed,

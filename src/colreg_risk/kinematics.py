@@ -116,12 +116,16 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
     Raises:
         DegenerateRelativeMotion: if |dv|^2 <= REL_SPEED_SQ_EPS, i.e. the
             velocity vectors coincide and no unique CPA time exists.
+        FloatingPointError: if |dv|^2 overflows, which would collapse TCPA
+            to zero and DCPA to the current separation.
     """
     vj = velocity_of(j)
     vk = velocity_of(k)
     dvn = vj.v_north - vk.v_north
     dve = vj.v_east - vk.v_east
     rel_sq = dvn * dvn + dve * dve
+    if math.isinf(rel_sq):
+        raise FloatingPointError("relative speed squared overflows")
     if rel_sq <= REL_SPEED_SQ_EPS:
         raise DegenerateRelativeMotion(
             f"relative speed squared {rel_sq:.3e} <= {REL_SPEED_SQ_EPS:.0e}"
@@ -188,12 +192,14 @@ def cpa_arrays(
     """Vectorised CPA: returns (tcpa, dcpa, degenerate_mask).
 
     Where the mask is set, tcpa is +inf and dcpa is the current separation.
+    Where |dv|^2 overflows, tcpa and dcpa are NaN, as ``cpa`` raises there.
     """
     vjn, vje = velocity_arrays(course_j, speed_j)
     vkn, vke = velocity_arrays(course_k, speed_k)
     dvn = vjn - vkn
     dve = vje - vke
     rel_sq = dvn * dvn + dve * dve
+    rel_sq[np.isinf(rel_sq)] = np.nan
     degenerate = rel_sq <= REL_SPEED_SQ_EPS
 
     dpn = north_j - north_k

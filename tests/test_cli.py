@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colreg_risk.cli import (
     ConfigError,
@@ -170,9 +175,9 @@ class TestRunCommand:
         scenario1_raw["n_samples"] = 2000
         rows = run_scenario(parse_config(scenario1_raw))
         assert len(rows) == 2
-        for row in rows:
-            for value in (row.p_risk, row.p_r0, row.p_r13, row.p_r14, row.p_r15,
-                          row.p_give_way):
+        for alpha, a in rows:
+            assert alpha == 1.0
+            for value in (a.p_risk, *a.p_rule.values(), a.p_give_way):
                 assert 0.0 <= value <= 1.0
 
     def test_byte_identical_across_thread_counts(self, tmp_path, scenario1_raw, monkeypatch):
@@ -244,6 +249,79 @@ class TestRunCommand:
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
             assert main(["run", "--config", str(path), "--samples", "2000"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("speed", [1e160, 1e300])
+    def test_overflowing_relative_speed_exits_3(self, tmp_path, speed, capsys):
+        # |dv|^2 overflows: TCPA used to collapse to 0 and DCPA to the current
+        # separation, so both methods printed p_risk 0.000 and exit 0.
+        raw = _raw("scenario2")
+        raw["target"]["speed_mps"] = speed
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            assert main(["run", "--config", str(path), "--samples", "2000"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_overflowing_scaled_diag_is_config_error(self, tmp_path, scenario1_raw, capsys):
+        # Finite alpha and diag entries whose product is not a finite sigma.
+        scenario1_raw["alpha_list"] = [1.0, 1e300]
+        scenario1_raw["own_diag"] = [1e10, 0.0, 0.0, 0.0]
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "alpha_list: 1e+300 times own_diag overflows" in capsys.readouterr().err
+
+
+def _raw(name):
+    with open(bundled_config_path(name), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+MAX_FLOAT = sys.float_info.max
+magnitudes = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-9, 10.0, 1e10, 1e154, 1e160, 1e300, MAX_FLOAT]),
+    st.floats(0.0, MAX_FLOAT),
+)
+signed = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), magnitudes)
+
+
+class TestRunFuzz:
+    """``run`` on scenario-2 configs with extreme finite values ends in a
+    documented exit code, never a traceback, and exit 0 means every printed
+    probability is finite and in [0, 1]."""
+
+    # Each field keeps its scenario-2 value (None) or takes an extreme one.
+    FIELDS = {
+        ("own_ship", "north_m"): signed, ("own_ship", "east_m"): signed,
+        ("own_ship", "speed_mps"): magnitudes, ("target", "range_m"): magnitudes,
+        ("target", "speed_mps"): magnitudes,
+    }
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=80)
+    @given(values=st.tuples(*(st.none() | field for field in FIELDS.values())),
+           diag=st.none() | st.lists(magnitudes, min_size=4, max_size=4),
+           alpha=st.sampled_from([0.0, 1.0, 5.0]) | magnitudes)
+    def test_extreme_configs_exit_cleanly(self, tmp_path_factory, values, diag, alpha):
+        raw = _raw("scenario2")
+        for (section, field), value in zip(self.FIELDS, values):
+            if value is not None:
+                raw[section][field] = value
+        if diag is not None:
+            raw["diag"] = diag
+        raw.update(alpha_list=[alpha], n_samples=1000)
+        out = tmp_path_factory.mktemp("fuzz")
+        path = write_config(out, raw)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            code = main(["run", "--config", str(path), "--csv", str(out / "rows.csv")])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            with open(out / "rows.csv", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+            assert [row["method"] for row in rows] == ["kde", "des"]
+            for row in rows:
+                for column in ("p_risk", "p_R0", "p_R13", "p_R14", "p_R15", "p_give_way"):
+                    assert 0.0 <= float(row[column]) <= 1.0, (column, row)
 
 
 def _bandwidth_rows(out_dir):

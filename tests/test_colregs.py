@@ -17,7 +17,14 @@ from colreg_risk import (
     give_way_pairs,
     mutual_situation,
 )
-from colreg_risk.colregs import REGION_ARCS, classify_pair, region_codes, situation_codes
+from colreg_risk.colregs import (
+    REGION_ARCS,
+    classify_pair,
+    event_code,
+    event_counts,
+    region_codes,
+    situation_codes,
+)
 from colreg_risk.kinematics import bearing_arrays, reciprocal_course
 
 from scenarios import (
@@ -91,6 +98,26 @@ class TestBearingRegion:
         # head-on band; it lies in no band, so it is an error.
         with pytest.raises(ValueError, match="finite"):
             bearing_region(beta, 0.0, 90.0)
+
+    @pytest.mark.parametrize("beta", [-20.0, -1e-9, 360.0, 400.0])
+    def test_out_of_range_bearing_rejected(self, beta):
+        # The scalar path used to wrap these while the array path called
+        # them head-on; both now reject them.
+        with pytest.raises(ValueError, match="finite"):
+            bearing_region(beta, 0.0, 90.0)
+        with pytest.raises(ValueError, match="finite"):
+            region_codes(np.array([10.0, beta]), np.full(2, 90.0))
+
+    @pytest.mark.parametrize("own, other", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_course_delta_rejected(self, own, other):
+        # A NaN course delta is not head-on and used to fall into a band.
+        dpsi = np.array([90.0, reciprocal_course(own, other)])
+        with pytest.raises(ValueError, match="finite"):
+            bearing_region(10.0, own, other)
+        with pytest.raises(ValueError, match="finite"):
+            region_codes(np.full(2, 10.0), dpsi)
+        with pytest.raises(ValueError, match="finite"):
+            situation_codes(np.full(2, 10.0), np.full(2, 200.0), dpsi)
 
 
 class TestMutualSituation:
@@ -240,14 +267,34 @@ class TestVectorisedCodes:
         beta_other = rng.uniform(0, 360, 400)
         course_own = rng.uniform(0, 360, 400)
         course_other = rng.uniform(0, 360, 400)
-        own_r, other_r, rule_idx, oblig = situation_codes(
+        own_r, other_r = situation_codes(
             beta_own, beta_other, reciprocal_course(course_own, course_other)
         )
-        rules = (Rule.R0, Rule.R13, Rule.R14, Rule.R15)
         for i in range(400):
-            expected = mutual_situation(Region(own_r[i]), Region(other_r[i]))
-            assert rules[rule_idx[i]] is expected.rule
-            assert oblig[i] == int(expected.obligation)
+            courses = float(course_own[i]), float(course_other[i])
+            assert own_r[i] == reference_region(float(beta_own[i]), *courses)
+            assert other_r[i] == reference_region(float(beta_other[i]), *courses[::-1])
+
+    @pytest.mark.parametrize("own, other", list(EXPECTED_TABLE))
+    def test_event_counts_match_table(self, own, other):
+        # Literal slot layout: rule order R0, R13, R14, R15, two slots each,
+        # stand-on first.
+        rule, obligation = EXPECTED_TABLE[(own, other)]
+        slot = 2 * (Rule.R0, Rule.R13, Rule.R14, Rule.R15).index(rule) + int(obligation)
+        assert mutual_situation(own, other) == SituationOutcome(rule, obligation)
+        joint = np.zeros((4, 4), dtype=np.int64)
+        joint[own, other] = 3
+        expected = [0] * 8
+        expected[slot] = 3
+        assert event_counts(joint).tolist() == expected
+        assert event_code(mutual_situation(own, other)) == slot
+
+    def test_event_counts_sum_every_cell(self):
+        joint = np.arange(16).reshape(4, 4)
+        counts = event_counts(joint)
+        assert counts.sum() == joint.sum()
+        # The no-rule and head-on rules never oblige the acting vessel to stand on.
+        assert counts[0] == 0 and counts[4] == 0
 
 
 def _rotate(state, theta):
@@ -263,7 +310,7 @@ def _regions(j, k):
     col = lambda *values: np.array(values, dtype=float)
     beta_jk = bearing_arrays(col(j.north), col(j.east), col(j.course), col(k.north), col(k.east))
     beta_kj = bearing_arrays(col(k.north), col(k.east), col(k.course), col(j.north), col(j.east))
-    own_r, other_r, _, _ = situation_codes(
+    own_r, other_r = situation_codes(
         beta_jk, beta_kj, reciprocal_course(col(j.course), col(k.course))
     )
     return int(own_r[0]), int(other_r[0]), float(beta_jk[0]), float(beta_kj[0])
@@ -291,8 +338,8 @@ class TestProperties:
     def test_swapping_vessels_swaps_regions(self, rows):
         beta_jk, beta_kj, course_j, offset = (np.array(c) for c in zip(*rows))
         course_k = (course_j + offset) % 360.0
-        own, other, _, _ = situation_codes(beta_jk, beta_kj, reciprocal_course(course_j, course_k))
-        own_s, other_s, _, _ = situation_codes(beta_kj, beta_jk, reciprocal_course(course_k, course_j))
+        own, other = situation_codes(beta_jk, beta_kj, reciprocal_course(course_j, course_k))
+        own_s, other_s = situation_codes(beta_kj, beta_jk, reciprocal_course(course_k, course_j))
         assert np.array_equal(own, other_s) and np.array_equal(other, own_s)
         for i in range(len(rows)):
             args = float(course_j[i]), float(course_k[i])

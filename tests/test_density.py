@@ -201,6 +201,17 @@ class TestIsj:
             h = density_module.select_bandwidth(x)
         assert h == pytest.approx(bandwidth_silverman(x))
 
+    @pytest.mark.parametrize("topology", [Topology.LINE, Topology.CIRCLE360])
+    def test_fallback_on_range_too_narrow_for_the_grid(self, topology):
+        # A spread of a few ulps at 180 leaves no 2**14 distinct bin edges;
+        # np.histogram used to raise a bare ValueError here.
+        x = 180.0 + 1e-12 * np.random.default_rng(46).standard_normal(1000)
+        with pytest.raises(FixedPointFailure, match="too narrow"):
+            bandwidth_isj(x, topology)
+        with pytest.warns(RuntimeWarning, match="too narrow"):
+            h = select_bandwidth(x, topology)
+        assert h == bandwidth_silverman(x)
+
     @pytest.mark.parametrize("n", [2, 49])
     def test_fallback_on_too_few_samples(self, n):
         x = np.random.default_rng(45).standard_normal(n)

@@ -46,6 +46,13 @@ class TestVelocity:
 
 
 class TestCpa:
+    @pytest.mark.parametrize("speed", [1e160, 1e300])
+    def test_overflowing_relative_speed_raises(self, speed):
+        # |dv|^2 = inf used to give TCPA 0 and DCPA 1000 m, the current
+        # separation, where the vessels meet head-on (DCPA about 0).
+        with pytest.raises(FloatingPointError, match="overflows"):
+            cpa(VesselState(0, 0, 0, 10), VesselState(1000, 0, 180, speed))
+
     def test_scenario1_dcpa_matches_reference(self):
         assert cpa(OWN_1, TARGET_1).dcpa == pytest.approx(176.78, abs=0.01)
 
@@ -210,6 +217,16 @@ class TestArrayKernels:
                 assert degenerate[i]
                 assert np.isinf(tcpa[i])
                 assert dcpa[i] == pytest.approx(math.hypot(a.north - b.north, a.east - b.east))
+
+    def test_cpa_arrays_mark_overflow_nan(self):
+        col = lambda *v: np.array(v, dtype=float)
+        with np.errstate(over="ignore"):
+            tcpa, dcpa, degenerate = cpa_arrays(
+                col(0, 0), col(0, 0), col(0, 0), col(10, 10),
+                col(1000, 1000), col(0, 0), col(180, 180), col(10, 1e300),
+            )
+        assert tcpa[0] == pytest.approx(50.0) and dcpa[0] == pytest.approx(0.0)
+        assert np.isnan(tcpa[1]) and np.isnan(dcpa[1]) and not degenerate.any()
 
     def test_bearing_arrays_match_scalar(self):
         rng = np.random.default_rng(18)
