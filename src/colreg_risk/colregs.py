@@ -15,8 +15,8 @@ so the mapping is total.
 This module owns each of these decisions once.  The scalar path
 (``classify_pair``) and the array path (``situation_codes``) stay separate,
 since only the scalar path is fast for one pair, but read the same edges,
-course test and table.  Both counting pipelines count outcomes by one
-situation event code (``event_code``).
+course test and table, as do the KDE band masses (``band_regions``).  Both
+counting pipelines count outcomes by one situation event code (``event_code``).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Region(IntEnum):
 BAND_EDGES: tuple[float, ...] = (5.0, 112.5, 247.5, 355.0)
 _BAND_REGIONS = (Region.HEAD_ON, Region.STARBOARD, Region.OVERTAKING, Region.PORT, Region.HEAD_ON)
 _BAND_REGION_CODES = np.array(_BAND_REGIONS, dtype=np.int64)
-# (lo, hi) bearing arc of each region, indexed by Region.
-REGION_ARCS = tuple(zip(BAND_EDGES[-1:] + BAND_EDGES[:-1], BAND_EDGES))
+# All band edges over [0, 360], for band integrals of a bearing density.
+BEARING_BANDS: tuple[float, ...] = (0.0, *BAND_EDGES, 360.0)
 # Courses within this many degrees of reciprocal make every bearing head-on.
 HEAD_ON_COURSE_DEG = 5.0
 
@@ -252,6 +252,19 @@ def classify_sample(
 # ---------------------------------------------------------------------------
 
 
+def bearing_regions(beta: np.ndarray) -> np.ndarray:
+    """Region index of each bearing by its band alone, without the course test."""
+    if not np.all((beta >= 0.0) & (beta < 360.0)):
+        raise ValueError("bearings must be finite and in [0, 360)")
+    return _BAND_REGION_CODES[np.searchsorted(BAND_EDGES, beta, side="left")]
+
+
+def band_regions(values: np.ndarray) -> np.ndarray:
+    """Sum per-band values (one per ``BEARING_BANDS`` band) into the four
+    regions, in Region order; the head-on region sums its two bands."""
+    return np.bincount(_BAND_REGION_CODES, weights=values, minlength=len(Region))
+
+
 def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Region indices (Region values) for bearing/course-opposition columns.
 
@@ -259,11 +272,9 @@ def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
         ValueError: a bearing outside [0, 360) or non-finite, or a
             non-finite course delta, as ``bearing_region``.
     """
-    if not np.all((beta >= 0.0) & (beta < 360.0)):
-        raise ValueError("bearings must be finite and in [0, 360)")
+    bands = bearing_regions(beta)
     if not np.all(np.isfinite(dpsi)):
         raise ValueError("course deltas must be finite")
-    bands = _BAND_REGION_CODES[np.searchsorted(BAND_EDGES, beta, side="left")]
     return np.where(course_head_on(dpsi), int(Region.HEAD_ON), bands)
 
 

@@ -18,12 +18,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.fft import dct
 from scipy.optimize import brentq
 from scipy.special import kolmogorov, ndtr
+
+from .kinematics import wrap_degrees
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Chunk size cap (elements) for the dense cross-validation matrices.
@@ -82,10 +84,12 @@ def _as_samples(samples: Iterable[float], minimum: int) -> np.ndarray:
     return arr
 
 
-def _image_shifts(bandwidth: float) -> np.ndarray:
-    # Enough periodic images that the neglected tails are < 1e-12 even for
-    # very wide kernels.
-    periods = max(1, int(math.ceil(8.0 * bandwidth / 360.0)))
+def _image_shifts(estimate: DensityEstimate) -> np.ndarray:
+    # One image on the line.  On the circle, enough periodic images that the
+    # neglected tails are < 1e-12 even for very wide kernels.
+    if estimate.topology is Topology.LINE:
+        return np.zeros(1)
+    periods = max(1, int(math.ceil(8.0 * estimate.bandwidth / 360.0)))
     return 360.0 * np.arange(-periods, periods + 1, dtype=float)
 
 
@@ -106,8 +110,7 @@ def fit(
     if not bandwidth > 0.0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     if topology is Topology.CIRCLE360:
-        arr = arr % 360.0
-        arr = np.where(arr >= 360.0, 0.0, arr)
+        arr = wrap_degrees(arr)
     arr = arr.copy()
     arr.setflags(write=False)
     return DensityEstimate(arr, float(bandwidth), topology)
@@ -124,10 +127,7 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     points = np.atleast_1d(np.asarray(x, dtype=float))
     data = estimate.samples
     h = estimate.bandwidth
-    if estimate.topology is Topology.CIRCLE360:
-        shifts = _image_shifts(h)
-    else:
-        shifts = np.zeros(1)
+    shifts = _image_shifts(estimate)
 
     out = np.zeros(points.shape[0])
     rows = max(1, _EVAL_BLOCK // max(1, data.size))
@@ -152,11 +152,20 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     return out
 
 
-def _segment_mass(data: np.ndarray, h: float, lo: float, hi: float, shifts: np.ndarray) -> float:
-    total = 0.0
-    for shift in shifts:
-        total += float(np.mean(ndtr((hi - data + shift) / h) - ndtr((lo - data + shift) / h)))
-    return total
+def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float]:
+    """Unclipped probability mass between each pair of consecutive ascending
+    ``edges``, in closed form per kernel.  Each edge's CDF is computed once per
+    periodic image and bounds the band below and the band above it."""
+    data = estimate.samples
+    h = estimate.bandwidth
+    masses = [0.0] * (len(edges) - 1)
+    for shift in _image_shifts(estimate):
+        lower = ndtr((edges[0] - data + shift) / h)
+        for band, edge in enumerate(edges[1:]):
+            upper = ndtr((edge - data + shift) / h)
+            masses[band] += float(np.mean(upper - lower))
+            lower = upper
+    return masses
 
 
 def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
@@ -168,20 +177,13 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
     Raises:
         ValueError: line topology with lo > hi.
     """
-    data = estimate.samples
-    h = estimate.bandwidth
-    if estimate.topology is Topology.LINE:
-        if lo > hi:
+    if lo > hi:
+        if estimate.topology is Topology.LINE:
             raise ValueError(f"lo must be <= hi on the line, got ({lo}, {hi})")
-        return float(np.clip(_segment_mass(data, h, lo, hi, np.zeros(1)), 0.0, 1.0))
-
-    shifts = _image_shifts(h)
-    if lo <= hi:
-        mass = _segment_mass(data, h, lo, hi, shifts)
+        head, _, tail = band_masses(estimate, (0.0, hi, lo, 360.0))
+        mass = tail + head
     else:
-        mass = _segment_mass(data, h, lo, 360.0, shifts) + _segment_mass(
-            data, h, 0.0, hi, shifts
-        )
+        (mass,) = band_masses(estimate, (lo, hi))
     return float(np.clip(mass, 0.0, 1.0))
 
 

@@ -11,16 +11,20 @@ seed, so their disagreement measures the method, not the noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assessment import Method, RiskAssessment, SituationDistribution, assessment_from_counts
 from .colregs import (
+    BEARING_BANDS,
     HEAD_ON_COURSE_DEG,
-    REGION_ARCS,
     ComfortZone,
     Region,
+    band_regions,
+    bearing_regions,
+    course_head_on,
     event_counts,
     situation_codes,
     situation_masses,
@@ -29,6 +33,7 @@ from .density import (
     DensityEstimate,
     Topology,
     TooFewSamples,
+    band_masses,
     fit,
     integrate,
     select_bandwidth,
@@ -87,42 +92,37 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
 
 
 # ---------------------------------------------------------------------------
-# Density-pipeline helpers.  Buffers with zero spread (exact tracking) fall
-# back to point masses so the pipeline degrades to the deterministic answer.
+# Density-pipeline helpers.  A buffer with zero spread (exact tracking) has
+# no density; its probabilities are the shares of samples passing the DES
+# tests, so the pipeline returns the DES answer there.
 # ---------------------------------------------------------------------------
 
 
-class _BufferDensity:
-    def __init__(self, values: np.ndarray, topology: Topology):
-        self.topology = topology
-        if values.size and float(np.ptp(values)) == 0.0:
-            self.point: float | None = float(values[0])
-            self.estimate: DensityEstimate | None = None
-        else:
-            self.point = None
-            h = select_bandwidth(values, topology=topology)
-            self.estimate = fit(values, h, topology)
-
-    def mass(self, lo: float, hi: float) -> float:
-        if self.point is not None:
-            value = self.point
-            if self.topology is Topology.CIRCLE360 and lo > hi:
-                return float(value >= lo or value <= hi)
-            return float(lo <= value <= hi)
-        assert self.estimate is not None
-        return integrate(self.estimate, lo, hi)
+def _fit_buffer(values: np.ndarray, topology: Topology) -> DensityEstimate | None:
+    if float(np.ptp(values)) == 0.0:
+        return None
+    return fit(values, select_bandwidth(values, topology=topology), topology)
 
 
-def _region_probabilities(
-    bearing_density: _BufferDensity, p_course_opposed: float
-) -> np.ndarray:
+def _line_probability(values: np.ndarray, test: Callable, lo: float, hi: float) -> float:
+    """Mass of the buffer's density on [lo, hi], or, for a buffer with zero
+    spread, the share of samples that pass the matching DES ``test``."""
+    density = _fit_buffer(values, Topology.LINE)
+    return float(np.mean(test(values))) if density is None else integrate(density, lo, hi)
+
+
+def _region_probabilities(bearings: np.ndarray, p_course_opposed: float) -> np.ndarray:
     """Marginal region probabilities for one vessel.
 
     The head-on probability is the union of the bearing band and the
     course-proximity event (treated as independent); the other bands are
     scaled by the complement so the four probabilities sum to one.
     """
-    band = np.array([bearing_density.mass(*arc) for arc in REGION_ARCS])
+    density = _fit_buffer(bearings, Topology.CIRCLE360)
+    if density is None:
+        band = np.bincount(bearing_regions(bearings), minlength=len(Region)) / bearings.size
+    else:
+        band = np.clip(band_regions(band_masses(density, BEARING_BANDS)), 0.0, 1.0)
     probs = band * (1.0 - p_course_opposed)
     head_on = band[0] + p_course_opposed - band[0] * p_course_opposed
     probs[0] = head_on
@@ -155,32 +155,27 @@ def assess_kde(
     region probabilities from the bearing bands with the head-on course
     correction, the joint as the product of the two marginals, and the
     give-way probability as the give-way mass of the joint times the risk.
+    A buffer with zero spread takes the share of samples that pass the DES
+    test instead, so with exact tracking the result is the DES answer.
     """
     if n < 1000:
         raise TooFewSamples(f"density pipeline needs n >= 1000, got {n}")
     batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
     buf = encounter_buffers(batch)
 
-    dcpa_density = _BufferDensity(buf.dcpa, Topology.LINE)
-    p_risk = dcpa_density.mass(0.0, zone.d_act)
-
+    p_risk = _line_probability(buf.dcpa, zone.at_risk, 0.0, zone.d_act)
     finite = np.isfinite(buf.tcpa)
-    finite_frac = float(np.mean(finite))
-    if finite_frac > 0.0:
-        tcpa_density = _BufferDensity(buf.tcpa[finite], Topology.LINE)
-        p_window = finite_frac * tcpa_density.mass(0.0, zone.t_aware)
-    else:
-        p_window = 0.0
-
-    opposed_density = _BufferDensity(buf.course_delta, Topology.LINE)
-    p_course_opposed = opposed_density.mass(-HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG)
-
-    own = _region_probabilities(
-        _BufferDensity(buf.bearing_jk, Topology.CIRCLE360), p_course_opposed
+    if finite.any():
+        p_window = float(np.mean(finite)) * _line_probability(
+            buf.tcpa[finite], zone.in_window, 0.0, zone.t_aware
+        )
+    else:  # every pair degenerate: no TCPA density, only the DES test
+        p_window = float(np.mean(zone.in_window(buf.tcpa)))
+    p_course_opposed = _line_probability(
+        buf.course_delta, course_head_on, -HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG
     )
-    other = _region_probabilities(
-        _BufferDensity(buf.bearing_kj, Topology.CIRCLE360), p_course_opposed
-    )
+    own = _region_probabilities(buf.bearing_jk, p_course_opposed)
+    other = _region_probabilities(buf.bearing_kj, p_course_opposed)
 
     joint = np.outer(own, other)
     rule_masses, give_way_fraction = situation_masses(joint)

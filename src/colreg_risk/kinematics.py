@@ -179,6 +179,7 @@ def velocity_arrays(course_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarr
     return speed * np.cos(rad), speed * np.sin(rad)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cpa_arrays(
     north_j: np.ndarray,
     east_j: np.ndarray,
@@ -193,6 +194,7 @@ def cpa_arrays(
 
     Where the mask is set, tcpa is +inf and dcpa is the current separation.
     Where |dv|^2 overflows, tcpa and dcpa are NaN, as ``cpa`` raises there.
+    Overflow shows only as non-finite output, never as a numpy warning.
     """
     vjn, vje = velocity_arrays(course_j, speed_j)
     vkn, vke = velocity_arrays(course_k, speed_k)

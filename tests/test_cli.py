@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colreg_risk import cli
 from colreg_risk.cli import (
     ConfigError,
     bundled_config_path,
@@ -261,6 +263,45 @@ class TestRunCommand:
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
             assert main(["run", "--config", str(path), "--samples", "2000"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, section, field, value", [
+        ("scenario2", "target", "speed_mps", 1e160),  # |dv|^2 overflows
+        ("scenario1", None, "alpha_list", [1e300]),  # dp . dv overflows in TCPA
+    ])
+    def test_overflow_prints_only_the_failure_line(self, tmp_path, capfd, name, section,
+                                                   field, value):
+        # A subprocess, so numpy's overflow warnings would reach stderr as
+        # they do for a user, not pytest's warning capture.
+        raw = _raw(name)
+        (raw if section is None else raw[section])[field] = value
+        path = write_config(tmp_path, raw)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONWARNINGS", None)
+        result = subprocess.run([sys.executable, "-m", "colreg_risk.cli", "run", "--config",
+                                 str(path), "--samples", "2000"], env=env, check=False)
+        assert result.returncode == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
+
+    def test_exact_bearing_on_band_edge_counted_once(self, tmp_path, capsys):
+        # Own course 5 deg with the target due north: the bearing is exactly
+        # 355 deg, the port band's upper edge.  Without tracker error KDE
+        # must print the DES answer, not count the edge in two regions.
+        raw = {
+            "own_ship": {"north_m": 0, "east_m": 0, "course_deg": 5, "speed_mps": 10},
+            "target": {"north_m": 1000, "east_m": 0, "course_deg": 100, "speed_mps": 10},
+            "diag": [10, 10, 2, 2], "alpha_list": [0.0], "d_act_m": 150,
+            "n_samples": 2000, "seed": 1,
+        }
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        columns = header.split()
+        printed = {row.split()[1]: row.split() for row in rows}
+        assert printed["kde"][columns.index("p_R15")] == "1.000"
+        assert printed["kde"] == printed["des"][:1] + ["kde"] + printed["des"][2:]
 
     def test_overflowing_scaled_diag_is_config_error(self, tmp_path, scenario1_raw, capsys):
         # Finite alpha and diag entries whose product is not a finite sigma.

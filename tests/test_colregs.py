@@ -18,13 +18,16 @@ from colreg_risk import (
     mutual_situation,
 )
 from colreg_risk.colregs import (
-    REGION_ARCS,
+    BEARING_BANDS,
+    band_regions,
+    bearing_regions,
     classify_pair,
     event_code,
     event_counts,
     region_codes,
     situation_codes,
 )
+from colreg_risk.density import Topology, band_masses, fit, integrate
 from colreg_risk.kinematics import bearing_arrays, reciprocal_course
 
 from scenarios import (
@@ -236,8 +239,32 @@ class TestClassifyPair:
 
 
 class TestVectorisedCodes:
-    def test_region_arcs(self):
-        assert REGION_ARCS == ((355.0, 5.0), (5.0, 112.5), (112.5, 247.5), (247.5, 355.0))
+    def test_bearing_bands(self):
+        assert BEARING_BANDS == (0.0, 5.0, 112.5, 247.5, 355.0, 360.0)
+
+    def test_band_regions(self):
+        # One unit of mass in each band lands in that band's region alone.
+        regions = [HO, SB, OT, PS, HO]
+        for row, region in zip(np.eye(5), regions):
+            assert band_regions(row).tolist() == np.eye(4)[region].tolist()
+
+    def test_bearing_regions_on_edges(self):
+        # Each edge belongs to the band below it.
+        edges = np.array([0.0, 5.0, 112.5, 247.5, 355.0])
+        assert bearing_regions(edges).tolist() == [HO, HO, SB, OT, PS]
+        assert bearing_regions(np.nextafter(edges, 360.0)).tolist() == [HO, SB, OT, PS, HO]
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_band_masses_match_integrate(self, topology):
+        rng = np.random.default_rng(24)
+        est = fit(rng.normal(350.0, 40.0, 3000) % 360.0, 30.0, topology)
+        masses = band_masses(est, BEARING_BANDS)
+        bands = list(zip(BEARING_BANDS[:-1], BEARING_BANDS[1:]))
+        assert len(masses) == len(bands)
+        for mass, (lo, hi) in zip(masses, bands):
+            assert float(np.clip(mass, 0.0, 1.0)) == integrate(est, lo, hi)
+        if topology is Topology.CIRCLE360:
+            assert abs(math.fsum(masses) - 1.0) <= 1e-9
 
     def test_region_codes_match_scalar(self):
         rng = np.random.default_rng(22)

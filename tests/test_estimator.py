@@ -259,6 +259,21 @@ mean_states = st.builds(
 alphas = st.sampled_from((0.0, 0.1, 1.0, 5.0))
 
 
+# Own course on a band edge with the target due north puts the bearing
+# exactly on the edge at 360 - course; matched velocities make the pair
+# degenerate.
+edge_pairs = st.builds(
+    lambda course, speed, range_m, target_course: (
+        VesselState(0.0, 0.0, course, speed), VesselState(range_m, 0.0, target_course, speed)
+    ),
+    st.sampled_from((5.0, 112.5, 247.5, 355.0)), st.floats(0.0, 15.0), st.floats(10.0, 3000.0),
+    st.floats(0.0, 360.0, exclude_max=True),
+)
+degenerate_pairs = st.builds(
+    lambda j, k: (j, VesselState(k.north, k.east, j.course, j.speed)), mean_states, mean_states
+)
+
+
 def _uncertainties(alpha, exact_own):
     unc = make_uncertainty(DIAG, alpha)
     return (EXACT if exact_own else unc), unc
@@ -284,6 +299,24 @@ class TestProperties:
         assert vector.p_tcpa_window == scalar.p_tcpa_window
         assert dict(vector.p_rule) == dict(scalar.p_rule)
         assert vector.p_give_way == scalar.p_give_way
+
+    @settings(PROPERTY, max_examples=60)
+    @given(pair=st.tuples(mean_states, mean_states) | edge_pairs | degenerate_pairs,
+           seed=st.integers(0, 2**63 - 1), d_act=st.floats(10.0, 3000.0),
+           t_aware=st.floats(10.0, 1000.0) | st.just(math.inf))
+    def test_exact_tracking_kde_equals_des(self, pair, seed, d_act, t_aware):
+        # With no tracker error every buffer has zero spread, so KDE has no
+        # density to integrate and must return the DES answer exactly.
+        j, k = pair
+        assume(math.hypot(j.north - k.north, j.east - k.east) > 1.0)
+        zone = ComfortZone(d_act, t_aware)
+        kde = assess_kde(j, EXACT, k, EXACT, zone, 1000, seed)
+        des = assess_des(j, EXACT, k, EXACT, zone, 1000, seed)
+        assert kde.p_risk == des.p_risk
+        assert kde.p_tcpa_window == des.p_tcpa_window
+        assert dict(kde.p_rule) == dict(des.p_rule)
+        assert kde.p_give_way == des.p_give_way
+        assert kde.situation == des.situation
 
     @settings(PROPERTY, max_examples=8)
     @given(j=mean_states, k=mean_states, alpha=alphas, exact_own=st.booleans(),
