@@ -10,9 +10,11 @@ Subcommands:
 * ``selftest`` runs the embedded deterministic invariants.
 
 Exit codes: 0 success, 1 failed selftest, 2 config error, 3 numeric
-failure, 4 output I/O failure.  ``COLREG_RISK_THREADS`` caps the worker
-count for scenario evaluation (0 or unset = auto); results are assembled
-in a fixed order so the output is byte-identical for any worker count.
+failure, 4 output I/O failure.  The commands raise; ``main`` alone maps
+an exception to its exit code and its one stderr line.
+``COLREG_RISK_THREADS`` caps the worker count for scenario evaluation
+(0 or unset = auto); results are assembled in a fixed order so the
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
@@ -249,7 +251,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def load_config(path: str | Path, **overrides) -> ScenarioConfig:
+    """Read and validate a JSON config; ``overrides`` replace top-level
+    fields before ``parse_config`` checks them."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -257,6 +261,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    if isinstance(raw, dict):
+        raw.update(overrides)
     return parse_config(raw)
 
 
@@ -328,39 +334,14 @@ def write_rows_csv(rows: Sequence[tuple[float, RiskAssessment]], handle: IO[str]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            config = replace(config, seed=args.seed)
-        if args.samples is not None:
-            if args.samples < 1:
-                raise ConfigError("--samples must be >= 1")
-            config = replace(config, n_samples=args.samples)
-        if args.method != "both":
-            config = replace(config, methods=(Method(args.method),))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        rows = run_scenario(config)
-    except TooFewSamples as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ZeroDispersion, FixedPointFailure, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-
+    overrides = {"seed": args.seed, "n_samples": args.samples,
+                 "methods": None if args.method == "both" else [args.method]}
+    config = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
+    rows = run_scenario(config)
     print(format_table(rows))
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                write_rows_csv(rows, handle)
-        except OSError as exc:
-            print(f"cannot write CSV: {exc}", file=sys.stderr)
-            return 4
+        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+            write_rows_csv(rows, handle)
     return 0
 
 
@@ -410,56 +391,44 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         bearings = [float(b) for b in args.bearings.split(",") if b.strip() != ""]
     except ValueError:
-        print(f"invalid --bearings value: {args.bearings!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"invalid --bearings value: {args.bearings!r}") from None
     if not bearings:
-        print("no bearings given", file=sys.stderr)
-        return 2
+        raise ConfigError("no --bearings given")
     if not all(0.0 <= b < 360.0 for b in bearings):
-        print(f"--bearings must lie in [0, 360), got {args.bearings!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--bearings must lie in [0, 360), got {args.bearings!r}")
+    if len(set(bearings)) != len(bearings):
+        raise ConfigError(f"--bearings must be distinct, got {args.bearings!r}")
     if not (math.isfinite(args.range) and args.range > 0.0):
-        print(f"--range must be positive and finite, got {args.range}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--range must be positive and finite, got {args.range}")
     if args.samples < 2:
-        print("--samples must be >= 2", file=sys.stderr)
-        return 2
+        raise ConfigError("--samples must be >= 2")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
-    except OSError as exc:
-        print(f"output directory not writable: {exc}", file=sys.stderr)
-        return 4
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".write_probe"
+    probe.write_text("", encoding="utf-8")
+    probe.unlink()
 
-    try:
-        study = propagation_study(bearings, args.range, args.samples, args.seed)
-        bandwidth_rows = []
-        for bearing in bearings:
-            buffers = study[bearing]
-            tag = _format_bearing(bearing)
-            for name, values, topology in (
-                ("tcpa", buffers.tcpa[np.isfinite(buffers.tcpa)], Topology.LINE),
-                ("dcpa", buffers.dcpa, Topology.LINE),
-                ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
-            ):
-                _write_csv(out_dir / f"{name}_{tag}.csv", [name], [values])
-                cells, xs, ys = _density_outputs(values, topology, args.bandwidth)
-                _write_csv(out_dir / f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys])
-                bandwidth_rows.append([name, tag, *cells])
-        with open(out_dir / "bandwidths.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"])
-            writer.writerows(bandwidth_rows)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return 4
-    except (ZeroDispersion, FixedPointFailure, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    study = propagation_study(bearings, args.range, args.samples, args.seed)
+    bandwidth_rows = []
+    for bearing in bearings:
+        buffers = study[bearing]
+        tag = _format_bearing(bearing)
+        for name, values, topology in (
+            ("tcpa", buffers.tcpa[np.isfinite(buffers.tcpa)], Topology.LINE),
+            ("dcpa", buffers.dcpa, Topology.LINE),
+            ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
+        ):
+            _write_csv(out_dir / f"{name}_{tag}.csv", [name], [values])
+            cells, xs, ys = _density_outputs(values, topology, args.bandwidth)
+            _write_csv(out_dir / f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys])
+            bandwidth_rows.append([name, tag, *cells])
+    with open(out_dir / "bandwidths.csv", "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"])
+        writer.writerows(bandwidth_rows)
 
     print(f"wrote {3 * len(bearings)} buffer files, {3 * len(bearings)} density files, "
           f"and bandwidths.csv to {out_dir}")
@@ -624,7 +593,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, TooFewSamples) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ZeroDispersion, FixedPointFailure, FloatingPointError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

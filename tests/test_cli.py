@@ -222,10 +222,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
     def test_seed_and_samples_override(self, tmp_path, scenario1_raw, capsys):
-        scenario1_raw["alpha_list"] = [1.0]
+        # The flags replace the config fields: same bytes as the edited file.
+        scenario1_raw["alpha_list"] = [0.5, 1.0]
         path = write_config(tmp_path, scenario1_raw)
-        assert main(["run", "--config", str(path), "--samples", "1500",
-                     "--seed", "5", "--method", "des"]) == 0
+        assert main(["run", "--config", str(path), "--samples", "1500", "--seed", "5",
+                     "--method", "des", "--csv", str(tmp_path / "flags.csv")]) == 0
+        scenario1_raw.update(seed=5, n_samples=1500, methods=["des"])
+        edited = write_config(tmp_path, scenario1_raw, "edited.json")
+        assert main(["run", "--config", str(edited), "--csv", str(tmp_path / "edited.csv")]) == 0
+        flags = (tmp_path / "flags.csv").read_bytes()
+        assert flags == (tmp_path / "edited.csv").read_bytes()
+        assert flags.count(b",des,") == 2 and b"kde" not in flags
+
+    @pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "seed"),
+                                                    ("--samples", "0", "n_samples")])
+    def test_bad_override_exits_2(self, tmp_path, scenario1_raw, capsys, flag, value, field):
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
 
     def test_few_finite_tcpa_samples_run(self, tmp_path, capsys):
         # Matched mean velocities: about 30 of 2000 TCPA samples are finite,
@@ -417,7 +432,8 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("arg", ["--bearings=400", "--bearings=-10", "--bearings=nan",
                                      "--bearings=0,360", "--bearings=inf", "--range=nan",
-                                     "--range=inf", "--range=0", "--range=-5"])
+                                     "--range=inf", "--range=0", "--range=-5", "--seed=-1",
+                                     "--bearings=0,0", "--bearings=0,-0"])
     def test_bad_placement_exits_2(self, capsys, tmp_path, arg):
         out_dir = tmp_path / "x"
         assert main(["analyze", arg, "--samples", "300", "--out", str(out_dir)]) == 2
@@ -485,6 +501,15 @@ class TestAnalyzeCommand:
                      "--method", "kde"]) == 2
         assert "1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["3", "4"])
+    def test_grid_sample_floor_is_config_error(self, tmp_path, capsys, samples):
+        # Five cross-validation folds need five samples; the check is the
+        # selector's own, so it runs after the output directory is made.
+        assert main(["analyze", "--bearings", "0", "--samples", samples, "--bandwidth", "grid",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "5 samples" in err
+
     def test_grid_selector(self, tmp_path):
         out_dir = tmp_path / "grid"
         assert main(["analyze", "--bearings", "0", "--samples", "400",
@@ -495,6 +520,48 @@ class TestAnalyzeCommand:
         first = rows[1].split(",")
         h_grid = float(first[header.index("h_grid")])
         assert h_grid > 0.0
+
+
+class TestAnalyzeFuzz:
+    """``analyze`` over any bearings, range, sample count, seed and selector
+    ends in exit 0, 2 or 3, never a traceback; exit 0 writes every file of
+    every bearing once."""
+
+    # Distinct in-range bearings plus, in some examples, one extra entry: a
+    # repeat (0 and -0 included), an out-of-range or non-finite value, or a
+    # valid one.  Valid inputs are drawn more often, so that most examples
+    # get past the input checks.
+    extra_bearing = st.none() | st.none() | st.sampled_from(
+        ["0", "-0", "359.99", "1e-320", "360", "-10", "nan", "inf"]) | st.floats(-10.0, 370.0)
+    range_m = st.one_of(
+        st.floats(1.0, 1e5),
+        st.sampled_from([5e-324, 1e-9, 1e13, 1e154, 1e308]),
+        st.sampled_from([0.0, -5.0]) | st.floats(),
+    )
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @given(bearings=st.lists(st.floats(0.0, 359.99), min_size=1, max_size=3, unique=True),
+           extra=extra_bearing, range_m=range_m,
+           samples=st.integers(5, 300) | st.integers(0, 300),
+           seed=st.integers(0, 3) | st.integers(-3, 3),
+           selector=st.sampled_from(["isj", "silverman", "grid"]))
+    def test_any_input_exits_cleanly(self, tmp_path_factory, bearings, extra, range_m, samples,
+                                     seed, selector):
+        bearings = [repr(b) for b in bearings] + ([] if extra is None else [str(extra)])
+        out = tmp_path_factory.mktemp("fuzz") / "out"
+        argv = ["analyze", f"--bearings={','.join(bearings)}", f"--range={range_m!r}",
+                f"--samples={samples}", f"--seed={seed}", f"--bandwidth={selector}",
+                f"--out={out}"]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow, Silverman fallback
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert len({float(b) for b in bearings}) == len(bearings)
+            files = {p.name for p in out.iterdir()}
+            assert len(files) == 1 + 6 * len(bearings)
+            assert len(_bandwidth_rows(out)) == 3 * len(bearings)
 
 
 class TestSelftest:
