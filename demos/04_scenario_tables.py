@@ -11,12 +11,9 @@ differences are method, not noise.
 (20,000 samples per cell here for speed; the bundled configs use 100,000.)
 """
 
-import dataclasses
-
 from colreg_risk.cli import bundled_config_path, format_table, load_config, run_scenario
 
-config = load_config(bundled_config_path("scenario1"))
-config = dataclasses.replace(config, n_samples=20_000)
+config = load_config(bundled_config_path("scenario1"), n_samples=20_000)
 
 rows = run_scenario(config)
 print("starboard-crossing scenario, both methods:")

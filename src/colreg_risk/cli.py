@@ -58,7 +58,7 @@ from .density import (
     select_bandwidth,
 )
 from .estimator import assess_des, assess_kde, propagation_study
-from .kinematics import VesselState, cpa, relative_bearing
+from .kinematics import CoincidentPositions, VesselState, cpa, relative_bearing
 from .sampling import Spread, StateUncertainty, make_uncertainty
 
 
@@ -66,16 +66,18 @@ class ConfigError(ValueError):
     """Invalid or unparsable scenario configuration."""
 
 
+# Largest sample count numpy can index; a larger one is a config error.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario; ``uncertainties`` holds (alpha, own, target) per alpha_list entry."""
+
     own_ship: VesselState
-    own_diag: tuple[float, float, float, float]
     target: VesselState
-    diag: tuple[float, float, float, float]
-    alpha_list: tuple[float, ...]
-    interpretation: Spread
-    d_act_m: float
-    t_aware_s: float
+    zone: ComfortZone
+    uncertainties: tuple[tuple[float, StateUncertainty, StateUncertainty], ...]
     n_samples: int
     seed: int
     methods: tuple[Method, ...]
@@ -160,15 +162,23 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
     return _parse_state(mapping, context)
 
 
-def _parse_diag(value, context: str) -> tuple[float, float, float, float]:
-    entries = _number_list(value, context)
-    if len(entries) != 4:
-        raise ConfigError(f"{context}: expected 4 entries, got {len(entries)}")
-    if not all(math.isfinite(v) for v in entries):
-        raise ConfigError(f"{context}: entries must be finite")
-    if any(v < 0 for v in entries):
-        raise ConfigError(f"{context}: entries must be >= 0")
-    return entries
+def _uncertainty(entries: tuple[float, ...], alpha: float, spread: Spread,
+                 field: str) -> StateUncertainty:
+    """``make_uncertainty``; its ValueError becomes a ConfigError naming the
+    field at fault: ``field`` or ``alpha_list`` if one fails alone, else
+    their product overflows."""
+    try:
+        return make_uncertainty(entries, alpha, spread)
+    except ValueError as exc:
+        error = exc
+    # A zero alpha keeps only the entries' checks, zero entries only alpha's.
+    for culprit, args in ((field, (entries, 0.0)),
+                          (f"alpha_list entry {alpha}", ((0.0,) * 4, alpha))):
+        try:
+            make_uncertainty(*args, spread)
+        except ValueError:
+            raise ConfigError(f"{culprit}: {error}") from None
+    raise ConfigError(f"alpha_list: {alpha} times {field} overflows: {error}") from None
 
 
 _CONFIG_FIELDS = {
@@ -178,23 +188,23 @@ _CONFIG_FIELDS = {
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    """Validate a scenario config mapping; rejects unknown fields."""
+    """Validate a scenario config mapping; rejects unknown fields.  Range
+    checks are the library's own, their ValueErrors named by JSON field."""
     _check_object(raw, "config")
     _check_unknown(raw, _CONFIG_FIELDS, "config")
 
     own = _parse_state(_require(raw, "own_ship", "config"), "own_ship")
     target = _parse_target(_require(raw, "target", "config"), own, "target")
-    diag = _parse_diag(_require(raw, "diag", "config"), "diag")
-    own_diag = _parse_diag(raw.get("own_diag", (0.0, 0.0, 0.0, 0.0)), "own_diag")
+    try:
+        relative_bearing(own, target)
+    except CoincidentPositions as exc:
+        raise ConfigError(f"target: at own_ship's position ({exc})") from None
 
+    diag = _number_list(_require(raw, "diag", "config"), "diag")
+    own_diag = _number_list(raw.get("own_diag", (0.0, 0.0, 0.0, 0.0)), "own_diag")
     alpha_list = _number_list(_require(raw, "alpha_list", "config"), "alpha_list")
     if not alpha_list:
         raise ConfigError("alpha_list: must not be empty")
-    if not all(math.isfinite(a) for a in alpha_list):
-        raise ConfigError("alpha_list: entries must be finite")
-    if any(a < 0 for a in alpha_list):
-        raise ConfigError("alpha_list: entries must be >= 0")
-
     interp_name = raw.get("interpretation", "stddev")
     try:
         interpretation = Spread(interp_name)
@@ -202,24 +212,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"interpretation: expected 'stddev' or 'variance', got {interp_name!r}"
         ) from None
-    for alpha in alpha_list:
-        for name, entries in (("diag", diag), ("own_diag", own_diag)):
-            try:
-                make_uncertainty(entries, alpha, interpretation)
-            except ValueError as exc:
-                raise ConfigError(f"alpha_list: {alpha} times {name} overflows: {exc}") from None
+    uncertainties = tuple(
+        (alpha, _uncertainty(own_diag, alpha, interpretation, "own_diag"),
+         _uncertainty(diag, alpha, interpretation, "diag")) for alpha in alpha_list)
 
     d_act = _number(_require(raw, "d_act_m", "config"), "d_act_m")
-    if not (d_act > 0 and math.isfinite(d_act)):
-        raise ConfigError(f"d_act_m: must be positive and finite, got {d_act}")
-    # Infinity is a valid horizon: the CPA window is then unbounded.
     t_aware = _number(raw.get("t_aware_s", 600.0), "t_aware_s")
-    if not t_aware > 0:
-        raise ConfigError(f"t_aware_s: must be positive, got {t_aware}")
+    try:
+        zone = ComfortZone(d_act, t_aware)
+    except ValueError as exc:
+        raise ConfigError(f"d_act_m, t_aware_s: {exc}") from None
 
     n_samples = _number(_require(raw, "n_samples", "config"), "n_samples", integer=True)
-    if n_samples < 1:
-        raise ConfigError(f"n_samples: must be >= 1, got {n_samples}")
+    if not 1 <= n_samples <= _MAX_COUNT:
+        raise ConfigError(f"n_samples: must be >= 1 and <= {_MAX_COUNT}, got {n_samples}")
     seed = _number(_require(raw, "seed", "config"), "seed", integer=True)
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
@@ -236,19 +242,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     except ValueError:
         raise ConfigError(f"methods: entries must be 'kde' or 'des', got {method_names!r}") from None
 
-    return ScenarioConfig(
-        own_ship=own,
-        own_diag=own_diag,
-        target=target,
-        diag=diag,
-        alpha_list=alpha_list,
-        interpretation=interpretation,
-        d_act_m=d_act,
-        t_aware_s=t_aware,
-        n_samples=n_samples,
-        seed=seed,
-        methods=methods,
-    )
+    return ScenarioConfig(own, target, zone, uncertainties, n_samples, seed, methods)
 
 
 def load_config(path: str | Path, **overrides) -> ScenarioConfig:
@@ -285,22 +279,20 @@ def _worker_count(n_tasks: int) -> int:
 def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
     """(alpha, assessment) rows for every (alpha, method) combination of a
     scenario config, in config order."""
-    zone = ComfortZone(config.d_act_m, config.t_aware_s)
 
-    def one_alpha(alpha: float) -> list[tuple[float, RiskAssessment]]:
-        own_unc = make_uncertainty(config.own_diag, alpha, config.interpretation)
-        tgt_unc = make_uncertainty(config.diag, alpha, config.interpretation)
-        args = (config.own_ship, own_unc, config.target, tgt_unc, zone,
+    def one_alpha(entry: tuple[float, StateUncertainty, StateUncertainty]):
+        alpha, own_unc, tgt_unc = entry
+        args = (config.own_ship, own_unc, config.target, tgt_unc, config.zone,
                 config.n_samples, config.seed)
         return [(alpha, assess_kde(*args) if method is Method.KDE else assess_des(*args))
                 for method in config.methods]
 
-    workers = _worker_count(len(config.alpha_list))
+    workers = _worker_count(len(config.uncertainties))
     if workers == 1:
-        chunks = [one_alpha(alpha) for alpha in config.alpha_list]
+        chunks = [one_alpha(entry) for entry in config.uncertainties]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one_alpha, config.alpha_list))
+            chunks = list(pool.map(one_alpha, config.uncertainties))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -359,8 +351,9 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
 
 
 # Cross-validation cost is quadratic in the sample count, so the grid
-# selector sees at most this many samples per buffer.
+# selector sees at most this many samples per buffer, in _CV_FOLDS folds.
 _CV_SAMPLE_CAP = 2000
+_CV_FOLDS = 5
 
 
 def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
@@ -374,7 +367,7 @@ def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
         # Span a bracket around the pilot bandwidth of the capped samples.
         capped = values[:_CV_SAMPLE_CAP]
         pilot = bandwidth_silverman(capped)
-        h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0)
+        h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0, _CV_FOLDS)
     selected = {"isj": h_isj, "silverman": h_silverman, "grid": h_grid}[selector]
     estimate = fit(values, selected, topology)
     if topology is Topology.CIRCLE360:
@@ -400,8 +393,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"--bearings must be distinct, got {args.bearings!r}")
     if not (math.isfinite(args.range) and args.range > 0.0):
         raise ConfigError(f"--range must be positive and finite, got {args.range}")
-    if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
+    if not 2 <= args.samples <= _MAX_COUNT:
+        raise ConfigError(f"--samples must be >= 2 and <= {_MAX_COUNT}, got {args.samples}")
+    if args.bandwidth == "grid" and args.samples < _CV_FOLDS:
+        raise ConfigError(f"--bandwidth grid needs at least {_CV_FOLDS} samples, "
+                          f"got --samples {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 

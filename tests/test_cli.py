@@ -40,8 +40,8 @@ class TestConfigParsing:
         for name in ("scenario1", "scenario2", "scenario3"):
             config = load_config(bundled_config_path(name))
             assert config.n_samples == 100_000
-            assert len(config.alpha_list) == 6
-            assert config.d_act_m == 150.0
+            assert len(config.uncertainties) == 6
+            assert config.zone.d_act == 150.0
 
     def test_relative_placement_rotates_with_own_course(self):
         raw = {
@@ -146,10 +146,61 @@ class TestConfigParsing:
 
     def test_infinite_awareness_horizon_accepted(self, tmp_path, scenario1_raw):
         scenario1_raw["t_aware_s"] = float("inf")
-        assert parse_config(scenario1_raw).t_aware_s == float("inf")
+        assert parse_config(scenario1_raw).zone.t_aware == float("inf")
         path = write_config(tmp_path, scenario1_raw)
         assert "Infinity" in path.read_text(encoding="utf-8")
-        assert load_config(path).t_aware_s == float("inf")
+        assert load_config(path).zone.t_aware == float("inf")
+
+    @pytest.mark.parametrize("field, value", [
+        ("diag", [10.0, -1.0, 2.0, 2.0]), ("diag", [10.0, float("nan"), 2.0, 2.0]),
+        ("diag", [10.0, 10.0, 2.0]), ("own_diag", [0.0, -1.0, 0.0, 0.0]),
+        ("own_diag", [0.0, float("nan"), 0.0, 0.0]), ("own_diag", [0.0] * 5),
+        ("alpha_list", [1.0, -1.0]), ("alpha_list", [1.0, float("inf")]),
+        ("d_act_m", 0), ("d_act_m", -1), ("d_act_m", float("inf")),
+        ("t_aware_s", 0), ("t_aware_s", -1),
+    ])
+    def test_library_check_names_the_field(self, tmp_path, scenario1_raw, capsys, field,
+                                           value):
+        # make_uncertainty and ComfortZone make these checks; the config
+        # error still names the JSON field at fault, and only a product of
+        # valid entries and alpha is called an overflow.
+        scenario1_raw[field] = value
+        with pytest.raises(ConfigError) as caught:
+            parse_config(scenario1_raw)
+        named = str(caught.value).split(":")[0].replace(",", " ").split()
+        assert field in named and "overflows" not in str(caught.value)
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+
+    @pytest.mark.parametrize("target", [
+        {"north_m": 0, "east_m": 0, "course_deg": 270.0, "speed_mps": 10},
+        {"bearing_deg": 30.0, "range_m": 1e-300, "course_deg": 270.0, "speed_mps": 10},
+    ])
+    def test_target_at_own_position_exits_2(self, tmp_path, scenario1_raw, capsys, target):
+        # The bearing to a coincident target is undefined; atan2(0, 0) = 0
+        # would read it as dead ahead and print p_R14 1.000.
+        scenario1_raw.update(target=target, alpha_list=[0.0], n_samples=2000)
+        with pytest.raises(ConfigError, match="target: .*coincident"):
+            parse_config(scenario1_raw)
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: target:")
+
+    @pytest.mark.parametrize("count", [2**63, 10**30])
+    def test_unindexable_sample_count_exits_2(self, tmp_path, scenario1_raw, capsys, count):
+        # Above np.intp's maximum numpy refuses the shape without allocating.
+        scenario1_raw["n_samples"] = count
+        with pytest.raises(ConfigError, match="n_samples"):
+            parse_config(scenario1_raw)
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        scenario1_raw["n_samples"] = 1000
+        path = write_config(tmp_path, scenario1_raw, "valid.json")
+        assert main(["run", "--config", str(path), f"--samples={count}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("config error: n_samples") for line in err)
 
     def test_t_act_s_is_an_unknown_field(self, tmp_path, scenario1_raw, capsys):
         scenario1_raw["t_act_s"] = 300.0
@@ -503,12 +554,24 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("samples", ["3", "4"])
     def test_grid_sample_floor_is_config_error(self, tmp_path, capsys, samples):
-        # Five cross-validation folds need five samples; the check is the
-        # selector's own, so it runs after the output directory is made.
+        # Five cross-validation folds need five samples; the flag checks
+        # reject fewer before the output directory is made.
+        out_dir = tmp_path / "x"
         assert main(["analyze", "--bearings", "0", "--samples", samples, "--bandwidth", "grid",
-                     "--out", str(tmp_path / "x")]) == 2
+                     "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "5 samples" in err
+        assert "--samples" in err and "--bandwidth grid" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("count", [2**63, 10**30])
+    def test_unindexable_sample_count_exits_2(self, tmp_path, capsys, count):
+        # Above np.intp's maximum numpy refuses the shape without allocating.
+        out_dir = tmp_path / "x"
+        assert main(["analyze", "--bearings", "0", f"--samples={count}",
+                     "--out", str(out_dir)]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_grid_selector(self, tmp_path):
         out_dir = tmp_path / "grid"
