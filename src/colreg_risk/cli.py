@@ -401,13 +401,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
+    # The directory is made only once the study has succeeded, so a numeric
+    # failure leaves nothing behind.
+    study = propagation_study(bearings, args.range, args.samples, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".write_probe"
     probe.write_text("", encoding="utf-8")
     probe.unlink()
 
-    study = propagation_study(bearings, args.range, args.samples, args.seed)
     bandwidth_rows = []
     for bearing in bearings:
         buffers = study[bearing]

@@ -4,7 +4,11 @@ Supports plain line-topology estimates and a wrapped variant for angular
 data on [0, 360), where each kernel is summed over its periodic images so
 no probability mass leaks across the 0/360 cut.  Interval probabilities are
 computed in closed form from per-kernel Gaussian CDF differences, so they
-are exact to erf precision with no quadrature error.
+are exact to erf precision with no quadrature error.  In float64, scipy's
+``ndtr(z)`` is exactly 1.0 for z >= 8.2923610758136 and exactly 0.0 for
+z <= -37.677120720495; the band integrals evaluate it only for kernels whose
+standardised edge distance lies inside the window (-37.69, 8.31) and write
+the exact constant for the rest, so skipping them changes no bit.
 
 Bandwidth selection offers Silverman's rule of thumb, a plug-in selector
 driven by a fixed-point equation on the DCT of the binned data (robust to
@@ -18,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.fft import dct
@@ -35,6 +39,11 @@ _EVAL_BLOCK = 32_768
 # float64 exp(x) is exactly 0.0 for x below about -745.13; exp is slow to
 # produce those zeros, so the kernels skip arguments under this bound.
 _EXP_ZERO_BELOW = -746.0
+# The ndtr saturation window of the module docstring, a little wider than
+# the thresholds found by bisection with scipy 1.17.1; ``tests/test_density.py``
+# pins ndtr at both bounds and beyond.
+_NDTR_ZERO_AT = -37.69
+_NDTR_ONE_AT = 8.31
 
 
 class TooFewSamples(ValueError):
@@ -152,17 +161,56 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     return out
 
 
+def _edge_cdf(
+    edge: float, data: np.ndarray, x_min: float, x_max: float, shift: float, h: float
+) -> float | np.ndarray:
+    # ndtr((edge - data + shift) / h) per kernel.  z falls as the sample
+    # grows (each rounding step is monotone), so the extremes bound every z:
+    # when all kernels are saturated the CDF is the scalar 1.0 or 0.0.
+    if (edge - x_max + shift) / h >= _NDTR_ONE_AT:
+        return 1.0
+    if (edge - x_min + shift) / h <= _NDTR_ZERO_AT:
+        return 0.0
+    z = edge - data
+    z += shift
+    z /= h
+    # Index arrays beat boolean indexing here, and ndtr(..., where=) is no
+    # option: with scipy 1.17.1 it corrupts the heap on long masks.
+    live = np.flatnonzero((z > _NDTR_ZERO_AT) & (z < _NDTR_ONE_AT))
+    cdf = (z >= _NDTR_ONE_AT).astype(float)
+    cdf[live] = ndtr(z[live])
+    return cdf
+
+
 def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float]:
     """Unclipped probability mass between each pair of consecutive ascending
     ``edges``, in closed form per kernel.  Each edge's CDF is computed once per
-    periodic image and bounds the band below and the band above it."""
+    periodic image and bounds the band below and the band above it.
+
+    Only kernels inside the ndtr window (-37.69, 8.31) of an edge are
+    evaluated; the others get the exact 1.0 or 0.0 that ndtr returns there,
+    and when every kernel is saturated the CDF is that scalar.  Each band is
+    still the mean over all samples in sample order, so the masses are
+    bit-identical to evaluating ndtr on every kernel.  Infinite edges are
+    valid.
+
+    Raises:
+        ValueError: a NaN edge, or edges that descend.
+    """
+    edges = [float(edge) for edge in edges]
+    if any(math.isnan(edge) for edge in edges) or any(
+        b < a for a, b in zip(edges, edges[1:])
+    ):
+        raise ValueError(f"band edges must be ascending and not NaN, got {edges}")
     data = estimate.samples
     h = estimate.bandwidth
+    x_min = float(data.min())
+    x_max = float(data.max())
     masses = [0.0] * (len(edges) - 1)
     for shift in _image_shifts(estimate):
-        lower = ndtr((edges[0] - data + shift) / h)
+        lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
         for band, edge in enumerate(edges[1:]):
-            upper = ndtr((edge - data + shift) / h)
+            upper = _edge_cdf(edge, data, x_min, x_max, shift, h)
             masses[band] += float(np.mean(upper - lower))
             lower = upper
     return masses
@@ -175,7 +223,7 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
     example (355, 5) is the 10-degree arc around north).
 
     Raises:
-        ValueError: line topology with lo > hi.
+        ValueError: line topology with lo > hi, or a NaN bound.
     """
     if lo > hi:
         if estimate.topology is Topology.LINE:
@@ -204,36 +252,67 @@ def bandwidth_silverman(samples: Iterable[float]) -> float:
     return 0.9 * scale * arr.size ** (-0.2)
 
 
-def _derivative_norm(s: int, t: float, i_sq: np.ndarray, a_sq: np.ndarray) -> float:
+class _StageTables(NamedTuple):
+    """Per-call constants of the ISJ stage sums over the DCT terms."""
+
+    i_sq: np.ndarray  # i^2, ascending
+    decay: np.ndarray  # -i^2 pi^2
+    weights: dict[int, np.ndarray]  # s -> i^(2s) a_i^2, for s = 2..7
+    terms: np.ndarray  # scratch buffer for one stage sum
+
+
+def _stage_tables(i_sq: np.ndarray, a_sq: np.ndarray) -> _StageTables:
+    return _StageTables(
+        i_sq,
+        -i_sq * math.pi**2,
+        {s: i_sq**s * a_sq for s in range(2, 8)},
+        np.empty(i_sq.size),
+    )
+
+
+def _derivative_norm(s: int, t: float, tables: _StageTables) -> float:
     # 2 pi^(2s) sum_i i^(2s) a_i^2 exp(-i^2 pi^2 t).  The exp factors fall
     # with i (i_sq ascends), and every term with i^2 pi^2 t above
     # -_EXP_ZERO_BELOW is exactly 0.0, so only the prefix before that cut
-    # is computed.  It is written into a zero-filled full-length array,
-    # which keeps np.sum's pairwise order and makes the result bit-identical
-    # to summing every term.
+    # is computed.  It is written into a full-length buffer whose tail is
+    # zeroed, which keeps np.sum's pairwise order and makes the result
+    # bit-identical to summing every term.
+    i_sq, decay, weights, terms = tables
     n_live = i_sq.size
     if t > 0.0 and math.isfinite(t):
         cut = -_EXP_ZERO_BELOW / (math.pi**2 * t)
         n_live = int(np.searchsorted(i_sq, cut, side="right"))
-    live = i_sq[:n_live]
-    terms = np.zeros(i_sq.size)
-    terms[:n_live] = live**s * a_sq[:n_live] * np.exp(-live * math.pi**2 * t)
+    live = terms[:n_live]
+    np.multiply(decay[:n_live], t, out=live)
+    np.exp(live, out=live)
+    live *= weights[s][:n_live]
+    terms[n_live:] = 0.0
     return 2.0 * math.pi ** (2 * s) * float(np.sum(terms))
 
 
-def _fixed_point(t: float, n_points: int, i_sq: np.ndarray, a_sq: np.ndarray) -> float:
-    # Plug-in functional ladder with ell = 7 stages; each stage estimates the
-    # squared norm of the next density derivative from the DCT coefficients.
-    ell = 7
-    f = _derivative_norm(ell, t, i_sq, a_sq)
-    for s in range(ell - 1, 1, -1):
+def _ladder_stage(s: int) -> tuple[int, float, float]:
+    # Stage s of the plug-in ladder: s, the numerator constant 2 * const * k0
+    # of its bandwidth and that bandwidth's exponent.
+    odd_prod = float(np.prod(np.arange(1, 2 * s, 2, dtype=float)))
+    k0 = odd_prod / math.sqrt(2.0 * math.pi)
+    const = (1.0 + 0.5 ** (s + 0.5)) / 3.0
+    return s, 2.0 * const * k0, 2.0 / (3.0 + 2.0 * s)
+
+
+# Plug-in functional ladder with ell = 7 stages: the first sum is at stage 7
+# and each later stage s = 6..2 estimates the squared norm of the next
+# density derivative from the DCT coefficients.
+_LADDER_TOP = 7
+_LADDER = tuple(_ladder_stage(s) for s in range(_LADDER_TOP - 1, 1, -1))
+
+
+def _fixed_point(t: float, n_points: int, tables: _StageTables) -> float:
+    f = _derivative_norm(_LADDER_TOP, t, tables)
+    for s, numerator, exponent in _LADDER:
         if not (f > 0.0 and math.isfinite(f)):
             raise FixedPointFailure("derivative-norm estimate collapsed")
-        odd_prod = float(np.prod(np.arange(1, 2 * s, 2, dtype=float)))
-        k0 = odd_prod / math.sqrt(2.0 * math.pi)
-        const = (1.0 + 0.5 ** (s + 0.5)) / 3.0
-        stage_t = (2.0 * const * k0 / (n_points * f)) ** (2.0 / (3.0 + 2.0 * s))
-        f = _derivative_norm(s, stage_t, i_sq, a_sq)
+        stage_t = (numerator / (n_points * f)) ** exponent
+        f = _derivative_norm(s, stage_t, tables)
     if not (f > 0.0 and math.isfinite(f)):
         raise FixedPointFailure("derivative-norm estimate collapsed")
     return t - (2.0 * n_points * math.sqrt(math.pi) * f) ** (-0.4)
@@ -256,8 +335,9 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     bandwidth solves t = xi * gamma^[7](t) by bracketed root finding.
     Angular samples are recentred on their circular mean first so a cluster
     at the 0/360 cut is seen as unimodal.  Each stage sum skips the DCT
-    terms whose exp factor is exactly 0.0; the truncation is exact, so the
-    bandwidth is bit-identical to the one from the full sums.
+    terms whose exp factor is exactly 0.0, and the powers i^(2s) a_i^2 are
+    computed once per call; both are exact, so the bandwidth is
+    bit-identical to the one from the full sums.
 
     Raises:
         TooFewSamples: fewer than 50 samples (the selector is data-hungry).
@@ -284,7 +364,7 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
 
     coeffs = dct(rel_freq, type=2)
     a_sq = (coeffs[1:] / 2.0) ** 2
-    i_sq = np.arange(1, n_bins, dtype=float) ** 2
+    tables = _stage_tables(np.arange(1, n_bins, dtype=float) ** 2, a_sq)
     n_unique = int(np.unique(arr).size)
 
     t_star = None
@@ -292,7 +372,7 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     while bracket_hi <= 1.0:
         try:
             candidate = brentq(
-                _fixed_point, 0.0, bracket_hi, args=(n_unique, i_sq, a_sq), xtol=1e-12
+                _fixed_point, 0.0, bracket_hi, args=(n_unique, tables), xtol=1e-12
             )
         except ValueError:
             bracket_hi *= 2.0

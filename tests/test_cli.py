@@ -538,12 +538,14 @@ class TestAnalyzeCommand:
             assert path.read_text(encoding="utf-8").split("\n", 1)[0] == "x,f_hat"
 
     def test_overflowing_range_exits_3(self, tmp_path, capsys):
-        # A finite but huge range overflows the CPA geometry of the study.
+        # A finite but huge range overflows the CPA geometry of the study,
+        # which fails before the output directory is made.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
             assert main(["analyze", "--bearings", "0", "--range", "1e308",
                          "--samples", "300", "--out", str(tmp_path / "x")]) == 3
         assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_kde_sample_floor_reported_as_config_error(self, tmp_path, scenario1_raw, capsys):
         scenario1_raw["alpha_list"] = [1.0]

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from colreg_risk import (
     Topology,
@@ -20,7 +23,11 @@ from colreg_risk.density import (
     NonpositiveBandwidth,
     TooFewSamples,
     ZeroDispersion,
+    _NDTR_ONE_AT,
+    _NDTR_ZERO_AT,
     _derivative_norm,
+    _stage_tables,
+    band_masses,
 )
 
 
@@ -116,6 +123,29 @@ class TestIntegrate:
         xs = np.linspace(lo, hi, 10_000)
         quad = float(np.trapezoid(evaluate(d, xs), xs))
         assert integrate(d, lo, hi) == pytest.approx(quad, abs=1e-4)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_rejected(self, topology, lo, hi):
+        d = fit([0.0, 1.0, 2.0], 1.0, topology)
+        with pytest.raises(ValueError, match="NaN"):
+            integrate(d, lo, hi)
+
+    @pytest.mark.parametrize("edges", [(0.0, -1.0, 2.0), (0.0, math.nan, 2.0), (math.nan,),
+                                       (math.inf, 0.0)])
+    def test_bad_band_edges_rejected(self, edges):
+        d = fit([0.0, 1.0, 2.0], 1.0)
+        with pytest.raises(ValueError, match="ascending and not NaN"):
+            band_masses(d, edges)
+
+    def test_infinite_edges_valid(self):
+        d = fit([0.0, 1.0, 2.0], 1.0)
+        inf = math.inf
+        assert band_masses(d, (-inf, -inf, inf, inf)) == [0.0, 1.0, 0.0]
+        assert integrate(d, -inf, inf) == 1.0
+        assert integrate(d, 1.0, inf) == pytest.approx(0.5, abs=1e-12)
+        circle = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
+        assert integrate(circle, -inf, 10.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_circle_arc_matches_quadrature(self):
         rng = np.random.default_rng(37)
@@ -255,16 +285,18 @@ def _full_derivative_norm(s, t, i_sq, a_sq):
     )
 
 
+def _reference_shifts(estimate):
+    if estimate.topology is Topology.LINE:
+        return np.zeros(1)
+    periods = max(1, int(math.ceil(8.0 * estimate.bandwidth / 360.0)))
+    return 360.0 * np.arange(-periods, periods + 1, dtype=float)
+
+
 def _unblocked_evaluate(estimate, xs):
     h = estimate.bandwidth
-    if estimate.topology is Topology.CIRCLE360:
-        periods = max(1, int(math.ceil(8.0 * h / 360.0)))
-        shifts = 360.0 * np.arange(-periods, periods + 1, dtype=float)
-    else:
-        shifts = np.zeros(1)
     diff = xs[:, None] - estimate.samples[None, :]
     acc = np.zeros(xs.size)
-    for shift in shifts:
+    for shift in _reference_shifts(estimate):
         z = (diff + shift) / h
         acc += np.exp(-0.5 * z * z).sum(axis=1)
     return acc / (estimate.samples.size * h * math.sqrt(2.0 * math.pi))
@@ -284,6 +316,9 @@ class TestExactTruncation:
         counts, _ = np.histogram(x, bins=2**14, range=(-6.0, 6.0))
         a_sq = (dct(counts / x.size, type=2)[1:] / 2.0) ** 2
         i_sq = np.arange(1, 2**14, dtype=float) ** 2
+        # One set of tables for the whole sweep, as in bandwidth_isj: the
+        # shared terms buffer must not carry a longer prefix into a shorter one.
+        tables = _stage_tables(i_sq, a_sq)
         # t values whose cut lands exactly on a DCT term, from the first to
         # the last, and their neighbours one ulp either side.
         on_term = [746.0 / (math.pi**2 * i_sq[k]) for k in (0, 1, 8000, i_sq.size - 1)]
@@ -295,7 +330,7 @@ class TestExactTruncation:
         partial = 0
         for t in sweep:
             for s in range(2, 8):
-                got = _derivative_norm(s, float(t), i_sq, a_sq)
+                got = _derivative_norm(s, float(t), tables)
                 want = _full_derivative_norm(s, float(t), i_sq, a_sq)
                 assert got == want or (math.isnan(got) and math.isnan(want)), (s, t)
             live = np.flatnonzero(np.exp(-i_sq * math.pi**2 * t))
@@ -334,6 +369,69 @@ class TestExactTruncation:
         assert np.array_equal(got, _unblocked_evaluate(estimate, xs))
         if h < 1.0:
             assert np.any(got == 0.0)
+
+
+def _full_band_masses(estimate, edges):
+    # band_masses before the saturation window: ndtr on every kernel.
+    data = estimate.samples
+    h = estimate.bandwidth
+    masses = [0.0] * (len(edges) - 1)
+    for shift in _reference_shifts(estimate):
+        lower = ndtr((edges[0] - data + shift) / h)
+        for band, edge in enumerate(edges[1:]):
+            upper = ndtr((edge - data + shift) / h)
+            masses[band] += float(np.mean(upper - lower))
+            lower = upper
+    return masses
+
+
+@st.composite
+def _band_mass_cases(draw):
+    topology = draw(st.sampled_from(list(Topology)))
+    n = draw(st.integers(2, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # Circle spreads stay small so that 1e3 times them needs few images.
+    spread = 10.0 ** draw(st.floats(-3.0, 0.3 if topology is Topology.CIRCLE360 else 3.0))
+    centre = draw(st.floats(-1e3, 1e3))
+    h = spread * 10.0 ** draw(st.floats(-3.0, 3.0))
+    samples = centre + spread * np.random.default_rng(seed).standard_normal(n)
+    estimate = fit(samples, h, topology)
+    data = estimate.samples
+    # Edges at a sample plus a few bandwidths (inside, at and past the ndtr
+    # window), far outside the data, and infinite.
+    near = st.builds(lambda i, k: float(data[i] + k * h),
+                     st.integers(0, n - 1), st.floats(-60.0, 60.0))
+    far = st.floats(-1e6, 1e6)
+    edges = draw(st.lists(near | far | st.sampled_from([-math.inf, math.inf]),
+                          min_size=2, max_size=6))
+    return estimate, sorted(edges)
+
+
+class TestSaturationWindow:
+    def test_ndtr_saturates_at_the_window(self):
+        # band_masses writes these exact values instead of calling ndtr; a
+        # scipy release that moves where ndtr saturates fails here.
+        assert ndtr(_NDTR_ONE_AT) == 1.0
+        assert ndtr(_NDTR_ZERO_AT) == 0.0
+        ones = np.append(np.geomspace(_NDTR_ONE_AT, 1e300, 20_000), math.inf)
+        zeros = -np.append(np.geomspace(-_NDTR_ZERO_AT, 1e300, 20_000), math.inf)
+        assert np.all(ndtr(ones) == 1.0)
+        assert np.all(ndtr(zeros) == 0.0)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_band_mass_cases())
+    def test_band_masses_equal_full_ndtr(self, case):
+        estimate, edges = case
+        assert band_masses(estimate, edges) == _full_band_masses(estimate, edges)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_band_masses_equal_full_ndtr_on_bearings(self, topology):
+        # A bearing buffer across the 0/360 cut, on the regions' band edges:
+        # each edge is saturated for some images and crossed in others.
+        rng = np.random.default_rng(63)
+        estimate = fit(rng.normal(0.0, 3.0, 20_000) % 360.0, 0.4, topology)
+        edges = (0.0, 5.0, 112.5, 247.5, 355.0, 360.0)
+        assert band_masses(estimate, edges) == _full_band_masses(estimate, edges)
 
 
 class TestGridCv:
