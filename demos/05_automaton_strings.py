@@ -37,7 +37,7 @@ batch = draw_pair(own, StateUncertainty(0, 0, 0, 0), target, unc, 4000,
                   seed=7, clamp_speed=True)
 strings = [
     run_once(batch.states_j.state(i), batch.states_k.state(i), zone)
-    for i in range(batch.n)
+    for i in range(len(batch.states_j))
 ]
 assessment = estimate_probabilities(strings, seed=7)
 print(f"risk probability:      {assessment.p_risk:.3f}")

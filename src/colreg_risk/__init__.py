@@ -53,12 +53,10 @@ from .kinematics import (
     CoincidentPositions,
     CpaResult,
     DegenerateRelativeMotion,
-    VelocityVector,
     VesselState,
     cpa,
     reciprocal_course,
     relative_bearing,
-    velocity_of,
 )
 from .sampling import (
     InvalidCount,
@@ -100,7 +98,6 @@ __all__ = [
     "StateUncertainty",
     "StochasticAutomaton",
     "Topology",
-    "VelocityVector",
     "VesselState",
     "assess_des",
     "assess_kde",
@@ -129,5 +126,4 @@ __all__ = [
     "run_once",
     "run_trace",
     "select_bandwidth",
-    "velocity_of",
 ]

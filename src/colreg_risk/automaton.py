@@ -92,7 +92,9 @@ class StochasticAutomaton:
     initial: Mapping[str, float]
     marked: frozenset[str] = field(default_factory=frozenset)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
+        """Check probability bounds, known states and unit masses to 1e-12."""
+        tol = 1e-12
         for (nxt, _word, src), prob in self.behavior.items():
             if not (0.0 <= prob <= 1.0):
                 raise ValueError(f"behavior({nxt!r}|{src!r}) = {prob} outside [0, 1]")

@@ -66,8 +66,10 @@ class ConfigError(ValueError):
     """Invalid or unparsable scenario configuration."""
 
 
-# Largest sample count numpy can index; a larger one is a config error.
-_MAX_COUNT = int(np.iinfo(np.intp).max)
+# Largest sample count numpy can make a float64 column of; a larger one is
+# a config error.  A count below it that the host cannot allocate is a
+# MemoryError, which ``main`` reports as a numeric failure.
+_MAX_COUNT = int(np.iinfo(np.intp).max) // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -287,12 +289,8 @@ def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
         return [(alpha, assess_kde(*args) if method is Method.KDE else assess_des(*args))
                 for method in config.methods]
 
-    workers = _worker_count(len(config.uncertainties))
-    if workers == 1:
-        chunks = [one_alpha(entry) for entry in config.uncertainties]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one_alpha, config.uncertainties))
+    with ThreadPoolExecutor(max_workers=_worker_count(len(config.uncertainties))) as pool:
+        chunks = list(pool.map(one_alpha, config.uncertainties))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -596,7 +594,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, TooFewSamples) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroDispersion, FixedPointFailure, FloatingPointError) as exc:
+    except (ZeroDispersion, FixedPointFailure, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -51,7 +51,7 @@ class TooFewSamples(ValueError):
 
 
 class NonpositiveBandwidth(ValueError):
-    """Raised when a bandwidth is not strictly positive."""
+    """Raised when a bandwidth is not strictly positive and finite."""
 
 
 class ZeroDispersion(ValueError):
@@ -113,11 +113,11 @@ def fit(
 
     Raises:
         TooFewSamples: fewer than two samples.
-        NonpositiveBandwidth: bandwidth <= 0.
+        NonpositiveBandwidth: a bandwidth that is not positive and finite.
     """
     arr = _as_samples(samples, 2)
-    if not bandwidth > 0.0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
+    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+        raise NonpositiveBandwidth(f"bandwidth must be positive and finite, got {bandwidth}")
     if topology is Topology.CIRCLE360:
         arr = wrap_degrees(arr)
     arr = arr.copy()
@@ -392,13 +392,12 @@ def bandwidth_grid_cv(
     hi: float,
     step: float,
     folds: int = 5,
-    fold_seed: int = 0,
 ) -> float:
     """Grid-search bandwidth maximising k-fold held-out log-likelihood.
 
     Exact (no binning): cost grows with len(grid) * n^2 / folds, so keep the
     sample count moderate.  Ties break toward the smaller bandwidth, and the
-    fold assignment is deterministic given ``fold_seed``.
+    fold assignment is a fixed permutation from seed 0.
     """
     if not lo > 0.0:
         raise ValueError(f"grid lower bound must be > 0, got {lo}")
@@ -411,7 +410,7 @@ def bandwidth_grid_cv(
         raise EmptyGrid(f"no candidates in [{lo}, {hi}] with step {step}")
     arr = _as_samples(samples, folds)
 
-    order = np.random.default_rng(fold_seed).permutation(arr.size)
+    order = np.random.default_rng(0).permutation(arr.size)
     fold_chunks = np.array_split(order, folds)
     scores = np.zeros(grid.size)
     log_norms = np.log(grid * _SQRT_2PI)

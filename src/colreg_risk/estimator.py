@@ -51,7 +51,9 @@ class EncounterBuffers:
     """Per-sample CPA and bearing quantities for one sampled batch.
 
     Degenerate samples (matched velocities) carry tcpa = +inf and dcpa
-    equal to the current separation.
+    equal to the current separation, and they are the only samples with
+    an infinite TCPA: a non-degenerate pair whose TCPA overflows has a
+    non-finite DCPA, which ``encounter_buffers`` rejects.
     """
 
     tcpa: np.ndarray
@@ -59,7 +61,6 @@ class EncounterBuffers:
     bearing_jk: np.ndarray
     bearing_kj: np.ndarray
     course_delta: np.ndarray
-    degenerate: np.ndarray
 
 
 def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
@@ -70,7 +71,7 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
             NaN TCPA (+inf TCPA marks a degenerate pair and is kept).
     """
     sj, sk = batch.states_j, batch.states_k
-    tcpa, dcpa, degenerate = cpa_arrays(
+    tcpa, dcpa, _ = cpa_arrays(
         sj.north, sj.east, sj.course, sj.speed,
         sk.north, sk.east, sk.course, sk.speed,
     )
@@ -80,7 +81,6 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
         bearing_jk=bearing_arrays(sj.north, sj.east, sj.course, sk.north, sk.east),
         bearing_kj=bearing_arrays(sk.north, sk.east, sk.course, sj.north, sj.east),
         course_delta=reciprocal_course(sj.course, sk.course),
-        degenerate=degenerate,
     )
     finite = (buf.dcpa, buf.bearing_jk, buf.bearing_kj, buf.course_delta)
     if np.isnan(tcpa).any() or not all(np.isfinite(col).all() for col in finite):
@@ -232,27 +232,39 @@ def assess_des(
     )
 
 
+# Per-component standard deviations of both vessels in ``propagation_study``.
+_STUDY_SIGMAS = (10.0, 10.0, 2.0, 2.0)
+
+
 def propagation_study(
     bearings: list[float],
     range_m: float,
     n: int,
     seed: int,
-    dispersion: tuple[float, float, float, float] = (10.0, 10.0, 2.0, 2.0),
 ) -> dict[float, EncounterBuffers]:
     """Sample the CPA/bearing transformations for a ring of target placements.
 
     For each bearing the own ship is sampled around (0, 0, course 0,
     10 m/s) and the target around a point ``range_m`` away on that bearing,
     heading back on the mirrored course (180 - bearing) at 10 m/s, both
-    with the given per-component standard deviations.  Returns the raw
-    per-bearing buffers for histogram and density export.
+    with the standard deviations ``_STUDY_SIGMAS`` (10 m, 10 m, 2 deg,
+    2 m/s).  Returns the raw per-bearing buffers for histogram and density
+    export.
+
+    Raises:
+        ValueError: n < 1, a bearing outside [0, 360) or repeated, or a
+            range that is not positive and finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     for bearing in bearings:
         if not 0.0 <= bearing < 360.0:
             raise ValueError(f"bearing must lie in [0, 360), got {bearing}")
-    unc = StateUncertainty(*dispersion)
+    if len(set(bearings)) != len(bearings):
+        raise ValueError(f"bearings must be distinct, got {bearings}")
+    if not (math.isfinite(range_m) and range_m > 0.0):
+        raise ValueError(f"range_m must be positive and finite, got {range_m}")
+    unc = StateUncertainty(*_STUDY_SIGMAS)
     own_mean = VesselState(0.0, 0.0, 0.0, 10.0)
     pair_seeds = pair_stream_seeds(seed, max(2, len(bearings)))
 

@@ -63,30 +63,16 @@ class VesselState:
 
 
 @dataclass(frozen=True)
-class VelocityVector:
-    """Tangent-plane velocity, (north, east) components in m/s."""
-
-    v_north: float
-    v_east: float
-
-
-@dataclass(frozen=True)
 class CpaResult:
     """Closest-point-of-approach quantities for one vessel pair.
 
     Attributes:
         tcpa: time to CPA, seconds; negative means the CPA lies in the past.
         dcpa: separation at CPA, meters, always >= 0.
-        pos_j_at_cpa: predicted (north, east) of vessel j at TCPA.
-        pos_k_at_cpa: predicted (north, east) of vessel k at TCPA.
-        rel_speed_sq: squared relative speed |dv|^2, (m/s)^2.
     """
 
     tcpa: float
     dcpa: float
-    pos_j_at_cpa: tuple[float, float]
-    pos_k_at_cpa: tuple[float, float]
-    rel_speed_sq: float
 
 
 def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
@@ -101,12 +87,6 @@ def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
     return 0.0 if wrapped >= 360.0 else wrapped
 
 
-def velocity_of(state: VesselState) -> VelocityVector:
-    """Velocity vector of a vessel state, (north, east) components in m/s."""
-    rad = math.radians(state.course)
-    return VelocityVector(state.speed * math.cos(rad), state.speed * math.sin(rad))
-
-
 def cpa(j: VesselState, k: VesselState) -> CpaResult:
     """Closest point of approach of two constant-velocity vessels.
 
@@ -119,10 +99,12 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
         FloatingPointError: if |dv|^2 overflows, which would collapse TCPA
             to zero and DCPA to the current separation.
     """
-    vj = velocity_of(j)
-    vk = velocity_of(k)
-    dvn = vj.v_north - vk.v_north
-    dve = vj.v_east - vk.v_east
+    rad_j = math.radians(j.course)
+    rad_k = math.radians(k.course)
+    vjn, vje = j.speed * math.cos(rad_j), j.speed * math.sin(rad_j)
+    vkn, vke = k.speed * math.cos(rad_k), k.speed * math.sin(rad_k)
+    dvn = vjn - vkn
+    dve = vje - vke
     rel_sq = dvn * dvn + dve * dve
     if math.isinf(rel_sq):
         raise FloatingPointError("relative speed squared overflows")
@@ -133,10 +115,13 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
     dpn = j.north - k.north
     dpe = j.east - k.east
     tcpa = -(dpn * dvn + dpe * dve) / rel_sq
-    pos_j = (j.north + vj.v_north * tcpa, j.east + vj.v_east * tcpa)
-    pos_k = (k.north + vk.v_north * tcpa, k.east + vk.v_east * tcpa)
-    dcpa = math.hypot(pos_j[0] - pos_k[0], pos_j[1] - pos_k[1])
-    return CpaResult(tcpa, dcpa, pos_j, pos_k, rel_sq)
+    # The gap of the two positions at TCPA.  It rounds differently from
+    # cpa_arrays' dp + dv * tcpa, so the two agree only to rounding.
+    dcpa = math.hypot(
+        (j.north + vjn * tcpa) - (k.north + vkn * tcpa),
+        (j.east + vje * tcpa) - (k.east + vke * tcpa),
+    )
+    return CpaResult(tcpa, dcpa)
 
 
 def relative_bearing(origin: VesselState, target: VesselState) -> float:

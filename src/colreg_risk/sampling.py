@@ -109,12 +109,10 @@ class StateSample:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Paired perturbed states for one vessel pair plus the seed that made them."""
+    """Paired perturbed states for one vessel pair."""
 
     states_j: StateSample
     states_k: StateSample
-    seed: int
-    n: int
 
 
 def draw(
@@ -171,6 +169,4 @@ def draw_pair(
     return SampleBatch(
         states_j=draw(mean_j, unc_j, n, seed_j, clamp_speed=clamp_speed),
         states_k=draw(mean_k, unc_k, n, seed_k, clamp_speed=clamp_speed),
-        seed=seed,
-        n=n,
     )

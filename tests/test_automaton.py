@@ -316,7 +316,7 @@ class TestBehavioralRelation:
                           2000, seed=66, clamp_speed=True)
         runs = [
             run_trace(batch.states_j.state(i), batch.states_k.state(i), CFG)
-            for i in range(batch.n)
+            for i in range(len(batch.states_j))
         ]
         rel = estimate_behavioral_relation(runs)
         assert rel.output_probability("u15", "U8") == pytest.approx(1.0, abs=0.01)

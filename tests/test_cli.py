@@ -188,9 +188,10 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: target:")
 
-    @pytest.mark.parametrize("count", [2**63, 10**30])
+    @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63, 10**30])
     def test_unindexable_sample_count_exits_2(self, tmp_path, scenario1_raw, capsys, count):
-        # Above np.intp's maximum numpy refuses the shape without allocating.
+        # From 2**60 numpy refuses a float64 column of this length, and from
+        # 2**63 any shape, both without allocating.
         scenario1_raw["n_samples"] = count
         with pytest.raises(ConfigError, match="n_samples"):
             parse_config(scenario1_raw)
@@ -349,6 +350,14 @@ class TestRunCommand:
                                  str(path), "--samples", "2000"], env=env, check=False)
         assert result.returncode == 3
         err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
+
+    def test_unallocatable_sample_count_exits_3(self, tmp_path, scenario1_raw, capsys):
+        # 2**60 - 1 float64 samples are 8 EiB, which malloc refuses at once.
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path), f"--samples={2**60 - 1}",
+                     "--method", "des"]) == 3
+        err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure:")
 
     def test_exact_bearing_on_band_edge_counted_once(self, tmp_path, capsys):
@@ -566,13 +575,23 @@ class TestAnalyzeCommand:
         assert "--samples" in err and "--bandwidth grid" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("count", [2**63, 10**30])
+    @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63, 10**30])
     def test_unindexable_sample_count_exits_2(self, tmp_path, capsys, count):
-        # Above np.intp's maximum numpy refuses the shape without allocating.
+        # From 2**60 numpy refuses a float64 column of this length, and from
+        # 2**63 any shape, both without allocating.
         out_dir = tmp_path / "x"
         assert main(["analyze", "--bearings", "0", f"--samples={count}",
                      "--out", str(out_dir)]) == 2
         assert "--samples" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unallocatable_sample_count_exits_3(self, tmp_path, capsys):
+        # 2**60 - 1 float64 samples are 8 EiB, which malloc refuses at once.
+        out_dir = tmp_path / "x"
+        assert main(["analyze", "--bearings", "0", f"--samples={2**60 - 1}",
+                     "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
         assert not out_dir.exists()
 
     def test_grid_selector(self, tmp_path):

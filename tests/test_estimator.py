@@ -21,8 +21,10 @@ from colreg_risk import (
     propagation_study,
     run_once,
 )
+from colreg_risk import estimator
 from colreg_risk.density import TooFewSamples
 from colreg_risk.estimator import NonFiniteGeometry
+from colreg_risk.kinematics import cpa_arrays
 from colreg_risk.sampling import draw_pair
 
 from scenarios import DIAG, OWN_1, OWN_2, TARGET_1, TARGET_2, ZONE
@@ -56,9 +58,22 @@ class TestBuffers:
             10, seed=2,
         )
         buf = encounter_buffers(batch)
-        assert np.all(buf.degenerate)
-        assert np.all(np.isinf(buf.tcpa))
+        assert np.all(np.isposinf(buf.tcpa))
         assert np.allclose(buf.dcpa, 50.0)
+
+    @pytest.mark.parametrize("sigma_speed, all_degenerate", [(0.0, True), (3e-5, False)])
+    def test_infinite_tcpa_marks_exactly_the_degenerate_pairs(self, sigma_speed,
+                                                               all_degenerate):
+        # Matched velocities under position-only noise; a target speed noise
+        # near sqrt(REL_SPEED_SQ_EPS) leaves about half the pairs degenerate.
+        pos_only = StateUncertainty(10.0, 10.0, 0.0, 0.0)
+        batch = draw_pair(VesselState(0, 0, 45, 7), pos_only, VesselState(300, 400, 45, 7),
+                          StateUncertainty(10.0, 10.0, 0.0, sigma_speed), 2000, seed=4)
+        sj, sk = batch.states_j, batch.states_k
+        degenerate = cpa_arrays(sj.north, sj.east, sj.course, sj.speed,
+                                sk.north, sk.east, sk.course, sk.speed)[2]
+        assert degenerate.any() and degenerate.all() == all_degenerate
+        assert np.array_equal(np.isposinf(encounter_buffers(batch).tcpa), degenerate)
 
     def test_overflow_rejected(self):
         # Sigmas near 1e301 overflow the CPA products to inf and NaN.
@@ -222,11 +237,11 @@ class TestDeterminismAndAgreement:
 
 
 class TestPropagationStudy:
-    def test_nominal_head_on_closure(self):
+    def test_nominal_head_on_closure(self, monkeypatch):
         # Noise-free check of the construction: bearing 0 places the target
         # 1000 m ahead on a reciprocal course, closing at 20 m/s.
-        study = propagation_study([0.0], 1000.0, 2000, seed=16,
-                                  dispersion=(0.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(estimator, "_STUDY_SIGMAS", (0.0, 0.0, 0.0, 0.0))
+        study = propagation_study([0.0], 1000.0, 2000, seed=16)
         assert np.allclose(study[0.0].tcpa, 50.0)
 
     def test_buffers_shapes_and_keys(self):
@@ -248,6 +263,18 @@ class TestPropagationStudy:
             propagation_study([0.0], 1000.0, 0, seed=19)
         with pytest.raises(ValueError):
             propagation_study([400.0], 1000.0, 10, seed=20)
+
+    @pytest.mark.parametrize("bearings, range_m, match", [
+        ([0.0, 0.0], 1000.0, "distinct"),
+        ([0.0, -0.0], 1000.0, "distinct"),
+        ([0.0], -1000.0, "range_m"),
+        ([0.0], 0.0, "range_m"),
+        ([0.0], math.inf, "range_m"),
+        ([0.0], math.nan, "range_m"),
+    ])
+    def test_rejects_what_analyze_rejects(self, bearings, range_m, match):
+        with pytest.raises(ValueError, match=match):
+            propagation_study(bearings, range_m, 10, seed=21)
 
 
 # Deterministic property runs: no example database, a fixed example order.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colreg_risk import (
     CoincidentPositions,
@@ -10,11 +12,12 @@ from colreg_risk import (
     cpa,
     reciprocal_course,
     relative_bearing,
-    velocity_of,
 )
 from colreg_risk.kinematics import (
+    REL_SPEED_SQ_EPS,
     bearing_arrays,
     cpa_arrays,
+    velocity_arrays,
     wrap_degrees,
 )
 
@@ -30,19 +33,43 @@ def random_state(rng):
     )
 
 
+def velocity(state):
+    """(north, east) velocity of a state, m/s."""
+    rad = math.radians(state.course)
+    return state.speed * math.cos(rad), state.speed * math.sin(rad)
+
+
+def reference_cpa(j, k):
+    """(tcpa, dcpa) from each vessel's velocity and position at TCPA, or the
+    exception ``cpa`` must raise."""
+    (vjn, vje), (vkn, vke) = velocity(j), velocity(k)
+    dvn, dve = vjn - vkn, vje - vke
+    rel_sq = dvn * dvn + dve * dve
+    if math.isinf(rel_sq):
+        return FloatingPointError
+    if rel_sq <= REL_SPEED_SQ_EPS:
+        return DegenerateRelativeMotion
+    tcpa = -((j.north - k.north) * dvn + (j.east - k.east) * dve) / rel_sq
+    pos_j = (j.north + vjn * tcpa, j.east + vje * tcpa)
+    pos_k = (k.north + vkn * tcpa, k.east + vke * tcpa)
+    return tcpa, math.hypot(pos_j[0] - pos_k[0], pos_j[1] - pos_k[1])
+
+
 class TestVelocity:
+    def _one(self, course, speed):
+        vn, ve = velocity_arrays(np.array([course]), np.array([speed]))
+        return float(vn[0]), float(ve[0])
+
     def test_due_north(self):
-        v = velocity_of(VesselState(0, 0, 0.0, 10.0))
-        assert v.v_north == 10.0 and v.v_east == 0.0
+        assert self._one(0.0, 10.0) == (10.0, 0.0)
 
     def test_due_west(self):
-        v = velocity_of(VesselState(0, 0, 270.0, 10.0))
-        assert v.v_north == pytest.approx(0.0, abs=1e-12)
-        assert v.v_east == pytest.approx(-10.0, abs=1e-12)
+        v_north, v_east = self._one(270.0, 10.0)
+        assert v_north == pytest.approx(0.0, abs=1e-12)
+        assert v_east == pytest.approx(-10.0, abs=1e-12)
 
     def test_zero_speed(self):
-        v = velocity_of(VesselState(0, 0, 90.0, 0.0))
-        assert v.v_north == 0.0 and v.v_east == 0.0
+        assert self._one(90.0, 0.0) == (0.0, 0.0)
 
 
 class TestCpa:
@@ -71,13 +98,14 @@ class TestCpa:
 
     def test_result_consistency(self):
         res = cpa(OWN_1, TARGET_1)
+        (vjn, vje), (vkn, vke) = velocity(OWN_1), velocity(TARGET_1)
         gap = math.hypot(
-            res.pos_j_at_cpa[0] - res.pos_k_at_cpa[0],
-            res.pos_j_at_cpa[1] - res.pos_k_at_cpa[1],
+            (OWN_1.north + vjn * res.tcpa) - (TARGET_1.north + vkn * res.tcpa),
+            (OWN_1.east + vje * res.tcpa) - (TARGET_1.east + vke * res.tcpa),
         )
         assert gap == pytest.approx(res.dcpa, rel=1e-12)
         assert res.dcpa >= 0.0
-        assert res.rel_speed_sq == pytest.approx(200.0, rel=1e-12)
+        assert (vjn - vkn) ** 2 + (vje - vke) ** 2 == pytest.approx(200.0, rel=1e-12)
 
     def test_symmetry_random_pairs(self):
         rng = np.random.default_rng(11)
@@ -115,14 +143,42 @@ class TestCpa:
                 res = cpa(a, b)
             except DegenerateRelativeMotion:
                 continue
-            va, vb = velocity_of(a), velocity_of(b)
+            (van, vae), (vbn, vbe) = velocity(a), velocity(b)
             t = res.tcpa + np.arange(-100.0, 100.0 + 1e-9, 0.01)
             sep = np.hypot(
-                (a.north - b.north) + (va.v_north - vb.v_north) * t,
-                (a.east - b.east) + (va.v_east - vb.v_east) * t,
+                (a.north - b.north) + (van - vbn) * t,
+                (a.east - b.east) + (vae - vbe) * t,
             )
             assert res.dcpa == pytest.approx(float(sep.min()), abs=1e-3)
             checked += 1
+
+
+# Hypothesis often repeats a drawn value, so a turned target course keeps
+# most pairs non-degenerate; matched velocities and speeds whose |dv|^2
+# overflows draw both raising branches.
+coords = st.floats(-5000.0, 5000.0)
+courses = st.floats(0.0, 360.0, exclude_max=True)
+speeds = st.floats(0.5, 25.0) | st.sampled_from((0.0, 1e155, 1e160, 1e300))
+states = st.builds(VesselState, coords, coords, courses, speeds)
+pairs = st.one_of(
+    st.builds(lambda j, k, turn: (j, VesselState(k.north, k.east, (j.course + turn) % 360.0,
+                                                 k.speed)),
+              states, states, st.floats(1.0, 359.0)),
+    st.builds(lambda j, k: (j, VesselState(k.north, k.east, j.course, j.speed)), states, states),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(pair=pairs)
+def test_cpa_equals_reference_expressions(pair):
+    j, k = pair
+    expected = reference_cpa(j, k)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            cpa(j, k)
+    else:
+        res = cpa(j, k)
+        assert (res.tcpa, res.dcpa) == expected
 
 
 class TestRelativeBearing:

@@ -156,5 +156,4 @@ class TestDrawPair:
 
     def test_metadata(self):
         batch = draw_pair(MEAN, UNC, MEAN, UNC, 123, seed=5)
-        assert batch.n == 123 and batch.seed == 5
         assert len(batch.states_j) == 123 and len(batch.states_k) == 123
