@@ -398,9 +398,31 @@ def bandwidth_grid_cv(
     Exact (no binning): cost grows with len(grid) * n^2 / folds, so keep the
     sample count moderate.  Ties break toward the smaller bandwidth, and the
     fold assignment is a fixed permutation from seed 0.
+
+    Each float32 exponent is clamped at -87 before the exp, so no kernel
+    term is subnormal (exp(-87) = 1.65e-38 is normal); subnormal results
+    made each exp call several times slower.  Every row is shifted by its
+    own minimum distance, so it holds a unit term and its float64 sum is at
+    least 1; each clamped term adds at most 1.65e-38 (3e-35 over the 1600
+    training samples of analyze's capped buffers), far below half an ulp of
+    1 (1.1e-16), so the row sums and scores are those of the unclamped exp.
+
+    Raises:
+        ValueError: a non-finite lo, hi or step, a non-positive lo or step,
+            a lo so small that the float32 exponent -0.5/lo**2 overflows,
+            or fewer than 2 folds.
+        EmptyGrid: no candidate in [lo, hi].
     """
+    for name, value in (("lower bound", lo), ("upper bound", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, got {value}")
     if not lo > 0.0:
         raise ValueError(f"grid lower bound must be > 0, got {lo}")
+    # Below lo ~ 3.8e-20 the exponent overflows to -inf; each row's unit
+    # term becomes 0 * -inf = NaN, and so does every score.
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.isfinite(np.float32(np.float64(-0.5) / (lo * lo))):
+            raise ValueError(f"grid lower bound {lo} too small for a float32 kernel exponent")
     if not step > 0.0:
         raise ValueError(f"grid step must be > 0, got {step}")
     if folds < 2:
@@ -409,7 +431,12 @@ def bandwidth_grid_cv(
     if grid.size == 0:
         raise EmptyGrid(f"no candidates in [{lo}, {hi}] with step {step}")
     arr = _as_samples(samples, folds)
+    best = int(np.argmax(_grid_cv_scores(arr, grid, folds)))
+    return float(grid[best])
 
+
+def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
+    """Mean held-out log-likelihood of each grid bandwidth over the folds."""
     order = np.random.default_rng(0).permutation(arr.size)
     fold_chunks = np.array_split(order, folds)
     scores = np.zeros(grid.size)
@@ -431,15 +458,18 @@ def bandwidth_grid_cv(
             d_sq -= row_min
             row_min = row_min[:, 0]
             shifted = d_sq.astype(np.float32)
+            z = np.empty_like(shifted)
             for gi, h in enumerate(grid):
                 inv = -0.5 / (h * h)
-                z = shifted * np.float32(inv)
+                with np.errstate(over="ignore"):  # -inf is clamped next
+                    np.multiply(shifted, np.float32(inv), out=z)
+                # No subnormal exp results; the docstring shows the sums keep.
+                np.maximum(z, np.float32(-87.0), out=z)
                 np.exp(z, out=z)
                 ll = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
                 fold_scores[gi] += float(np.sum(ll))
         scores += fold_scores / test.size - math.log(train.size) - log_norms
-    best = int(np.argmax(scores / folds))
-    return float(grid[best])
+    return scores / folds
 
 
 def select_bandwidth(

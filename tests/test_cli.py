@@ -546,6 +546,17 @@ class TestAnalyzeCommand:
         for path in curves:
             assert path.read_text(encoding="utf-8").split("\n", 1)[0] == "x,f_hat"
 
+    def test_grid_bandwidths_keep_their_bits(self, tmp_path):
+        # The picks of the grid search before its exponent clamp, in file
+        # order: tcpa, dcpa, bearing at 0, then at 90.
+        out_dir = tmp_path / "grid"
+        assert main(["analyze", "--bandwidth", "grid", "--samples", "2000",
+                     "--bearings", "0,90", "--seed", "1", "--out", str(out_dir)]) == 0
+        assert [float(row["h_grid"]) for row in _bandwidth_rows(out_dir)] == [
+            2.0442042816430934, 0.8485645333593582, 1.7539833386235142,
+            3.0412583052487796, 30.515330977056596, 0.6183184104981481,
+        ]
+
     def test_overflowing_range_exits_3(self, tmp_path, capsys):
         # A finite but huge range overflows the CPA geometry of the study,
         # which fails before the output directory is made.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from colreg_risk import (
     select_bandwidth,
 )
 from colreg_risk.density import (
+    _CHUNK_BUDGET,
     EmptyGrid,
     FixedPointFailure,
     NonpositiveBandwidth,
@@ -26,6 +28,7 @@ from colreg_risk.density import (
     _NDTR_ONE_AT,
     _NDTR_ZERO_AT,
     _derivative_norm,
+    _grid_cv_scores,
     _stage_tables,
     band_masses,
 )
@@ -442,7 +445,78 @@ class TestSaturationWindow:
         assert band_masses(estimate, edges) == _full_band_masses(estimate, edges)
 
 
+def _reference_grid_cv_scores(arr, grid, folds):
+    # The grid search before its exponent clamp: exp of every float32
+    # exponent, subnormal results included, into a new array per grid point.
+    order = np.random.default_rng(0).permutation(arr.size)
+    scores = np.zeros(grid.size)
+    log_norms = np.log(grid * math.sqrt(2.0 * math.pi))
+    for test_idx in np.array_split(order, folds):
+        mask = np.ones(arr.size, dtype=bool)
+        mask[test_idx] = False
+        train = arr[mask]
+        test = arr[test_idx]
+        fold_scores = np.zeros(grid.size)
+        chunk = max(1, _CHUNK_BUDGET // max(1, train.size))
+        for start in range(0, test.size, chunk):
+            d_sq = (test[start : start + chunk, None] - train[None, :]) ** 2
+            row_min = d_sq.min(axis=1, keepdims=True)
+            d_sq -= row_min
+            row_min = row_min[:, 0]
+            shifted = d_sq.astype(np.float32)
+            for gi, h in enumerate(grid):
+                inv = -0.5 / (h * h)
+                z = shifted * np.float32(inv)
+                np.exp(z, out=z)
+                ll = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
+                fold_scores[gi] += float(np.sum(ll))
+        scores += fold_scores / test.size - math.log(train.size) - log_norms
+    return scores / folds
+
+
+def _grid_cv_samples(shape, n, rng):
+    if shape == "gauss":
+        return rng.standard_normal(n)
+    if shape == "cauchy":
+        return rng.standard_cauchy(n)
+    if shape == "clusters":
+        return rng.standard_normal(n) + 1e4 * rng.integers(0, 2, n)
+    return np.round(rng.standard_normal(n), 1)  # ties
+
+
+@st.composite
+def _grid_cv_cases(draw, shape):
+    folds = draw(st.integers(2, 6))
+    n = draw(st.integers(max(5, folds), 2500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    samples = scale * _grid_cv_samples(shape, n, rng)
+    # From far below the sample spacing, where most kernel terms are clamped
+    # (subnormal or 0.0 without the clamp), up to a few spreads.
+    lo = scale * 10.0 ** draw(st.floats(-3.0, 0.0))
+    step = lo * draw(st.floats(0.1, 2.0))
+    hi = lo + step * draw(st.integers(0, 9))
+    return samples, lo, hi, step, folds
+
+
 class TestGridCv:
+    def test_exponent_clamp_keeps_exp_normal(self):
+        # bandwidth_grid_cv clamps each float32 exponent at -87 so that exp
+        # never returns a subnormal; a numpy release that breaks this fails here.
+        tiny = np.finfo(np.float32).tiny
+        assert np.exp(np.float32(-87.0)) >= tiny
+        assert -87.0 > math.log(tiny)
+
+    @pytest.mark.parametrize("shape", ["gauss", "cauchy", "clusters", "rounded"])
+    @settings(database=None, derandomize=True, deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_equals_unclamped_reference(self, shape, data):
+        samples, lo, hi, step, folds = data.draw(_grid_cv_cases(shape))
+        grid = np.arange(lo, hi + 0.5 * step, step)
+        want = _reference_grid_cv_scores(samples, grid, folds)
+        assert np.array_equal(_grid_cv_scores(samples, grid, folds), want)
+        assert bandwidth_grid_cv(samples, lo, hi, step, folds) == grid[np.argmax(want)]
+
     def test_single_candidate(self):
         rng = np.random.default_rng(45)
         x = rng.standard_normal(300)
@@ -474,6 +548,33 @@ class TestGridCv:
             bandwidth_grid_cv(x, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
             bandwidth_grid_cv(x, 0.5, 1.0, 0.1, folds=1)
+
+    @pytest.mark.parametrize("lo, hi, step, bound", [
+        # -0.5 / lo**2 overflows float32: every score was NaN and the first
+        # candidate came back.
+        (1e-30, 3e-30, 1e-30, "lower bound"),
+        (1e-200, 1.0, 0.5, "lower bound"),
+        (math.nan, 1.0, 0.5, "lower bound"),
+        (math.inf, 1.0, 0.5, "lower bound"),
+        # These reached np.arange and failed there.
+        (0.5, math.nan, 0.1, "upper bound"),
+        (0.5, math.inf, 0.1, "upper bound"),
+        (0.5, 1.0, math.inf, "step"),
+    ])
+    def test_nonfinite_or_overflowing_bounds_rejected(self, lo, hi, step, bound):
+        with pytest.raises(ValueError, match=bound):
+            bandwidth_grid_cv(np.arange(100.0), lo, hi, step)
+
+    def test_smallest_bandwidth_with_a_finite_exponent(self):
+        # Its exponents overflow to -inf, which the clamp takes without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bandwidth_grid_cv(np.arange(100.0), 1e-19, 1e-19, 1.0) == 1e-19
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply")
+    def test_bandwidth_whose_square_overflows(self):
+        # lo * lo is inf here and the exponents are -0.0: a valid, flat grid.
+        assert bandwidth_grid_cv(np.arange(100.0), 1e200, 1e200, 1e200) == 1e200
 
 
 class TestKsNormality:
