@@ -57,7 +57,12 @@ from .density import (
     fit,
     select_bandwidth,
 )
-from .estimator import assess_des, assess_kde, propagation_study
+from .estimator import (
+    assess,
+    assess_des,
+    assess_kde,  # not called here; perfbench's tracer wraps it in this namespace
+    propagation_study,
+)
 from .kinematics import CoincidentPositions, VesselState, cpa, relative_bearing
 from .sampling import Spread, StateUncertainty, make_uncertainty
 
@@ -280,14 +285,14 @@ def _worker_count(n_tasks: int) -> int:
 
 def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
     """(alpha, assessment) rows for every (alpha, method) combination of a
-    scenario config, in config order."""
+    scenario config, in config order.  Each alpha draws one batch, which
+    every method reads."""
 
     def one_alpha(entry: tuple[float, StateUncertainty, StateUncertainty]):
         alpha, own_unc, tgt_unc = entry
-        args = (config.own_ship, own_unc, config.target, tgt_unc, config.zone,
-                config.n_samples, config.seed)
-        return [(alpha, assess_kde(*args) if method is Method.KDE else assess_des(*args))
-                for method in config.methods]
+        results = assess(config.own_ship, own_unc, config.target, tgt_unc, config.zone,
+                         config.n_samples, config.seed, config.methods)
+        return [(alpha, result) for result in results]
 
     with ThreadPoolExecutor(max_workers=_worker_count(len(config.uncertainties))) as pool:
         chunks = list(pool.map(one_alpha, config.uncertainties))
@@ -399,15 +404,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
-    # The directory is made only once the study has succeeded, so a numeric
-    # failure leaves nothing behind.
+    # Every buffer, curve and bandwidth is computed before the directory is
+    # made, so a numeric failure leaves nothing behind.
     study = propagation_study(bearings, args.range, args.samples, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".write_probe"
-    probe.write_text("", encoding="utf-8")
-    probe.unlink()
-
+    files = []  # (file name, header, columns) in write order
     bandwidth_rows = []
     for bearing in bearings:
         buffers = study[bearing]
@@ -417,10 +417,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ("dcpa", buffers.dcpa, Topology.LINE),
             ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
         ):
-            _write_csv(out_dir / f"{name}_{tag}.csv", [name], [values])
             cells, xs, ys = _density_outputs(values, topology, args.bandwidth)
-            _write_csv(out_dir / f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys])
+            files.append((f"{name}_{tag}.csv", [name], [values]))
+            files.append((f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys]))
             bandwidth_rows.append([name, tag, *cells])
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for file_name, header, columns in files:
+        _write_csv(out_dir / file_name, header, columns)
     with open(out_dir / "bandwidths.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"])

@@ -412,6 +412,9 @@ def bandwidth_grid_cv(
             a lo so small that the float32 exponent -0.5/lo**2 overflows,
             or fewer than 2 folds.
         EmptyGrid: no candidate in [lo, hi].
+        FloatingPointError: a score is not finite, as when two samples lie
+            more than about 1.3e154 apart and their squared distance
+            overflows.
     """
     for name, value in (("lower bound", lo), ("upper bound", hi), ("step", step)):
         if not math.isfinite(value):
@@ -431,8 +434,14 @@ def bandwidth_grid_cv(
     if grid.size == 0:
         raise EmptyGrid(f"no candidates in [{lo}, {hi}] with step {step}")
     arr = _as_samples(samples, folds)
-    best = int(np.argmax(_grid_cv_scores(arr, grid, folds)))
-    return float(grid[best])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        scores = _grid_cv_scores(arr, grid, folds)
+    if not np.isfinite(scores).all():
+        raise FloatingPointError(
+            f"grid cross-validation scores are not finite "
+            f"({np.count_nonzero(~np.isfinite(scores))} of {scores.size})"
+        )
+    return float(grid[int(np.argmax(scores))])
 
 
 def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:

@@ -4,8 +4,11 @@ Two interchangeable Monte-Carlo pipelines produce a ``RiskAssessment`` for
 a vessel pair: a density pipeline that fits kernel densities to the sampled
 CPA/bearing quantities and integrates the relevant bands, and a counting
 pipeline that walks the discrete-event loop per sample and averages the
-indicator outcomes.  Both draw the same perturbed state batches for a given
-seed, so their disagreement measures the method, not the noise.
+indicator outcomes.  ``assess`` draws one batch and builds its geometry
+once, then runs each requested pipeline on those same buffers, so the
+methods' disagreement measures the method, not the noise.  A batch is
+fixed by its seed, so ``assess_kde`` and ``assess_des`` called apart give
+the answers ``assess`` gives for both at once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class EncounterBuffers:
     Degenerate samples (matched velocities) carry tcpa = +inf and dcpa
     equal to the current separation, and they are the only samples with
     an infinite TCPA: a non-degenerate pair whose TCPA overflows has a
-    non-finite DCPA, which ``encounter_buffers`` rejects.
+    non-finite DCPA, which ``encounter_buffers`` rejects.  The five arrays
+    are read-only, so no method of ``assess`` can change what another reads.
     """
 
     tcpa: np.ndarray
@@ -88,6 +92,8 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
             "sampled states overflow the CPA/bearing geometry "
             "(non-finite DCPA, TCPA or bearing values)"
         )
+    for col in (tcpa, *finite):
+        col.setflags(write=False)
     return buf
 
 
@@ -138,31 +144,8 @@ def _situation(own: np.ndarray, other: np.ndarray, joint: np.ndarray) -> Situati
     )
 
 
-def assess_kde(
-    j_mean: VesselState,
-    j_unc: StateUncertainty,
-    k_mean: VesselState,
-    k_unc: StateUncertainty,
-    zone: ComfortZone,
-    n: int,
-    seed: int,
-) -> RiskAssessment:
-    """Density-pipeline assessment of one vessel pair.
-
-    Draws ``n`` paired samples, fits densities to the TCPA, DCPA, two
-    bearing and course-opposition buffers (bearings on the circle, the rest
-    on the line), and integrates: risk from the DCPA density inside d_act,
-    region probabilities from the bearing bands with the head-on course
-    correction, the joint as the product of the two marginals, and the
-    give-way probability as the give-way mass of the joint times the risk.
-    A buffer with zero spread takes the share of samples that pass the DES
-    test instead, so with exact tracking the result is the DES answer.
-    """
-    if n < 1000:
-        raise TooFewSamples(f"density pipeline needs n >= 1000, got {n}")
-    batch = draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed)
-    buf = encounter_buffers(batch)
-
+def _kde(buf: EncounterBuffers, zone: ComfortZone, n: int, seed: int) -> RiskAssessment:
+    """The density pipeline's step on one batch's buffers (see ``assess_kde``)."""
     p_risk = _line_probability(buf.dcpa, zone.at_risk, 0.0, zone.d_act)
     finite = np.isfinite(buf.tcpa)
     if finite.any():
@@ -191,27 +174,8 @@ def assess_kde(
     )
 
 
-def assess_des(
-    j_mean: VesselState,
-    j_unc: StateUncertainty,
-    k_mean: VesselState,
-    k_unc: StateUncertainty,
-    zone: ComfortZone,
-    n: int,
-    seed: int,
-) -> RiskAssessment:
-    """Counting-pipeline assessment of one vessel pair.
-
-    Draws the same paired samples as the density pipeline for the given
-    seed and evaluates the discrete-event loop per sample.  The per-sample
-    word tests are applied as vectorised masks; the result is identical to
-    running the automaton sample by sample, which the test-suite checks
-    against ``automaton.run_once`` directly.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    buf = encounter_buffers(draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed))
-
+def _des(buf: EncounterBuffers, zone: ComfortZone, n: int, seed: int) -> RiskAssessment:
+    """The counting pipeline's step on one batch's buffers (see ``assess_des``)."""
     risk_count = int(np.count_nonzero(zone.at_risk(buf.dcpa)))
     window_count = int(np.count_nonzero(zone.in_window(buf.tcpa)))
 
@@ -230,6 +194,84 @@ def assess_des(
         seed=seed,
         situation=situation,
     )
+
+
+_STEPS = {Method.KDE: _kde, Method.DES: _des}
+
+
+def assess(
+    j_mean: VesselState,
+    j_unc: StateUncertainty,
+    k_mean: VesselState,
+    k_unc: StateUncertainty,
+    zone: ComfortZone,
+    n: int,
+    seed: int,
+    methods: tuple[Method, ...],
+) -> tuple[RiskAssessment, ...]:
+    """Assessments of one vessel pair by each of ``methods``, in that order.
+
+    Draws ``n`` paired samples and builds their CPA/bearing buffers once;
+    every method reads those same read-only buffers, and the sampled states
+    are released before the first method runs.
+
+    Raises:
+        ValueError: ``methods`` is empty, or n < 1.
+        TooFewSamples: n < 1000 with the density pipeline among ``methods``.
+    """
+    if not methods:
+        raise ValueError("need at least one method")
+    steps = [_STEPS[method] for method in methods]
+    if Method.KDE in methods and n < 1000:
+        raise TooFewSamples(f"density pipeline needs n >= 1000, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    buf = encounter_buffers(draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed))
+    return tuple(step(buf, zone, n, seed) for step in steps)
+
+
+def assess_kde(
+    j_mean: VesselState,
+    j_unc: StateUncertainty,
+    k_mean: VesselState,
+    k_unc: StateUncertainty,
+    zone: ComfortZone,
+    n: int,
+    seed: int,
+) -> RiskAssessment:
+    """Density-pipeline assessment of one vessel pair.
+
+    Draws ``n`` paired samples, fits densities to the TCPA, DCPA, two
+    bearing and course-opposition buffers (bearings on the circle, the rest
+    on the line), and integrates: risk from the DCPA density inside d_act,
+    region probabilities from the bearing bands with the head-on course
+    correction, the joint as the product of the two marginals, and the
+    give-way probability as the give-way mass of the joint times the risk.
+    A buffer with zero spread takes the share of samples that pass the DES
+    test instead, so with exact tracking the result is the DES answer.
+    Needs n >= 1000 (``TooFewSamples``).
+    """
+    return assess(j_mean, j_unc, k_mean, k_unc, zone, n, seed, (Method.KDE,))[0]
+
+
+def assess_des(
+    j_mean: VesselState,
+    j_unc: StateUncertainty,
+    k_mean: VesselState,
+    k_unc: StateUncertainty,
+    zone: ComfortZone,
+    n: int,
+    seed: int,
+) -> RiskAssessment:
+    """Counting-pipeline assessment of one vessel pair.
+
+    Draws the same paired samples as the density pipeline for the given
+    seed and evaluates the discrete-event loop per sample.  The per-sample
+    word tests are applied as vectorised masks; the result is identical to
+    running the automaton sample by sample, which the test-suite checks
+    against ``automaton.run_once`` directly.
+    """
+    return assess(j_mean, j_unc, k_mean, k_unc, zone, n, seed, (Method.DES,))[0]
 
 
 # Per-component standard deviations of both vessels in ``propagation_study``.

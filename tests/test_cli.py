@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -245,6 +246,27 @@ class TestRunCommand:
             assert main(["run", "--config", str(path), "--csv", str(csv_path)]) == 0
             outputs.append(csv_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("methods", [["kde", "des"], ["kde"], ["des"]])
+    def test_one_draw_per_alpha(self, scenario1_raw, draws, methods):
+        scenario1_raw.update(alpha_list=[0.5, 1.0, 2.0], n_samples=1000, methods=methods)
+        config = parse_config(scenario1_raw)
+        rows = run_scenario(config)
+        # One draw per alpha, each with that alpha's (own, target) uncertainties.
+        assert Counter((args[1], args[3]) for args in draws) == Counter(
+            (own, target) for _, own, target in config.uncertainties)
+        assert [(alpha, a.method.value) for alpha, a in rows] == [
+            (alpha, m) for alpha in (0.5, 1.0, 2.0) for m in methods]
+
+    @pytest.mark.parametrize("methods", [["kde", "des"], ["des", "kde"]])
+    def test_kde_sample_floor_draws_nothing(self, tmp_path, scenario1_raw, capsys, draws,
+                                            methods):
+        scenario1_raw["methods"] = methods
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path), "--samples", "999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: density pipeline needs n >= 1000")
+        assert draws == []
 
     def test_method_restriction(self, tmp_path, scenario1_raw, capsys):
         scenario1_raw["alpha_list"] = [1.0]
@@ -566,6 +588,18 @@ class TestAnalyzeCommand:
                          "--samples", "300", "--out", str(tmp_path / "x")]) == 3
         assert "numeric failure" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_overflowing_grid_distances_exit_3(self, tmp_path, capsys):
+        # Samples about 1e155 apart overflow the grid search's squared
+        # distances; it used to return its first candidate with exit 0.
+        out_dir = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Silverman fallback
+            assert main(["analyze", "--bearings", "0", "--range", "1.8e157", "--samples", "5",
+                         "--bandwidth", "grid", "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
+        assert not out_dir.exists()
 
     def test_kde_sample_floor_reported_as_config_error(self, tmp_path, scenario1_raw, capsys):
         scenario1_raw["alpha_list"] = [1.0]

@@ -538,6 +538,19 @@ class TestGridCv:
         h_silv = bandwidth_silverman(x)
         assert abs(h_cv - h_silv) / h_silv <= 0.30
 
+    def test_overflowing_distances_raise(self):
+        # The DCPA buffer of `analyze --bearings 0 --range 1.8e157 --samples 5
+        # --bandwidth grid`: squared distances overflow, every score is NaN,
+        # and the search used to return its first candidate.
+        x = np.array([1.74e155, 7.32e155, 7.25e155, 2.38e155, 5.29e154])
+        with np.errstate(all="ignore"):  # the squares overflow
+            pilot = bandwidth_silverman(x)
+            lo, hi, step = pilot / 20.0, 1.5 * pilot, pilot / 20.0
+            scores = _grid_cv_scores(x, np.arange(lo, hi + 0.5 * step, step), 5)
+        assert not np.isfinite(scores).any()
+        with pytest.raises(FloatingPointError, match="not finite"):
+            bandwidth_grid_cv(x, lo, hi, step, 5)
+
     def test_validation_errors(self):
         x = np.arange(100.0)
         with pytest.raises(EmptyGrid):

@@ -27,7 +27,7 @@ from colreg_risk.estimator import NonFiniteGeometry
 from colreg_risk.kinematics import cpa_arrays
 from colreg_risk.sampling import draw_pair
 
-from scenarios import DIAG, OWN_1, OWN_2, TARGET_1, TARGET_2, ZONE
+from scenarios import DIAG, OWN_1, OWN_2, OWN_3, TARGET_1, TARGET_2, TARGET_3, ZONE
 
 EXACT = StateUncertainty(0.0, 0.0, 0.0, 0.0)
 
@@ -86,6 +86,65 @@ class TestBuffers:
             for assess in (assess_kde, assess_des):
                 with pytest.raises(FloatingPointError):
                     assess(OWN_2, huge, TARGET_2, huge, ZONE, 1000, 3)
+
+    @pytest.mark.parametrize("field", ["tcpa", "dcpa", "bearing_jk", "bearing_kj",
+                                       "course_delta"])
+    def test_buffers_are_read_only(self, field):
+        batch = draw_pair(OWN_2, EXACT, TARGET_2, make_uncertainty(DIAG, 1.0), 10, seed=5)
+        column = getattr(encounter_buffers(batch), field)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+
+
+_DEGENERATE_OWN = VesselState(0.0, 0.0, 45.0, 7.0)
+_DEGENERATE_TARGET = VesselState(300.0, 400.0, 45.0, 7.0)  # same velocity: TCPA = inf
+_POSITION_ONLY = StateUncertainty(10.0, 10.0, 0.0, 0.0)
+
+ASSESS_CASES = {
+    "scenario1": (OWN_1, make_uncertainty(DIAG, 1.0), TARGET_1, make_uncertainty(DIAG, 1.0), 2000),
+    "scenario2": (OWN_2, EXACT, TARGET_2, make_uncertainty(DIAG, 2.0), 2000),
+    "scenario3": (OWN_3, make_uncertainty(DIAG, 0.5), TARGET_3, make_uncertainty(DIAG, 0.5),
+                  2000),
+    "exact_tracking": (OWN_2, EXACT, TARGET_2, EXACT, 2000),
+    "all_degenerate": (_DEGENERATE_OWN, _POSITION_ONLY, _DEGENERATE_TARGET, _POSITION_ONLY,
+                       2000),
+    "sample_floor": (OWN_2, EXACT, TARGET_2, make_uncertainty(DIAG, 1.0), 1000),
+}
+
+
+class TestAssess:
+    @pytest.mark.parametrize("case", ASSESS_CASES.values(), ids=ASSESS_CASES.keys())
+    def test_one_draw_equals_separate_calls(self, draws, case):
+        j, j_unc, k, k_unc, n = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Silverman fallback
+            both = estimator.assess(j, j_unc, k, k_unc, ZONE, n, 17, (Method.KDE, Method.DES))
+            assert len(draws) == 1
+            kde = assess_kde(j, j_unc, k, k_unc, ZONE, n, 17)
+            assert len(draws) == 2
+        des = assess_des(j, j_unc, k, k_unc, ZONE, n, 17)
+        assert len(draws) == 3
+        # Dataclass equality compares every field, the situation tables too.
+        assert both == (kde, des)
+
+    def test_results_follow_the_given_order(self):
+        unc = make_uncertainty(DIAG, 1.0)
+        args = (OWN_2, EXACT, TARGET_2, unc, ZONE, 1000, 18)
+        des, kde = estimator.assess(*args, (Method.DES, Method.KDE))
+        assert (kde.method, des.method) == (Method.KDE, Method.DES)
+        assert (kde, des) == estimator.assess(*args, (Method.KDE, Method.DES))
+
+    @pytest.mark.parametrize("methods, n, error", [
+        ((), 2000, ValueError),
+        ((Method.KDE,), 999, TooFewSamples),
+        ((Method.DES, Method.KDE), 999, TooFewSamples),
+        ((Method.KDE, Method.DES), 0, TooFewSamples),
+        ((Method.DES,), 0, ValueError),
+    ])
+    def test_checks_come_before_the_draw(self, draws, methods, n, error):
+        with pytest.raises(error):
+            estimator.assess(OWN_2, EXACT, TARGET_2, EXACT, ZONE, n, 19, methods)
+        assert draws == []
 
 
 class TestZeroUncertainty:
