@@ -53,7 +53,6 @@ from .estimator import (
 from .kinematics import (
     CoincidentPositions,
     CpaResult,
-    DegenerateRelativeMotion,
     VesselState,
     cpa,
     reciprocal_course,
@@ -78,7 +77,6 @@ __all__ = [
     "ComfortZone",
     "CoincidentPositions",
     "CpaResult",
-    "DegenerateRelativeMotion",
     "DensityEstimate",
     "EmpiricalBehavior",
     "EncounterBuffers",

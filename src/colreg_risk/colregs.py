@@ -29,13 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    DegenerateRelativeMotion,
-    VesselState,
-    cpa,
-    reciprocal_course,
-    relative_bearing,
-)
+from .kinematics import VesselState, cpa, reciprocal_course, relative_bearing
 
 
 class Region(IntEnum):
@@ -212,22 +206,19 @@ def give_way_pairs() -> frozenset[tuple[Region, Region]]:
 def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, SituationOutcome]:
     """(dcpa, tcpa, outcome) of one deterministic pair, j acting.
 
-    A degenerate pair (matched velocities) has no closest approach: its
-    DCPA is the current separation and its TCPA is +inf.
+    The CPA is ``cpa``'s, so a degenerate pair (matched velocities) has
+    DCPA the current separation and TCPA +inf.
 
     Raises:
         CoincidentPositions: propagated from the bearing computation.
+        FloatingPointError: propagated from ``cpa`` when |dv|^2 overflows.
     """
-    try:
-        result = cpa(j, k)
-        dcpa, tcpa = result.dcpa, result.tcpa
-    except DegenerateRelativeMotion:
-        dcpa, tcpa = math.hypot(j.north - k.north, j.east - k.east), math.inf
+    result = cpa(j, k)
     outcome = mutual_situation(
         bearing_region(relative_bearing(j, k), j.course, k.course),
         bearing_region(relative_bearing(k, j), k.course, j.course),
     )
-    return dcpa, tcpa, outcome
+    return result.dcpa, result.tcpa, outcome
 
 
 def classify_sample(

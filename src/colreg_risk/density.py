@@ -131,9 +131,15 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     Kernel terms whose exponent lies below -746 are exactly 0.0 in float64,
     so they are written as zeros instead of computed; every row is still
     summed over all samples in the same order, which makes the skip exact
-    (bit-identical to evaluating every term).
+    (bit-identical to evaluating every term).  Infinite points have
+    density 0.0.
+
+    Raises:
+        ValueError: a NaN point.
     """
     points = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(points).any():
+        raise ValueError("evaluation points must not be NaN")
     data = estimate.samples
     h = estimate.bandwidth
     shifts = _image_shifts(estimate)
@@ -241,15 +247,25 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
 
 
 def bandwidth_silverman(samples: Iterable[float]) -> float:
-    """Silverman's rule of thumb, robust form: 0.9 min(sd, IQR/1.34) n^(-1/5)."""
+    """Silverman's rule of thumb, robust form: 0.9 min(sd, IQR/1.34) n^(-1/5).
+
+    Raises:
+        ZeroDispersion: the samples have no spread.
+        FloatingPointError: the bandwidth is not finite, as when samples
+            about 1e154 apart overflow the variance and the IQR is 0.
+    """
     arr = _as_samples(samples, 2)
-    sd = float(np.std(arr, ddof=1))
-    q75, q25 = np.percentile(arr, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sd = float(np.std(arr, ddof=1))
+        q75, q25 = np.percentile(arr, [75.0, 25.0])
+        iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     if scale <= 0.0:
         raise ZeroDispersion("samples have no dispersion")
-    return 0.9 * scale * arr.size ** (-0.2)
+    bandwidth = 0.9 * scale * arr.size ** (-0.2)
+    if not math.isfinite(bandwidth):
+        raise FloatingPointError(f"Silverman bandwidth is not finite: {bandwidth}")
+    return bandwidth
 
 
 class _StageTables(NamedTuple):

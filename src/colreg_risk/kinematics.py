@@ -25,14 +25,6 @@ REL_SPEED_SQ_EPS = 1e-9
 POSITION_EPS = 1e-9
 
 
-class DegenerateRelativeMotion(ValueError):
-    """Raised when two vessels share a velocity vector: no approach exists.
-
-    Callers should treat DCPA as the current separation and TCPA as
-    undefined (no future closest approach).
-    """
-
-
 class CoincidentPositions(ValueError):
     """Raised when a bearing is requested between coincident positions."""
 
@@ -45,7 +37,7 @@ class VesselState:
         north: N coordinate in the local tangent plane, meters.
         east: E coordinate, meters.
         course: course over ground, degrees in [0, 360).
-        speed: speed over ground, m/s, non-negative.
+        speed: speed over ground, m/s, finite and non-negative.
     """
 
     north: float
@@ -58,8 +50,8 @@ class VesselState:
             raise ValueError(f"position must be finite, got ({self.north}, {self.east})")
         if not (0.0 <= self.course < 360.0):
             raise ValueError(f"course must lie in [0, 360), got {self.course}")
-        if not (self.speed >= 0.0):
-            raise ValueError(f"speed must be non-negative, got {self.speed}")
+        if not (math.isfinite(self.speed) and self.speed >= 0.0):
+            raise ValueError(f"speed must be finite and non-negative, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -92,36 +84,27 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
 
     TCPA solves the minimum of the separation norm and is left unclamped;
     a negative value indicates the vessels are already past their CPA.
+    The arithmetic and conventions are ``cpa_arrays``': a degenerate pair
+    (|dv|^2 <= REL_SPEED_SQ_EPS, matched velocities) has no closest
+    approach, so TCPA is +inf and DCPA the current separation.
 
     Raises:
-        DegenerateRelativeMotion: if |dv|^2 <= REL_SPEED_SQ_EPS, i.e. the
-            velocity vectors coincide and no unique CPA time exists.
         FloatingPointError: if |dv|^2 overflows, which would collapse TCPA
             to zero and DCPA to the current separation.
     """
     rad_j = math.radians(j.course)
     rad_k = math.radians(k.course)
-    vjn, vje = j.speed * math.cos(rad_j), j.speed * math.sin(rad_j)
-    vkn, vke = k.speed * math.cos(rad_k), k.speed * math.sin(rad_k)
-    dvn = vjn - vkn
-    dve = vje - vke
+    dvn = j.speed * math.cos(rad_j) - k.speed * math.cos(rad_k)
+    dve = j.speed * math.sin(rad_j) - k.speed * math.sin(rad_k)
     rel_sq = dvn * dvn + dve * dve
     if math.isinf(rel_sq):
         raise FloatingPointError("relative speed squared overflows")
-    if rel_sq <= REL_SPEED_SQ_EPS:
-        raise DegenerateRelativeMotion(
-            f"relative speed squared {rel_sq:.3e} <= {REL_SPEED_SQ_EPS:.0e}"
-        )
     dpn = j.north - k.north
     dpe = j.east - k.east
+    if rel_sq <= REL_SPEED_SQ_EPS:
+        return CpaResult(math.inf, math.hypot(dpn, dpe))
     tcpa = -(dpn * dvn + dpe * dve) / rel_sq
-    # The gap of the two positions at TCPA.  It rounds differently from
-    # cpa_arrays' dp + dv * tcpa, so the two agree only to rounding.
-    dcpa = math.hypot(
-        (j.north + vjn * tcpa) - (k.north + vkn * tcpa),
-        (j.east + vje * tcpa) - (k.east + vke * tcpa),
-    )
-    return CpaResult(tcpa, dcpa)
+    return CpaResult(tcpa, math.hypot(dpn + dvn * tcpa, dpe + dve * tcpa))
 
 
 def relative_bearing(origin: VesselState, target: VesselState) -> float:
@@ -153,8 +136,8 @@ def reciprocal_course(
 
 # ---------------------------------------------------------------------------
 # Array kernels.  Column-vector variants of the scalar operations above, used
-# by the sampling-based estimators.  Degenerate pairs are flagged instead of
-# raised: their DCPA falls back to the current separation and TCPA to +inf.
+# by the sampling-based estimators.  Degenerate pairs follow ``cpa``: DCPA is
+# the current separation and TCPA +inf; the mask flags them.
 # ---------------------------------------------------------------------------
 
 

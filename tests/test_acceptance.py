@@ -37,7 +37,6 @@ from colreg_risk import (
 from colreg_risk import Obligation, Topology, evaluate
 from colreg_risk.automaton import STATES
 from colreg_risk.cli import bundled_config_path, load_config, main
-from colreg_risk.kinematics import DegenerateRelativeMotion
 from colreg_risk.sampling import draw_pair
 
 from scenarios import DIAG, N_FULL, PAIRS, SEED, ZONE
@@ -300,10 +299,7 @@ class TestCriterion09AutomatonConsistency:
                             float(rng.uniform(0, 360)) % 360.0, float(rng.uniform(0.5, 20)))
             s = run_once(a, b, cfg)
             _, outcome = classify_sample(a, b, zone_inf)
-            try:
-                dcpa = cpa(a, b).dcpa
-            except DegenerateRelativeMotion:
-                dcpa = math.hypot(a.north - b.north, a.east - b.east)
+            dcpa = cpa(a, b).dcpa
             word_ok = ("u15" in s) == (dcpa <= cfg.d_act)
             situation_ok = indicator(s, (outcome.rule, outcome.obligation)) == 1
             fired = sum(indicator(s, event) for event in events)

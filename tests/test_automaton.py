@@ -19,7 +19,6 @@ from colreg_risk import (
     run_trace,
 )
 from colreg_risk.automaton import EmptyInput, MARKED_STATES, STATES, SITUATION_WORDS
-from colreg_risk.kinematics import DegenerateRelativeMotion
 from colreg_risk.sampling import StateUncertainty, draw_pair
 
 from scenarios import (
@@ -49,13 +48,6 @@ def random_state(rng):
         float(rng.uniform(-3000, 3000)), float(rng.uniform(-3000, 3000)),
         float(rng.uniform(0, 360)) % 360.0, float(rng.uniform(0.5, 20)),
     )
-
-
-def cpa_time(a, b):
-    try:
-        return cpa(a, b).tcpa
-    except DegenerateRelativeMotion:
-        return math.inf
 
 
 class TestConfig:
@@ -171,14 +163,11 @@ class TestAgreementWithClassifier:
             a, b = random_state(rng), random_state(rng)
             s = run_once(a, b, CFG)
             risk, outcome = classify_sample(a, b, zone)
-            try:
-                dcpa = cpa(a, b).dcpa
-            except DegenerateRelativeMotion:
-                dcpa = math.hypot(a.north - b.north, a.east - b.east)
+            dcpa = cpa(a, b).dcpa
             assert ("u15" in s) == (dcpa <= CFG.d_act)
             if "u15" in s:
                 # Inside the radius, the classifier only adds the window.
-                assert risk == (0.0 <= cpa_time(a, b) <= zone.t_aware)
+                assert risk == (0.0 <= cpa(a, b).tcpa <= zone.t_aware)
             expected_word = SITUATION_WORDS.get(outcome, "")
             if expected_word:
                 assert expected_word in s
@@ -218,10 +207,7 @@ class TestAgreementWithClassifier:
         rng = np.random.default_rng(64)
         for _ in range(500):
             a, b = random_state(rng), random_state(rng)
-            try:
-                dcpa = cpa(a, b).dcpa
-            except DegenerateRelativeMotion:
-                dcpa = math.hypot(a.north - b.north, a.east - b.east)
+            dcpa = cpa(a, b).dcpa
             assert ("u15" in run_once(a, b, CFG)) == (dcpa <= CFG.d_act)
 
     def test_awareness_and_action_words_match_literal_thresholds(self):
@@ -246,15 +232,11 @@ class TestAgreementWithClassifier:
         for t_aware in (600.0, 50.0, math.inf):
             zone = ComfortZone(150.0, t_aware)
             for a, b in pairs:
-                try:
-                    dcpa = cpa(a, b).dcpa
-                except DegenerateRelativeMotion:
-                    dcpa = math.hypot(a.north - b.north, a.east - b.east)
-                tcpa = cpa_time(a, b)
+                res = cpa(a, b)
                 words = run_trace(a, b, zone)[1]
-                assert (words[0] == "aware_d") == (dcpa <= 300.0)
-                assert (words[1] == "aware_t") == (0.0 <= tcpa <= t_aware)
-                assert (words[8] == "act_t") == (0.0 <= tcpa <= t_aware)
+                assert (words[0] == "aware_d") == (res.dcpa <= 300.0)
+                assert (words[1] == "aware_t") == (0.0 <= res.tcpa <= t_aware)
+                assert (words[8] == "act_t") == (0.0 <= res.tcpa <= t_aware)
 
 
 class TestBehavioralRelation:

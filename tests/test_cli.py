@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -188,6 +189,16 @@ class TestConfigParsing:
         path = write_config(tmp_path, scenario1_raw)
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: target:")
+
+    def test_infinite_speed_exits_2(self, tmp_path, scenario1_raw, capsys):
+        # json reads Infinity; cpa used to turn it into (nan, nan), which
+        # failed later as a numeric error (exit 3).
+        scenario1_raw["target"]["speed_mps"] = math.inf
+        path = write_config(tmp_path, scenario1_raw)
+        assert '"speed_mps": Infinity' in path.read_text(encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: target:") and "finite" in err
 
     @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63, 10**30])
     def test_unindexable_sample_count_exits_2(self, tmp_path, scenario1_raw, capsys, count):
@@ -422,6 +433,13 @@ magnitudes = st.one_of(
 signed = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), magnitudes)
 
 
+def _fail_on_warnings_but_fallback():
+    """Inside ``catch_warnings``: any RuntimeWarning, numpy's overflow ones
+    included, raises, except the library's Silverman fallback notice."""
+    warnings.simplefilter("error", RuntimeWarning)
+    warnings.filterwarnings("ignore", "plug-in bandwidth unavailable", RuntimeWarning)
+
+
 class TestRunFuzz:
     """``run`` on scenario-2 configs with extreme finite values ends in a
     documented exit code, never a traceback, and exit 0 means every printed
@@ -450,7 +468,7 @@ class TestRunFuzz:
         path = write_config(out, raw)
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            _fail_on_warnings_but_fallback()
             code = main(["run", "--config", str(path), "--csv", str(out / "rows.csv")])
         assert code in (0, 2, 3, 4)
         if code == 0:
@@ -664,7 +682,7 @@ class TestAnalyzeFuzz:
         ["0", "-0", "359.99", "1e-320", "360", "-10", "nan", "inf"]) | st.floats(-10.0, 370.0)
     range_m = st.one_of(
         st.floats(1.0, 1e5),
-        st.sampled_from([5e-324, 1e-9, 1e13, 1e154, 1e308]),
+        st.sampled_from([5e-324, 1e-9, 1e13, 1e154, 1.8e157, 1e308]),
         st.sampled_from([0.0, -5.0]) | st.floats(),
     )
 
@@ -683,7 +701,7 @@ class TestAnalyzeFuzz:
                 f"--out={out}"]
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow, Silverman fallback
+            _fail_on_warnings_but_fallback()
             code = main(argv)
         assert code in (0, 2, 3)
         if code == 0:

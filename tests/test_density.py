@@ -60,6 +60,20 @@ class TestFitEvaluate:
         with pytest.raises(NonpositiveBandwidth, match="positive and finite"):
             fit([0.0, 1.0], bandwidth, topology)
 
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])])
+    def test_nan_point_rejected(self, topology, x):
+        # The exp skip reads a NaN exponent as skipped, which gave 0.0.
+        d = fit([0.0, 1.0, 2.0], 1.0, topology)
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(d, x)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_infinite_points_have_zero_density(self, topology):
+        d = fit([0.0, 1.0, 2.0], 1.0, topology)
+        assert evaluate(d, math.inf) == evaluate(d, -math.inf) == 0.0
+        assert evaluate(d, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+
     def test_point_mass_peak(self):
         d = fit(np.zeros(100), 1.0)
         assert evaluate(d, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
@@ -183,6 +197,25 @@ class TestSilverman:
     def test_zero_dispersion(self):
         with pytest.raises(ZeroDispersion):
             bandwidth_silverman(np.full(100, 2.5))
+
+    def test_overflowing_variance_keeps_iqr_term(self):
+        # The variance of samples 1e157 apart overflows; the robust minimum
+        # is then the IQR term, with no numpy warning.
+        samples = 1e157 * np.arange(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = bandwidth_silverman(samples)
+        # The quartiles of five samples are samples[1] and samples[3].
+        assert h == 0.9 * ((samples[3] - samples[1]) / 1.34) * 5 ** (-0.2)
+
+    @pytest.mark.parametrize("select", [bandwidth_silverman, select_bandwidth])
+    def test_infinite_bandwidth_is_floating_point_error(self, select):
+        # No IQR and an overflowing variance used to return inf, which fit
+        # then rejected with an unmapped NonpositiveBandwidth.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="not finite"):
+                select([0.0] * 60 + [1e160])
 
 
 class TestIsj:

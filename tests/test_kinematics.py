@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from colreg_risk import (
     CoincidentPositions,
-    DegenerateRelativeMotion,
+    CpaResult,
     VesselState,
     cpa,
     reciprocal_course,
@@ -40,19 +40,18 @@ def velocity(state):
 
 
 def reference_cpa(j, k):
-    """(tcpa, dcpa) from each vessel's velocity and position at TCPA, or the
-    exception ``cpa`` must raise."""
+    """(tcpa, dcpa) from the relative velocity and offset, (inf, separation)
+    for matched velocities, or the exception ``cpa`` must raise."""
     (vjn, vje), (vkn, vke) = velocity(j), velocity(k)
     dvn, dve = vjn - vkn, vje - vke
+    dpn, dpe = j.north - k.north, j.east - k.east
     rel_sq = dvn * dvn + dve * dve
     if math.isinf(rel_sq):
         return FloatingPointError
     if rel_sq <= REL_SPEED_SQ_EPS:
-        return DegenerateRelativeMotion
-    tcpa = -((j.north - k.north) * dvn + (j.east - k.east) * dve) / rel_sq
-    pos_j = (j.north + vjn * tcpa, j.east + vje * tcpa)
-    pos_k = (k.north + vkn * tcpa, k.east + vke * tcpa)
-    return tcpa, math.hypot(pos_j[0] - pos_k[0], pos_j[1] - pos_k[1])
+        return math.inf, math.hypot(dpn, dpe)
+    tcpa = -(dpn * dvn + dpe * dve) / rel_sq
+    return tcpa, math.hypot(dpn + dvn * tcpa, dpe + dve * tcpa)
 
 
 class TestVelocity:
@@ -93,8 +92,8 @@ class TestCpa:
         assert cpa(own, target).dcpa == pytest.approx(47.98, abs=0.01)
 
     def test_identical_velocities_degenerate(self):
-        with pytest.raises(DegenerateRelativeMotion):
-            cpa(VesselState(0, 0, 0, 10), VesselState(100, 0, 0, 10))
+        res = cpa(VesselState(0, 0, 0, 10), VesselState(100, 0, 0, 10))
+        assert res == CpaResult(math.inf, 100.0)
 
     def test_result_consistency(self):
         res = cpa(OWN_1, TARGET_1)
@@ -111,10 +110,7 @@ class TestCpa:
         rng = np.random.default_rng(11)
         for _ in range(200):
             a, b = random_state(rng), random_state(rng)
-            try:
-                r_ab, r_ba = cpa(a, b), cpa(b, a)
-            except DegenerateRelativeMotion:
-                continue
+            r_ab, r_ba = cpa(a, b), cpa(b, a)
             assert r_ab.tcpa == pytest.approx(r_ba.tcpa, rel=1e-9, abs=1e-9)
             assert r_ab.dcpa == pytest.approx(r_ba.dcpa, rel=1e-9, abs=1e-9)
 
@@ -125,10 +121,7 @@ class TestCpa:
             dn, de = float(rng.uniform(-1e5, 1e5)), float(rng.uniform(-1e5, 1e5))
             a2 = VesselState(a.north + dn, a.east + de, a.course, a.speed)
             b2 = VesselState(b.north + dn, b.east + de, b.course, b.speed)
-            try:
-                r, r2 = cpa(a, b), cpa(a2, b2)
-            except DegenerateRelativeMotion:
-                continue
+            r, r2 = cpa(a, b), cpa(a2, b2)
             assert r2.tcpa == pytest.approx(r.tcpa, rel=1e-9, abs=1e-9)
             assert r2.dcpa == pytest.approx(r.dcpa, rel=1e-9, abs=1e-6)
 
@@ -136,13 +129,9 @@ class TestCpa:
         # Independent oracle: separation minimised over a dense time grid
         # around TCPA must match the closed form within a millimeter.
         rng = np.random.default_rng(13)
-        checked = 0
-        while checked < 40:
+        for _ in range(40):
             a, b = random_state(rng), random_state(rng)
-            try:
-                res = cpa(a, b)
-            except DegenerateRelativeMotion:
-                continue
+            res = cpa(a, b)
             (van, vae), (vbn, vbe) = velocity(a), velocity(b)
             t = res.tcpa + np.arange(-100.0, 100.0 + 1e-9, 0.01)
             sep = np.hypot(
@@ -150,12 +139,11 @@ class TestCpa:
                 (a.east - b.east) + (vae - vbe) * t,
             )
             assert res.dcpa == pytest.approx(float(sep.min()), abs=1e-3)
-            checked += 1
 
 
 # Hypothesis often repeats a drawn value, so a turned target course keeps
-# most pairs non-degenerate; matched velocities and speeds whose |dv|^2
-# overflows draw both raising branches.
+# most pairs non-degenerate; matched velocities and zero speeds draw the
+# degenerate branch, and speeds whose |dv|^2 overflows the raising one.
 coords = st.floats(-5000.0, 5000.0)
 courses = st.floats(0.0, 360.0, exclude_max=True)
 speeds = st.floats(0.5, 25.0) | st.sampled_from((0.0, 1e155, 1e160, 1e300))
@@ -179,6 +167,25 @@ def test_cpa_equals_reference_expressions(pair):
     else:
         res = cpa(j, k)
         assert (res.tcpa, res.dcpa) == expected
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(pair=pairs)
+def test_cpa_matches_cpa_arrays(pair):
+    j, k = pair
+    col = lambda v: np.array([v], dtype=float)
+    tcpa, dcpa, degenerate = cpa_arrays(
+        col(j.north), col(j.east), col(j.course), col(j.speed),
+        col(k.north), col(k.east), col(k.course), col(k.speed),
+    )
+    try:
+        res = cpa(j, k)
+    except FloatingPointError:
+        assert np.isnan(tcpa[0]) and np.isnan(dcpa[0]) and not degenerate[0]
+        return
+    assert degenerate[0] == math.isinf(res.tcpa)
+    assert tcpa[0] == res.tcpa
+    assert abs(dcpa[0] - res.dcpa) <= math.ulp(res.dcpa)
 
 
 class TestRelativeBearing:
@@ -263,16 +270,14 @@ class TestArrayKernels:
             cols(b_list, lambda s: s.north), cols(b_list, lambda s: s.east),
             cols(b_list, lambda s: s.course), cols(b_list, lambda s: s.speed),
         )
+        # One formula: TCPA is bit-equal and DCPA differs only by the
+        # rounding of math.hypot against np.hypot.
         for i, (a, b) in enumerate(zip(a_list, b_list)):
-            try:
-                res = cpa(a, b)
-                assert not degenerate[i]
-                assert tcpa[i] == pytest.approx(res.tcpa, rel=1e-12, abs=1e-12)
-                assert dcpa[i] == pytest.approx(res.dcpa, rel=1e-12, abs=1e-12)
-            except DegenerateRelativeMotion:
-                assert degenerate[i]
-                assert np.isinf(tcpa[i])
-                assert dcpa[i] == pytest.approx(math.hypot(a.north - b.north, a.east - b.east))
+            res = cpa(a, b)
+            assert degenerate[i] == math.isinf(res.tcpa)
+            assert tcpa[i] == res.tcpa
+            assert abs(dcpa[i] - res.dcpa) <= math.ulp(res.dcpa)
+        assert (tcpa[-1], dcpa[-1]) == (res.tcpa, res.dcpa) == (math.inf, math.hypot(10, 10))
 
     def test_cpa_arrays_mark_overflow_nan(self):
         col = lambda *v: np.array(v, dtype=float)
@@ -315,6 +320,13 @@ class TestValidation:
     def test_negative_speed(self):
         with pytest.raises(ValueError):
             VesselState(0, 0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("speed", [math.inf, math.nan])
+    def test_nonfinite_speed(self, speed):
+        # An infinite speed used to be accepted; cpa against any moving
+        # vessel then gave (nan, nan) and classify_sample reported no risk.
+        with pytest.raises(ValueError, match="finite"):
+            VesselState(0, 0, 0.0, speed)
 
     def test_nonfinite_position(self):
         with pytest.raises(ValueError):
