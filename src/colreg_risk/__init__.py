@@ -59,12 +59,11 @@ from .kinematics import (
     relative_bearing,
 )
 from .sampling import (
-    InvalidCount,
-    NegativeInput,
     SampleBatch,
     Spread,
     StateSample,
     StateUncertainty,
+    TooFewSamples,
     draw,
     draw_pair,
     make_uncertainty,
@@ -80,9 +79,7 @@ __all__ = [
     "DensityEstimate",
     "EmpiricalBehavior",
     "EncounterBuffers",
-    "InvalidCount",
     "Method",
-    "NegativeInput",
     "Obligation",
     "Region",
     "RISK_ACT",
@@ -96,6 +93,7 @@ __all__ = [
     "StateSample",
     "StateUncertainty",
     "StochasticAutomaton",
+    "TooFewSamples",
     "Topology",
     "VesselState",
     "assess",

@@ -8,6 +8,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .colregs import N_EVENTS, RULE_VALUES, Region, Rule
+from .sampling import TooFewSamples
 
 
 class Method(Enum):
@@ -90,7 +91,7 @@ def assessment_from_counts(
     ``colregs.event_code``; every sample must land in exactly one event.
     """
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise TooFewSamples("need at least one sample")
     counts = [int(c) for c in event_counts]
     if len(counts) != N_EVENTS or sum(counts) != n:
         raise ValueError(f"need {N_EVENTS} event counts summing to {n}, got {counts}")

@@ -40,6 +40,7 @@ from .colregs import (
     event_code,
 )
 from .kinematics import VesselState
+from .sampling import TooFewSamples
 
 RunString = tuple[str, ...]
 
@@ -66,10 +67,6 @@ RISK_ACT = "risk_act"
 
 STATES: tuple[str, ...] = tuple(f"U{i}" for i in range(1, 14))
 MARKED_STATES: frozenset[str] = frozenset({"U1", "U13"})
-
-
-class EmptyInput(ValueError):
-    """Raised when an estimator receives no runs."""
 
 
 # The automaton reads the comfort zone directly; the old name stays for
@@ -172,7 +169,7 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
     """
     runs = list(strings)
     if not runs:
-        raise EmptyInput("no run strings given")
+        raise TooFewSamples("no run strings given")
 
     risk_count = 0
     window_count = 0
@@ -265,5 +262,5 @@ def estimate_behavioral_relation(
         counts.update(zip(states[1:], words, states))
         visits.update(states[:-1])
     if n_runs == 0:
-        raise EmptyInput("no runs given")
+        raise TooFewSamples("no runs given")
     return EmpiricalBehavior(counts=dict(counts), visits=dict(visits))

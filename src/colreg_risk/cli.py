@@ -9,9 +9,11 @@ Subcommands:
   placements and dumps raw buffers plus fitted density curves as CSV.
 * ``selftest`` runs the embedded deterministic invariants.
 
-Exit codes: 0 success, 1 failed selftest, 2 config error, 3 numeric
-failure, 4 output I/O failure.  The commands raise; ``main`` alone maps
-an exception to its exit code and its one stderr line.
+Exit codes: 0 success, 1 failed selftest, 2 config error (``ConfigError``,
+``TooFewSamples``), 3 numeric failure (``ZeroDispersion``,
+``FixedPointFailure``, ``FloatingPointError``, ``MemoryError``), 4 output
+I/O failure (``OSError``).  The commands raise; ``main`` alone maps an
+exception to its exit code and its one stderr line.
 ``COLREG_RISK_THREADS`` caps the worker count for scenario evaluation
 (0 or unset = auto); results are assembled in a fixed order so the
 output is byte-identical for any worker count.
@@ -47,7 +49,6 @@ from .colregs import (
 )
 from .density import (
     FixedPointFailure,
-    TooFewSamples,
     Topology,
     ZeroDispersion,
     bandwidth_grid_cv,
@@ -64,7 +65,7 @@ from .estimator import (
     propagation_study,
 )
 from .kinematics import CoincidentPositions, VesselState, cpa, relative_bearing
-from .sampling import Spread, StateUncertainty, make_uncertainty
+from .sampling import Spread, StateUncertainty, TooFewSamples, make_uncertainty
 
 
 class ConfigError(ValueError):

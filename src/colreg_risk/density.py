@@ -30,6 +30,7 @@ from scipy.optimize import brentq
 from scipy.special import kolmogorov, ndtr
 
 from .kinematics import wrap_degrees
+from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Chunk size cap (elements) for the dense cross-validation matrices.
@@ -46,14 +47,6 @@ _NDTR_ZERO_AT = -37.69
 _NDTR_ONE_AT = 8.31
 
 
-class TooFewSamples(ValueError):
-    """Raised when an operation needs more samples than were provided."""
-
-
-class NonpositiveBandwidth(ValueError):
-    """Raised when a bandwidth is not strictly positive and finite."""
-
-
 class ZeroDispersion(ValueError):
     """Raised when the samples carry no spread to estimate a bandwidth from."""
 
@@ -64,10 +57,6 @@ class FixedPointFailure(RuntimeError):
     Callers should fall back to Silverman's rule (``select_bandwidth``
     does this automatically, with a warning).
     """
-
-
-class EmptyGrid(ValueError):
-    """Raised when a bandwidth search grid contains no candidates."""
 
 
 class Topology(Enum):
@@ -113,11 +102,11 @@ def fit(
 
     Raises:
         TooFewSamples: fewer than two samples.
-        NonpositiveBandwidth: a bandwidth that is not positive and finite.
+        ValueError: a bandwidth that is not positive and finite.
     """
     arr = _as_samples(samples, 2)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise NonpositiveBandwidth(f"bandwidth must be positive and finite, got {bandwidth}")
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     if topology is Topology.CIRCLE360:
         arr = wrap_degrees(arr)
     arr = arr.copy()
@@ -426,8 +415,7 @@ def bandwidth_grid_cv(
     Raises:
         ValueError: a non-finite lo, hi or step, a non-positive lo or step,
             a lo so small that the float32 exponent -0.5/lo**2 overflows,
-            or fewer than 2 folds.
-        EmptyGrid: no candidate in [lo, hi].
+            fewer than 2 folds, or no candidate in [lo, hi].
         FloatingPointError: a score is not finite, as when two samples lie
             more than about 1.3e154 apart and their squared distance
             overflows.
@@ -448,7 +436,7 @@ def bandwidth_grid_cv(
         raise ValueError(f"need at least 2 folds, got {folds}")
     grid = np.arange(lo, hi + 0.5 * step, step)
     if grid.size == 0:
-        raise EmptyGrid(f"no candidates in [{lo}, {hi}] with step {step}")
+        raise ValueError(f"no candidates in [{lo}, {hi}] with step {step}")
     arr = _as_samples(samples, folds)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         scores = _grid_cv_scores(arr, grid, folds)
@@ -530,11 +518,19 @@ def ks_normality(samples: Iterable[float]) -> tuple[float, float]:
     Kolmogorov distribution.  Because the reference normal reuses the
     sample's own moments, the p-value is conservative, which is fine for
     the reject-at-tiny-p use this diagnostic serves.
+
+    Raises:
+        ZeroDispersion: the samples have no spread.
+        FloatingPointError: the standard deviation is not finite, as when
+            samples about 1e154 apart overflow the variance.
     """
     arr = _as_samples(samples, 8)
-    sd = float(np.std(arr, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sd = float(np.std(arr, ddof=1))
     if sd <= 0.0:
         raise ZeroDispersion("samples have no dispersion")
+    if not math.isfinite(sd):
+        raise FloatingPointError(f"standard deviation is not finite: {sd}")
     z = np.sort((arr - float(np.mean(arr))) / sd)
     cdf = ndtr(z)
     n = arr.size

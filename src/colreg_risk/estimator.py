@@ -35,18 +35,13 @@ from .colregs import (
 from .density import (
     DensityEstimate,
     Topology,
-    TooFewSamples,
     band_masses,
     fit,
     integrate,
     select_bandwidth,
 )
 from .kinematics import VesselState, bearing_arrays, cpa_arrays, reciprocal_course
-from .sampling import SampleBatch, StateUncertainty, draw_pair, pair_stream_seeds
-
-
-class NonFiniteGeometry(FloatingPointError):
-    """Raised when a sampled batch overflows the CPA or bearing geometry."""
+from .sampling import SampleBatch, StateUncertainty, TooFewSamples, draw_pair, pair_stream_seeds
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
     """Vectorised CPA/bearing evaluation of a sampled batch.
 
     Raises:
-        NonFiniteGeometry: a non-finite DCPA, bearing or course delta, or a
+        FloatingPointError: a non-finite DCPA, bearing or course delta, or a
             NaN TCPA (+inf TCPA marks a degenerate pair and is kept).
     """
     sj, sk = batch.states_j, batch.states_k
@@ -88,7 +83,7 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
     )
     finite = (buf.dcpa, buf.bearing_jk, buf.bearing_kj, buf.course_delta)
     if np.isnan(tcpa).any() or not all(np.isfinite(col).all() for col in finite):
-        raise NonFiniteGeometry(
+        raise FloatingPointError(
             "sampled states overflow the CPA/bearing geometry "
             "(non-finite DCPA, TCPA or bearing values)"
         )
@@ -216,8 +211,9 @@ def assess(
     are released before the first method runs.
 
     Raises:
-        ValueError: ``methods`` is empty, or n < 1.
-        TooFewSamples: n < 1000 with the density pipeline among ``methods``.
+        ValueError: ``methods`` is empty.
+        TooFewSamples: n < 1, or n < 1000 with the density pipeline among
+            ``methods``.
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -225,7 +221,7 @@ def assess(
     if Method.KDE in methods and n < 1000:
         raise TooFewSamples(f"density pipeline needs n >= 1000, got {n}")
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise TooFewSamples(f"need n >= 1, got {n}")
     buf = encounter_buffers(draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed))
     return tuple(step(buf, zone, n, seed) for step in steps)
 
@@ -294,11 +290,12 @@ def propagation_study(
     export.
 
     Raises:
-        ValueError: n < 1, a bearing outside [0, 360) or repeated, or a
-            range that is not positive and finite.
+        TooFewSamples: n < 1.
+        ValueError: a bearing outside [0, 360) or repeated, or a range that
+            is not positive and finite.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise TooFewSamples(f"need n >= 1, got {n}")
     for bearing in bearings:
         if not 0.0 <= bearing < 360.0:
             raise ValueError(f"bearing must lie in [0, 360), got {bearing}")

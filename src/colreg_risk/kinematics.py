@@ -90,7 +90,8 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
 
     Raises:
         FloatingPointError: if |dv|^2 overflows, which would collapse TCPA
-            to zero and DCPA to the current separation.
+            to zero and DCPA to the current separation, or if TCPA is NaN or
+            DCPA not finite, the rows ``estimator.encounter_buffers`` rejects.
     """
     rad_j = math.radians(j.course)
     rad_k = math.radians(k.course)
@@ -102,9 +103,13 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
     dpn = j.north - k.north
     dpe = j.east - k.east
     if rel_sq <= REL_SPEED_SQ_EPS:
-        return CpaResult(math.inf, math.hypot(dpn, dpe))
-    tcpa = -(dpn * dvn + dpe * dve) / rel_sq
-    return CpaResult(tcpa, math.hypot(dpn + dvn * tcpa, dpe + dve * tcpa))
+        tcpa, dcpa = math.inf, math.hypot(dpn, dpe)
+    else:
+        tcpa = -(dpn * dvn + dpe * dve) / rel_sq
+        dcpa = math.hypot(dpn + dvn * tcpa, dpe + dve * tcpa)
+    if math.isnan(tcpa) or not math.isfinite(dcpa):
+        raise FloatingPointError(f"CPA geometry overflows: tcpa={tcpa}, dcpa={dcpa}")
+    return CpaResult(tcpa, dcpa)
 
 
 def relative_bearing(origin: VesselState, target: VesselState) -> float:
@@ -185,6 +190,7 @@ def cpa_arrays(
     return tcpa, dcpa, degenerate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bearing_arrays(
     north_j: np.ndarray,
     east_j: np.ndarray,
@@ -192,7 +198,10 @@ def bearing_arrays(
     north_k: np.ndarray,
     east_k: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised relative bearing from vessel j to vessel k, [0, 360)."""
+    """Vectorised relative bearing from vessel j to vessel k, [0, 360).
+
+    Offsets that overflow give infinite atan2 arguments, never a warning.
+    """
     absolute = np.degrees(np.arctan2(east_k - east_j, north_k - north_j))
     return wrap_degrees(absolute - course_j)
 

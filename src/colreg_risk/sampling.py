@@ -24,12 +24,8 @@ import numpy as np
 from .kinematics import VesselState, wrap_degrees
 
 
-class InvalidCount(ValueError):
-    """Raised when a non-positive sample count is requested."""
-
-
-class NegativeInput(ValueError):
-    """Raised when a dispersion entry or scale factor is negative."""
+class TooFewSamples(ValueError):
+    """Raised when an operation needs more samples than were provided."""
 
 
 class Spread(Enum):
@@ -57,7 +53,7 @@ class StateUncertainty:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if value < 0.0:
-                raise NegativeInput(f"{name} must be >= 0, got {value}")
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def make_uncertainty(
@@ -77,7 +73,7 @@ def make_uncertainty(
     if not (math.isfinite(alpha) and all(math.isfinite(v) for v in entries)):
         raise ValueError("dispersion entries and alpha must be finite")
     if alpha < 0.0 or any(v < 0.0 for v in entries):
-        raise NegativeInput("dispersion entries and alpha must be >= 0")
+        raise ValueError("dispersion entries and alpha must be >= 0")
     if interpretation is Spread.STD_DEV:
         sigmas = [alpha * v for v in entries]
     else:
@@ -130,9 +126,12 @@ def draw(
     Monte-Carlo estimators switch it off and push the raw Gaussian draws
     through the geometry instead (a negative speed reverses the velocity
     vector), which is what the error model actually says.
+
+    Raises:
+        TooFewSamples: n < 1.
     """
     if n < 1:
-        raise InvalidCount(f"sample count must be >= 1, got {n}")
+        raise TooFewSamples(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(stream_seed)
     north = rng.normal(mean.north, unc.sigma_north, n)
     east = rng.normal(mean.east, unc.sigma_east, n)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from colreg_risk import (
     Method,
     Rule,
+    TooFewSamples,
     assess_des,
     assess_kde,
     estimate_probabilities,
@@ -87,7 +88,7 @@ def test_from_counts_rejects_bad_vectors():
         assessment_from_counts(0, 0, [0, 1, 1, 0, 0, 1, 0, 0], 4, Method.DES, 0)
     with pytest.raises(ValueError, match="8 event counts summing to 3"):
         assessment_from_counts(0, 0, [0, 1, 1, 0, 0, 1], 3, Method.DES, 0)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(TooFewSamples, match="need at least one sample"):
         assessment_from_counts(0, 0, [0] * 8, 0, Method.DES, 0)
 
 

@@ -18,8 +18,8 @@ from colreg_risk import (
     run_once,
     run_trace,
 )
-from colreg_risk.automaton import EmptyInput, MARKED_STATES, STATES, SITUATION_WORDS
-from colreg_risk.sampling import StateUncertainty, draw_pair
+from colreg_risk.automaton import MARKED_STATES, STATES, SITUATION_WORDS
+from colreg_risk.sampling import StateUncertainty, TooFewSamples, draw_pair
 
 from scenarios import (
     EXPECTED_TABLE,
@@ -132,7 +132,7 @@ class TestEstimateProbabilities:
         assert a.p_stand_on == 0.0
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(TooFewSamples, match="no run strings given"):
             estimate_probabilities([])
 
     def test_probability_identities(self):
@@ -304,7 +304,7 @@ class TestBehavioralRelation:
         assert rel.output_probability("u15", "U8") == pytest.approx(1.0, abs=0.01)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(TooFewSamples, match="no runs given"):
             estimate_behavioral_relation([])
 
     def test_as_automaton_validates(self):

@@ -364,16 +364,24 @@ class TestRunCommand:
             assert main(["run", "--config", str(path), "--samples", "2000"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, section, field, value", [
-        ("scenario2", "target", "speed_mps", 1e160),  # |dv|^2 overflows
-        ("scenario1", None, "alpha_list", [1e300]),  # dp . dv overflows in TCPA
+    # The first two ids are the ones pytest made from these cases' values.
+    @pytest.mark.parametrize("name, edits", [
+        pytest.param("scenario2", {("target", "speed_mps"): 1e160},  # |dv|^2 overflows
+                     id="scenario2-target-speed_mps-1e+160"),
+        pytest.param("scenario1", {(None, "alpha_list"): [1e300]},  # dp . dv overflows in TCPA
+                     id="scenario1-None-alpha_list-value1"),
+        # The position offsets overflow in the bearings and the CPA.
+        pytest.param("scenario1", {("own_ship", "north_m"): 1e308, ("target", "north_m"): -1e308,
+                                   ("target", "east_m"): 0.0, ("target", "course_deg"): 180.0,
+                                   (None, "methods"): ["des"]},
+                     id="scenario1-positions-2e308-apart"),
     ])
-    def test_overflow_prints_only_the_failure_line(self, tmp_path, capfd, name, section,
-                                                   field, value):
+    def test_overflow_prints_only_the_failure_line(self, tmp_path, capfd, name, edits):
         # A subprocess, so numpy's overflow warnings would reach stderr as
         # they do for a user, not pytest's warning capture.
         raw = _raw(name)
-        (raw if section is None else raw[section])[field] = value
+        for (section, field), value in edits.items():
+            (raw if section is None else raw[section])[field] = value
         path = write_config(tmp_path, raw)
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

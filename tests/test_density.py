@@ -20,9 +20,7 @@ from colreg_risk import (
 )
 from colreg_risk.density import (
     _CHUNK_BUDGET,
-    EmptyGrid,
     FixedPointFailure,
-    NonpositiveBandwidth,
     TooFewSamples,
     ZeroDispersion,
     _NDTR_ONE_AT,
@@ -49,7 +47,7 @@ class TestFitEvaluate:
             fit([5.0], 1.0)
 
     def test_nonpositive_bandwidth(self):
-        with pytest.raises(NonpositiveBandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite, got 0.0"):
             fit([0.0, 1.0], 0.0)
 
     @pytest.mark.parametrize("topology", list(Topology))
@@ -57,7 +55,7 @@ class TestFitEvaluate:
     def test_nonfinite_bandwidth(self, bandwidth, topology):
         # An infinite bandwidth used to integrate to 0.0 over the whole line
         # and to overflow on the circle.
-        with pytest.raises(NonpositiveBandwidth, match="positive and finite"):
+        with pytest.raises(ValueError, match="positive and finite"):
             fit([0.0, 1.0], bandwidth, topology)
 
     @pytest.mark.parametrize("topology", list(Topology))
@@ -211,7 +209,7 @@ class TestSilverman:
     @pytest.mark.parametrize("select", [bandwidth_silverman, select_bandwidth])
     def test_infinite_bandwidth_is_floating_point_error(self, select):
         # No IQR and an overflowing variance used to return inf, which fit
-        # then rejected with an unmapped NonpositiveBandwidth.
+        # then rejected with an unmapped ValueError.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="not finite"):
@@ -586,7 +584,7 @@ class TestGridCv:
 
     def test_validation_errors(self):
         x = np.arange(100.0)
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match=r"no candidates in \[2.0, 1.0\] with step 0.5"):
             bandwidth_grid_cv(x, 2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             bandwidth_grid_cv(x, 0.0, 1.0, 0.5)
@@ -646,3 +644,16 @@ class TestKsNormality:
         x = np.abs(np.random.default_rng(49).standard_normal(10_000))
         _, p = ks_normality(x)
         assert p < 1e-4
+
+    def test_overflowing_variance_is_floating_point_error(self):
+        # The variance overflows; an infinite sd used to zero every z-score
+        # and return a made-up (0.5, 1.1e-13) with numpy's overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="standard deviation is not finite"):
+                ks_normality([0.0] * 60 + [1e160])
+
+    def test_large_finite_spread_keeps_the_scale_free_answer(self):
+        # The statistic ignores scale, so an outlier at 1e150 (variance
+        # about 1.6e298, still finite) gives the answer an outlier at 1 gives.
+        assert ks_normality([0.0] * 60 + [1e150]) == ks_normality([0.0] * 60 + [1.0])

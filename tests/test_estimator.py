@@ -23,7 +23,6 @@ from colreg_risk import (
 )
 from colreg_risk import estimator
 from colreg_risk.density import TooFewSamples
-from colreg_risk.estimator import NonFiniteGeometry
 from colreg_risk.kinematics import cpa_arrays
 from colreg_risk.sampling import draw_pair
 
@@ -80,8 +79,9 @@ class TestBuffers:
         huge = make_uncertainty(DIAG, 1e300)
         batch = draw_pair(OWN_2, huge, TARGET_2, huge, 50, seed=3)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
-            with pytest.raises(NonFiniteGeometry):
+            warnings.simplefilter("error")  # the overflow shows only as the error
+            with pytest.raises(FloatingPointError,
+                               match="sampled states overflow the CPA/bearing geometry"):
                 encounter_buffers(batch)
             for assess in (assess_kde, assess_des):
                 with pytest.raises(FloatingPointError):
@@ -139,7 +139,7 @@ class TestAssess:
         ((Method.KDE,), 999, TooFewSamples),
         ((Method.DES, Method.KDE), 999, TooFewSamples),
         ((Method.KDE, Method.DES), 0, TooFewSamples),
-        ((Method.DES,), 0, ValueError),
+        ((Method.DES,), 0, TooFewSamples),
     ])
     def test_checks_come_before_the_draw(self, draws, methods, n, error):
         with pytest.raises(error):
@@ -318,7 +318,7 @@ class TestPropagationStudy:
         assert 0.4 <= neg <= 0.6
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewSamples, match="need n >= 1, got 0"):
             propagation_study([0.0], 1000.0, 0, seed=19)
         with pytest.raises(ValueError):
             propagation_study([400.0], 1000.0, 10, seed=20)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from colreg_risk import (
-    InvalidCount,
-    NegativeInput,
     Spread,
     StateUncertainty,
+    TooFewSamples,
     VesselState,
     draw,
     draw_pair,
@@ -34,11 +33,11 @@ class TestMakeUncertainty:
         assert make_uncertainty((10, 10, 2, 2), 0.0) == StateUncertainty(0, 0, 0, 0)
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(ValueError, match="dispersion entries and alpha must be >= 0"):
             make_uncertainty((10, -1, 2, 2), 1.0)
-        with pytest.raises(NegativeInput):
+        with pytest.raises(ValueError, match="dispersion entries and alpha must be >= 0"):
             make_uncertainty((10, 10, 2, 2), -0.5)
-        with pytest.raises(NegativeInput):
+        with pytest.raises(ValueError, match="sigma_north must be >= 0, got -1.0"):
             StateUncertainty(-1.0, 0, 0, 0)
 
     def test_wrong_length(self):
@@ -75,7 +74,7 @@ class TestDraw:
         assert np.all(batch.speed == MEAN.speed)
 
     def test_invalid_count(self):
-        with pytest.raises(InvalidCount):
+        with pytest.raises(TooFewSamples, match="sample count must be >= 1, got 0"):
             draw(MEAN, UNC, 0, stream_seed=1)
 
     def test_seed_determinism(self):
