@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 failed selftest, 2 config error (``ConfigError``,
 ``FixedPointFailure``, ``FloatingPointError``, ``MemoryError``), 4 output
 I/O failure (``OSError``).  The commands raise; ``main`` alone maps an
 exception to its exit code and its one stderr line.
-``COLREG_RISK_THREADS`` caps the worker count for scenario evaluation
-(0 or unset = auto); results are assembled in a fixed order so the
-output is byte-identical for any worker count.
+``COLREG_RISK_THREADS`` caps the worker threads of ``run`` (one task per
+alpha) and of ``analyze`` (one task per exported buffer); 0 or unset means
+one per CPU, and anything but a non-negative integer is a config error.
+Results are assembled in input order, so the output is byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -274,14 +276,18 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("COLREG_RISK_THREADS", "0")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count <= 0:
-        count = os.cpu_count() or 1
+    raw = os.environ.get("COLREG_RISK_THREADS") or "0"
+    if not raw.isdecimal():
+        raise ConfigError(f"COLREG_RISK_THREADS must be a non-negative integer, got {raw!r}")
+    count = int(raw) or os.cpu_count() or 1
     return max(1, min(count, n_tasks))
+
+
+def _pool_map(fn: Callable, items: Sequence) -> list:
+    """``fn`` of each item on ``_worker_count(len(items))`` threads, in input
+    order; the first item in input order whose call raised re-raises."""
+    with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
@@ -295,9 +301,7 @@ def run_scenario(config: ScenarioConfig) -> list[tuple[float, RiskAssessment]]:
                          config.n_samples, config.seed, config.methods)
         return [(alpha, result) for result in results]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(config.uncertainties))) as pool:
-        chunks = list(pool.map(one_alpha, config.uncertainties))
-    return [row for chunk in chunks for row in chunk]
+    return [row for chunk in _pool_map(one_alpha, config.uncertainties) for row in chunk]
 
 
 # Probability columns of a result row after alpha and method, with their
@@ -346,12 +350,12 @@ def _format_bearing(bearing: float) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """One header row, then one row per index of the equal-length columns."""
+    """One header row, then one row per index of the equal-length float
+    columns, written at once; a float's repr never needs CSV quoting."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+        handle.write("\n".join(lines) + "\n")
 
 
 # Cross-validation cost is quadratic in the sample count, so the grid
@@ -408,20 +412,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # Every buffer, curve and bandwidth is computed before the directory is
     # made, so a numeric failure leaves nothing behind.
     study = propagation_study(bearings, args.range, args.samples, args.seed)
+    buffers = [
+        (name, _format_bearing(bearing), values, topology)
+        for bearing, b in study.items()
+        for name, values, topology in (
+            ("tcpa", b.tcpa[np.isfinite(b.tcpa)], Topology.LINE),
+            ("dcpa", b.dcpa, Topology.LINE),
+            ("bearing", b.bearing_jk, Topology.CIRCLE360),
+        )
+    ]
+    outputs = _pool_map(lambda buffer: _density_outputs(*buffer[2:], args.bandwidth), buffers)
     files = []  # (file name, header, columns) in write order
     bandwidth_rows = []
-    for bearing in bearings:
-        buffers = study[bearing]
-        tag = _format_bearing(bearing)
-        for name, values, topology in (
-            ("tcpa", buffers.tcpa[np.isfinite(buffers.tcpa)], Topology.LINE),
-            ("dcpa", buffers.dcpa, Topology.LINE),
-            ("bearing", buffers.bearing_jk, Topology.CIRCLE360),
-        ):
-            cells, xs, ys = _density_outputs(values, topology, args.bandwidth)
-            files.append((f"{name}_{tag}.csv", [name], [values]))
-            files.append((f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys]))
-            bandwidth_rows.append([name, tag, *cells])
+    for (name, tag, values, _), (cells, xs, ys) in zip(buffers, outputs):
+        files.append((f"{name}_{tag}.csv", [name], [values]))
+        files.append((f"kde_{name}_{tag}.csv", ["x", "f_hat"], [xs, ys]))
+        bandwidth_rows.append([name, tag, *cells])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,8 +33,9 @@ from .kinematics import wrap_degrees
 from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Chunk size cap (elements) for the dense cross-validation matrices.
-_CHUNK_BUDGET = 4_000_000
+# Block size cap (elements) of the cross-validation distance matrices:
+# about 62 test rows against analyze's 1600 training samples.
+_CHUNK_BUDGET = 100_000
 # Block size (elements) of evaluate's buffers, small enough to stay in cache.
 _EVAL_BLOCK = 32_768
 # float64 exp(x) is exactly 0.0 for x below about -745.13; exp is slow to
@@ -114,14 +115,18 @@ def fit(
     return DensityEstimate(arr, float(bandwidth), topology)
 
 
+# A point so far out that z * z overflows gets an arg of -inf and a 0.0 term.
+@np.errstate(over="ignore")
 def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.ndarray:
     """Density value(s) at ``x``; the circle variant sums periodic images.
 
     Kernel terms whose exponent lies below -746 are exactly 0.0 in float64,
     so they are written as zeros instead of computed; every row is still
     summed over all samples in the same order, which makes the skip exact
-    (bit-identical to evaluating every term).  Infinite points have
-    density 0.0.
+    (bit-identical to evaluating every term).  A periodic image whose every
+    term is such a zero for a block of points adds 0.0 to each row, so it is
+    skipped whole.  Infinite points, and finite ones so far out that their
+    squared distance overflows, have density 0.0.
 
     Raises:
         ValueError: a NaN point.
@@ -131,16 +136,23 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
         raise ValueError("evaluation points must not be NaN")
     data = estimate.samples
     h = estimate.bandwidth
-    shifts = _image_shifts(estimate)
+    shifts = _image_shifts(estimate).tolist()
 
     out = np.zeros(points.shape[0])
+    x_min = float(data.min())
+    x_max = float(data.max())
     rows = max(1, _EVAL_BLOCK // max(1, data.size))
     for start in range(0, points.shape[0], rows):
-        diff = points[start : start + rows, None] - data[None, :]
+        block = points[start : start + rows]
+        p_min = float(block.min())
+        p_max = float(block.max())
+        diff = block[:, None] - data[None, :]
         z = np.empty_like(diff)
         arg = np.empty_like(diff)
         acc = np.zeros(diff.shape[0])
         for shift in shifts:
+            if _image_is_zero(p_min, p_max, x_min, x_max, shift, h):
+                continue  # adding its all-zero row sums leaves acc unchanged
             # arg = -0.5 * z * z with z = (diff + shift) / h, op for op.
             np.add(diff, shift, out=z)
             z /= h
@@ -154,6 +166,22 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])
     return out
+
+
+def _image_is_zero(
+    p_min: float, p_max: float, x_min: float, x_max: float, shift: float, h: float
+) -> bool:
+    # Whether exp(-0.5 z z) with z = (p - x + shift) / h is 0.0 for every
+    # point p and sample x of a block.  Each rounding step is monotone, so
+    # every z lies in [z_lo, z_hi] and the exponent is largest at the z
+    # nearest 0; computed op for op like evaluate's, it bounds them all.
+    # Python floats, so an overflow here is inf without a numpy warning.
+    z_lo = (p_min - x_max + shift) / h
+    z_hi = (p_max - x_min + shift) / h
+    if z_lo <= 0.0 <= z_hi:
+        return False
+    z = z_lo if z_lo > 0.0 else z_hi
+    return z * -0.5 * z <= _EXP_ZERO_BELOW
 
 
 def _edge_cdf(
@@ -412,6 +440,14 @@ def bandwidth_grid_cv(
     training samples of analyze's capped buffers), far below half an ulp of
     1 (1.1e-16), so the row sums and scores are those of the unclamped exp.
 
+    The scores do not depend on the block size of the distance matrices
+    (see ``_grid_cv_scores``).  Up to 4M distances per fold they are those
+    of summing the fold in one block; a larger fold was once summed in 4M
+    blocks, and for it (n above about 5000 with 5 folds, never analyze,
+    which caps the search at 2000 samples) the fold sum's order differs:
+    on 10k standard-normal samples the largest relative score change is
+    4.7e-16 and the pick is unchanged.
+
     Raises:
         ValueError: a non-finite lo, hi or step, a non-positive lo or step,
             a lo so small that the float32 exponent -0.5/lo**2 overflows,
@@ -449,7 +485,15 @@ def bandwidth_grid_cv(
 
 
 def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
-    """Mean held-out log-likelihood of each grid bandwidth over the folds."""
+    """Mean held-out log-likelihood of each grid bandwidth over the folds.
+
+    The test rows of a fold go through in blocks of at most _CHUNK_BUDGET
+    distances (at least one row), so the distance matrices take a few such
+    blocks (about 2 MB) whatever the sample count.  Each row's
+    log-likelihood lands in a (grid.size, test.size) array and each grid
+    row is summed once per fold, so neither a row's sum nor the fold sum
+    depends on the block size.
+    """
     order = np.random.default_rng(0).permutation(arr.size)
     fold_chunks = np.array_split(order, folds)
     scores = np.zeros(grid.size)
@@ -459,10 +503,11 @@ def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray
         mask[test_idx] = False
         train = arr[mask]
         test = arr[test_idx]
-        fold_scores = np.zeros(grid.size)
-        chunk = max(1, _CHUNK_BUDGET // max(1, train.size))
-        for start in range(0, test.size, chunk):
-            d_sq = (test[start : start + chunk, None] - train[None, :]) ** 2
+        ll = np.empty((grid.size, test.size))
+        rows = max(1, _CHUNK_BUDGET // max(1, train.size))
+        for start in range(0, test.size, rows):
+            stop = start + rows
+            d_sq = (test[start:stop, None] - train[None, :]) ** 2
             # Shift by the per-row minimum distance: the exponent stays in
             # (-inf, 0] with at least one unit term per row, so the plain
             # log-sum is as stable as logsumexp at a fraction of the cost
@@ -479,9 +524,8 @@ def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray
                 # No subnormal exp results; the docstring shows the sums keep.
                 np.maximum(z, np.float32(-87.0), out=z)
                 np.exp(z, out=z)
-                ll = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
-                fold_scores[gi] += float(np.sum(ll))
-        scores += fold_scores / test.size - math.log(train.size) - log_norms
+                ll[gi, start:stop] = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
+        scores += ll.sum(axis=1) / test.size - math.log(train.size) - log_norms
     return scores / folds
 
 

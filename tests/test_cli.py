@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 
@@ -675,6 +676,73 @@ class TestAnalyzeCommand:
         first = rows[1].split(",")
         h_grid = float(first[header.index("h_grid")])
         assert h_grid > 0.0
+
+
+class TestWorkerThreads:
+    """``COLREG_RISK_THREADS`` sizes the pools of ``run`` and ``analyze``."""
+
+    def test_analyze_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        outputs = []
+        for threads in ("1", "8"):
+            monkeypatch.setenv("COLREG_RISK_THREADS", threads)
+            out_dir = tmp_path / threads
+            assert main(["analyze", "--bandwidth", "grid", "--bearings", "0,90,180",
+                         "--samples", "2000", "--out", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert len(outputs[0]) == 19
+        assert outputs[0] == outputs[1]
+
+    def test_overflow_on_two_threads_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLREG_RISK_THREADS", "2")
+        out_dir = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Silverman fallback
+            assert main(["analyze", "--bearings", "0", "--range", "1.8e157", "--samples", "5",
+                         "--bandwidth", "grid", "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
+        assert not out_dir.exists()
+
+    def test_fallback_warning_from_a_worker_reaches_the_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLREG_RISK_THREADS", "2")
+        threads = []
+        real = cli.select_bandwidth
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "select_bandwidth", recorded)
+        with pytest.warns(RuntimeWarning, match="Silverman") as record:
+            assert main(["analyze", "--bearings", "0,45", "--samples", "10",
+                         "--out", str(tmp_path / "tiny"), "--seed", "2"]) == 0
+        assert len(threads) == 6 and threading.get_ident() not in threads
+        assert sum("Silverman" in str(w.message) for w in record) == 6
+
+    @pytest.mark.parametrize("value", ["two", "2.5", "-3", "1e3", "auto"])
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_malformed_count_exits_2(self, tmp_path, scenario1_raw, capsys, monkeypatch,
+                                     command, value):
+        monkeypatch.setenv("COLREG_RISK_THREADS", value)
+        scenario1_raw["n_samples"] = 200
+        argv = {"run": ["run", "--config", str(write_config(tmp_path, scenario1_raw)),
+                        "--method", "des"],
+                "analyze": ["analyze", "--bearings", "0", "--samples", "300",
+                            "--out", str(tmp_path / "x")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "COLREG_RISK_THREADS" in err
+        assert repr(value) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [None, "", "0"])
+    def test_zero_or_unset_is_one_per_cpu(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("COLREG_RISK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COLREG_RISK_THREADS", value)
+        assert cli._worker_count(1000) == (os.cpu_count() or 1)
+        assert cli._worker_count(1) == 1
 
 
 class TestAnalyzeFuzz:

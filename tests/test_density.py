@@ -18,8 +18,8 @@ from colreg_risk import (
     ks_normality,
     select_bandwidth,
 )
+import colreg_risk.density as density_module
 from colreg_risk.density import (
-    _CHUNK_BUDGET,
     FixedPointFailure,
     TooFewSamples,
     ZeroDispersion,
@@ -261,8 +261,6 @@ class TestIsj:
         assert h_wrapped < 5.0
 
     def test_fallback_on_fixed_point_failure(self, monkeypatch):
-        import colreg_risk.density as density_module
-
         def boom(samples, topology=Topology.LINE):
             raise FixedPointFailure("forced")
 
@@ -412,6 +410,43 @@ class TestExactTruncation:
         if h < 1.0:
             assert np.any(got == 0.0)
 
+    @settings(database=None, derandomize=True, deadline=None, max_examples=150)
+    @given(topology=st.sampled_from(list(Topology)), n=st.integers(2, 200),
+           seed=st.integers(0, 2**32 - 1), centre=st.floats(0.0, 360.0),
+           spread=st.floats(-3.0, 2.0), h_ratio=st.floats(-2.0, 1.0),
+           far=st.sampled_from([0.0, 1e3, 1e7, 1e300, math.inf]))
+    def test_evaluate_skips_only_all_zero_images(self, topology, n, seed, centre, spread,
+                                                 h_ratio, far):
+        # Clusters on and off the 0/360 cut (off it, whole periodic images of
+        # a block are zeros), points near and far (1e300 overflows the squared
+        # distance without a warning), and blocks of one to three points.
+        rng = np.random.default_rng(seed)
+        samples = centre + 10.0**spread * rng.standard_normal(n)
+        estimate = fit(samples, 10.0 ** (spread + h_ratio), topology)
+        xs = np.concatenate([np.linspace(0.0, 360.0, 91), [centre + far, -far]])
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference at 1e300
+            want = _unblocked_evaluate(estimate, xs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(density_module, "_EVAL_BLOCK", int(rng.integers(1, 4)) * n)
+            assert np.array_equal(evaluate(estimate, xs), want)
+
+    def test_evaluate_skips_zero_images_on_a_bearing_buffer(self, monkeypatch):
+        # A bearing cluster like analyze's at 90 degrees: its +-360 images
+        # are zeros at every point, so evaluate never computes them.
+        rng = np.random.default_rng(64)
+        estimate = fit(rng.normal(90.0, 3.0, 10_000), 0.38, Topology.CIRCLE360)
+        xs = np.linspace(0.0, 360.0, 721)[:-1]
+        skipped = []
+        real = density_module._image_is_zero
+
+        def spy(*args):
+            skipped.append(real(*args))
+            return skipped[-1]
+
+        monkeypatch.setattr(density_module, "_image_is_zero", spy)
+        assert np.array_equal(evaluate(estimate, xs), _unblocked_evaluate(estimate, xs))
+        assert sum(skipped) >= 2 * len(skipped) // 3
+
 
 def _full_band_masses(estimate, edges):
     # band_masses before the saturation window: ndtr on every kernel.
@@ -477,8 +512,9 @@ class TestSaturationWindow:
 
 
 def _reference_grid_cv_scores(arr, grid, folds):
-    # The grid search before its exponent clamp: exp of every float32
-    # exponent, subnormal results included, into a new array per grid point.
+    # The grid search before its exponent clamp and its row blocks: exp of
+    # every float32 exponent, subnormal results included, into a new array
+    # per grid point, with each fold's test rows in one block.
     order = np.random.default_rng(0).permutation(arr.size)
     scores = np.zeros(grid.size)
     log_norms = np.log(grid * math.sqrt(2.0 * math.pi))
@@ -488,19 +524,17 @@ def _reference_grid_cv_scores(arr, grid, folds):
         train = arr[mask]
         test = arr[test_idx]
         fold_scores = np.zeros(grid.size)
-        chunk = max(1, _CHUNK_BUDGET // max(1, train.size))
-        for start in range(0, test.size, chunk):
-            d_sq = (test[start : start + chunk, None] - train[None, :]) ** 2
-            row_min = d_sq.min(axis=1, keepdims=True)
-            d_sq -= row_min
-            row_min = row_min[:, 0]
-            shifted = d_sq.astype(np.float32)
-            for gi, h in enumerate(grid):
-                inv = -0.5 / (h * h)
-                z = shifted * np.float32(inv)
-                np.exp(z, out=z)
-                ll = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
-                fold_scores[gi] += float(np.sum(ll))
+        d_sq = (test[:, None] - train[None, :]) ** 2
+        row_min = d_sq.min(axis=1, keepdims=True)
+        d_sq -= row_min
+        row_min = row_min[:, 0]
+        shifted = d_sq.astype(np.float32)
+        for gi, h in enumerate(grid):
+            inv = -0.5 / (h * h)
+            z = shifted * np.float32(inv)
+            np.exp(z, out=z)
+            ll = np.log(z.sum(axis=1, dtype=np.float64)) + row_min * inv
+            fold_scores[gi] = float(np.sum(ll))
         scores += fold_scores / test.size - math.log(train.size) - log_norms
     return scores / folds
 
@@ -547,6 +581,20 @@ class TestGridCv:
         want = _reference_grid_cv_scores(samples, grid, folds)
         assert np.array_equal(_grid_cv_scores(samples, grid, folds), want)
         assert bandwidth_grid_cv(samples, lo, hi, step, folds) == grid[np.argmax(want)]
+
+    @pytest.mark.parametrize("rows", ["one", "seven", "whole fold"])
+    def test_scores_independent_of_block_size(self, monkeypatch, rows):
+        # Blocks of one row, of about seven rows and of the whole fold (the
+        # 4M-element budget once used) give the same bits.  The small grid
+        # start clamps most kernel terms.
+        rng = np.random.default_rng(48)
+        x = np.concatenate([rng.standard_normal(450), 1e3 + rng.standard_cauchy(153)])
+        grid = np.arange(0.002, 0.6, 0.06)
+        train_size = x.size - np.array_split(np.arange(x.size), 5)[0].size
+        budget = {"one": 1, "seven": 7 * train_size, "whole fold": 4_000_000}[rows]
+        monkeypatch.setattr(density_module, "_CHUNK_BUDGET", budget)
+        got = _grid_cv_scores(x, grid, 5)
+        assert np.array_equal(got, _reference_grid_cv_scores(x, grid, 5))
 
     def test_single_candidate(self):
         rng = np.random.default_rng(45)
