@@ -106,17 +106,8 @@ class StochasticAutomaton:
             raise ValueError(f"initial distribution sums to {total_p0}")
 
 
-def _encounter_words(j: VesselState, k: VesselState, zone: ComfortZone) -> dict[str, str]:
-    """Words emitted by the testing states for one deterministic pair."""
-    dcpa, tcpa, outcome = classify_pair(j, k)
-    in_window = zone.in_window(tcpa)
-    return {
-        "U1": WORD_AWARE_DIST if dcpa <= 2.0 * zone.d_act else EPSILON,
-        "U2": WORD_AWARE_TIME if in_window else EPSILON,
-        "U4": SITUATION_WORDS.get(outcome, EPSILON),
-        "U8": WORD_RISK_ACT if zone.at_risk(dcpa) else EPSILON,
-        "U9": WORD_ACT_TIME if in_window else EPSILON,
-    }
+# The state sequence of every loop: U1 through U13 and back to the marked U1.
+_LOOP = STATES + ("U1",)
 
 
 def run_trace(
@@ -128,10 +119,20 @@ def run_trace(
     marked U1); words[i] is emitted on the transition out of states[i] and
     is the empty string for silent transitions.
     """
-    emitted = _encounter_words(j, k, zone)
-    states = STATES + ("U1",)
-    words = tuple(emitted.get(src, EPSILON) for src in STATES)
-    return states, words
+    dcpa, tcpa, outcome = classify_pair(j, k)
+    # U9's action horizon is the awareness window, so act_t fires with aware_t.
+    in_window = zone.in_window(tcpa)
+    words = (
+        WORD_AWARE_DIST if dcpa <= 2.0 * zone.d_act else EPSILON,  # U1
+        WORD_AWARE_TIME if in_window else EPSILON,  # U2
+        EPSILON,  # U3
+        SITUATION_WORDS.get(outcome, EPSILON),  # U4
+        EPSILON, EPSILON, EPSILON,  # U5..U7
+        WORD_RISK_ACT if zone.at_risk(dcpa) else EPSILON,  # U8
+        WORD_ACT_TIME if in_window else EPSILON,  # U9
+        EPSILON, EPSILON, EPSILON, EPSILON,  # U10..U13
+    )
+    return _LOOP, words
 
 
 def run_once(j: VesselState, k: VesselState, zone: ComfortZone) -> RunString:
@@ -167,29 +168,30 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
     probabilities reflect the joint sample rather than an independence
     product.
     """
-    runs = list(strings)
+    # Runs repeat a handful of strings, so each distinct one is read once.
+    runs = Counter(tuple(s) for s in strings)
     if not runs:
         raise TooFewSamples("no run strings given")
 
     risk_count = 0
     window_count = 0
     counts = [0] * N_EVENTS
-    for s in runs:
+    for s, multiplicity in runs.items():
         present = set(s)
         if WORD_RISK_ACT in present:
-            risk_count += 1
+            risk_count += multiplicity
         if WORD_AWARE_TIME in present:
-            window_count += 1
+            window_count += multiplicity
         code = next(
             (c for word, c in _EVENT_CODE_FOR_WORD.items() if word in present), _NO_RULE_CODE
         )
-        counts[code] += 1
+        counts[code] += multiplicity
 
     return assessment_from_counts(
         risk_count=risk_count,
         window_count=window_count,
         event_counts=counts,
-        n=len(runs),
+        n=runs.total(),
         method=Method.DES,
         seed=seed,
     )
@@ -251,16 +253,25 @@ class EmpiricalBehavior:
 def estimate_behavioral_relation(
     runs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> EmpiricalBehavior:
-    """Estimate the behavioral relation from aligned (states, words) runs."""
-    counts: Counter[tuple[str, str, str]] = Counter()
-    visits: Counter[str] = Counter()
-    n_runs = 0
+    """Estimate the behavioral relation from aligned (states, words) runs.
+
+    Each distinct trajectory is counted once and its transitions are added
+    times its multiplicity.  Trajectories are met in input order and a
+    repeat adds no key, so ``counts`` and ``visits`` keep the key order of
+    counting one transition at a time.
+    """
+    trajectories: Counter[tuple[tuple[str, ...], tuple[str, ...]]] = Counter()
     for states, words in runs:
-        n_runs += 1
         if len(states) != len(words) + 1:
             raise ValueError("trajectories misaligned: need one word per transition")
-        counts.update(zip(states[1:], words, states))
-        visits.update(states[:-1])
-    if n_runs == 0:
+        trajectories[tuple(states), tuple(words)] += 1
+    if not trajectories:
         raise TooFewSamples("no runs given")
+    counts: Counter[tuple[str, str, str]] = Counter()
+    visits: Counter[str] = Counter()
+    for (states, words), multiplicity in trajectories.items():
+        for key in zip(states[1:], words, states):
+            counts[key] += multiplicity
+        for state in states[:-1]:
+            visits[state] += multiplicity
     return EmpiricalBehavior(counts=dict(counts), visits=dict(visits))

@@ -18,6 +18,7 @@ log-likelihood.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -285,42 +286,60 @@ def bandwidth_silverman(samples: Iterable[float]) -> float:
     return bandwidth
 
 
+# The ISJ grid has 2**14 bins, so its DCT has 2**14 - 1 terms past the mean.
+# Their index powers do not depend on the data and are built once per
+# process: i^2, the exp exponents -i^2 pi^2 per unit t, and i^(2s) for the
+# ladder stages s = 2..7.
+_ISJ_BINS = 2**14
+_I_SQ = np.arange(1, _ISJ_BINS, dtype=float) ** 2
+_DECAY = -_I_SQ * math.pi**2
+_I_POW = {s: _I_SQ**s for s in range(2, 8)}
+for _table in (_I_SQ, _DECAY, *_I_POW.values()):
+    _table.setflags(write=False)
+del _table
+
+# np.add.reduce sums float64 pairwise: a block of m > 128 terms is split at
+# m//2 - (m//2) % 8 and a block of at most 128 is summed with eight
+# accumulators.  The sum of the 2**14 - 1 stage terms is thus built from
+# nested blocks that start at term 0 and end at these lengths.  When every
+# term from index n_live on is +0.0, each block to the right of the first
+# length L >= n_live adds +0.0, so summing terms[:L] gives the full-length
+# sum bit for bit.  ``tests/test_density.py`` pins the list to NumPy's split.
+_PAIRWISE_PREFIXES = (120, 248, 504, 1016, 2040, 4088, 8184, 16383)
+
+
 class _StageTables(NamedTuple):
     """Per-call constants of the ISJ stage sums over the DCT terms."""
 
-    i_sq: np.ndarray  # i^2, ascending
-    decay: np.ndarray  # -i^2 pi^2
     weights: dict[int, np.ndarray]  # s -> i^(2s) a_i^2, for s = 2..7
     terms: np.ndarray  # scratch buffer for one stage sum
 
 
-def _stage_tables(i_sq: np.ndarray, a_sq: np.ndarray) -> _StageTables:
-    return _StageTables(
-        i_sq,
-        -i_sq * math.pi**2,
-        {s: i_sq**s * a_sq for s in range(2, 8)},
-        np.empty(i_sq.size),
-    )
+def _stage_tables(a_sq: np.ndarray) -> _StageTables:
+    return _StageTables({s: _I_POW[s] * a_sq for s in _I_POW}, np.empty(_I_SQ.size))
 
 
 def _derivative_norm(s: int, t: float, tables: _StageTables) -> float:
     # 2 pi^(2s) sum_i i^(2s) a_i^2 exp(-i^2 pi^2 t).  The exp factors fall
-    # with i (i_sq ascends), and every term with i^2 pi^2 t above
-    # -_EXP_ZERO_BELOW is exactly 0.0, so only the prefix before that cut
-    # is computed.  It is written into a full-length buffer whose tail is
-    # zeroed, which keeps np.sum's pairwise order and makes the result
-    # bit-identical to summing every term.
-    i_sq, decay, weights, terms = tables
-    n_live = i_sq.size
+    # with i, and every term with i^2 pi^2 t above -_EXP_ZERO_BELOW is
+    # exactly 0.0, so only the n_live terms before that cut are computed.
+    # The rest of the first pairwise prefix that holds them is zeroed and
+    # only that prefix is summed, which is bit-identical to summing every
+    # term (see _PAIRWISE_PREFIXES).
+    weights, terms = tables
+    n_live = _I_SQ.size
     if t > 0.0 and math.isfinite(t):
+        # i^2 <= cut exactly when i <= isqrt(floor(cut)), as i^2 is an
+        # integer below 2**53; a cut past the last term keeps them all.
         cut = -_EXP_ZERO_BELOW / (math.pi**2 * t)
-        n_live = int(np.searchsorted(i_sq, cut, side="right"))
+        n_live = math.isqrt(int(min(cut, n_live * n_live)))
+    stop = _PAIRWISE_PREFIXES[bisect.bisect_left(_PAIRWISE_PREFIXES, n_live)]
     live = terms[:n_live]
-    np.multiply(decay[:n_live], t, out=live)
+    np.multiply(_DECAY[:n_live], t, out=live)
     np.exp(live, out=live)
     live *= weights[s][:n_live]
-    terms[n_live:] = 0.0
-    return 2.0 * math.pi ** (2 * s) * float(np.sum(terms))
+    terms[n_live:stop] = 0.0
+    return 2.0 * math.pi ** (2 * s) * float(np.add.reduce(terms[:stop]))
 
 
 def _ladder_stage(s: int) -> tuple[int, float, float]:
@@ -367,10 +386,12 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     the binned frequencies are cosine-transformed, and the squared relative
     bandwidth solves t = xi * gamma^[7](t) by bracketed root finding.
     Angular samples are recentred on their circular mean first so a cluster
-    at the 0/360 cut is seen as unimodal.  Each stage sum skips the DCT
-    terms whose exp factor is exactly 0.0, and the powers i^(2s) a_i^2 are
-    computed once per call; both are exact, so the bandwidth is
-    bit-identical to the one from the full sums.
+    at the 0/360 cut is seen as unimodal.  The index powers i^(2s) are
+    built once per process and multiplied by a_i^2 once per call.  Each
+    stage sum computes only the DCT terms whose exp factor is not exactly
+    0.0 and sums them over the shortest prefix of NumPy's pairwise blocks
+    that holds them, zero-padded; both steps are exact, so the bandwidth is
+    bit-identical to the one from the full-length sums.
 
     Raises:
         TooFewSamples: fewer than 50 samples (the selector is data-hungry).
@@ -383,7 +404,7 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
         arr = _circular_recenter(arr % 360.0)
     pilot = bandwidth_silverman(arr)
 
-    n_bins = 2**14
+    n_bins = _ISJ_BINS
     lo = float(arr.min()) - 3.0 * pilot
     hi = float(arr.max()) + 3.0 * pilot
     span = hi - lo
@@ -397,7 +418,7 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
 
     coeffs = dct(rel_freq, type=2)
     a_sq = (coeffs[1:] / 2.0) ** 2
-    tables = _stage_tables(np.arange(1, n_bins, dtype=float) ** 2, a_sq)
+    tables = _stage_tables(a_sq)
     n_unique = int(np.unique(arr).size)
 
     t_star = None

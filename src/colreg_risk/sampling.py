@@ -100,7 +100,9 @@ class StateSample:
         )
 
     def as_states(self) -> list[VesselState]:
-        return [self.state(i) for i in range(len(self))]
+        """Every row as a ``VesselState``, equal to ``state(i)`` for each i."""
+        columns = (self.north, self.east, self.course, self.speed)
+        return list(map(VesselState, *(column.tolist() for column in columns)))
 
 
 @dataclass(frozen=True)

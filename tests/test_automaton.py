@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from colreg_risk import (
     AutomatonConfig,
     ComfortZone,
+    Method,
     Obligation,
     RISK_ACT,
     Rule,
@@ -18,7 +21,9 @@ from colreg_risk import (
     run_once,
     run_trace,
 )
+from colreg_risk.assessment import assessment_from_counts
 from colreg_risk.automaton import MARKED_STATES, STATES, SITUATION_WORDS
+from colreg_risk.colregs import N_EVENTS, SituationOutcome, classify_pair, event_code
 from colreg_risk.sampling import StateUncertainty, TooFewSamples, draw_pair
 
 from scenarios import (
@@ -48,6 +53,72 @@ def random_state(rng):
         float(rng.uniform(-3000, 3000)), float(rng.uniform(-3000, 3000)),
         float(rng.uniform(0, 360)) % 360.0, float(rng.uniform(0.5, 20)),
     )
+
+
+def reference_relation(runs):
+    # Counts one transition at a time, in input order.
+    counts, visits = {}, {}
+    for states, words in runs:
+        for i, word in enumerate(words):
+            visits[states[i]] = visits.get(states[i], 0) + 1
+            key = (states[i + 1], word, states[i])
+            counts[key] = counts.get(key, 0) + 1
+    return counts, visits
+
+
+def reference_words(a, b, zone):
+    # The words of each testing state from the scalar classifier and the
+    # zone's own tests, one state at a time.
+    dcpa, tcpa, outcome = classify_pair(a, b)
+    emitted = {
+        "U1": "aware_d" if dcpa <= 2.0 * zone.d_act else "",
+        "U2": "aware_t" if zone.in_window(tcpa) else "",
+        "U4": SITUATION_WORDS.get(outcome, ""),
+        "U8": "u15" if zone.at_risk(dcpa) else "",
+        "U9": "act_t" if zone.in_window(tcpa) else "",
+    }
+    return tuple(emitted.get(state, "") for state in STATES)
+
+
+# Situation words in the order estimate_probabilities tries them.
+WORD_EVENTS = (
+    ("u4", (Rule.R13, Obligation.STAND_ON)),
+    ("u5", (Rule.R13, Obligation.GIVE_WAY)),
+    ("u6", (Rule.R14, Obligation.GIVE_WAY)),
+    ("u7", (Rule.R15, Obligation.STAND_ON)),
+    ("u8", (Rule.R15, Obligation.GIVE_WAY)),
+)
+
+
+def reference_probabilities(strings, seed):
+    # One string at a time: the first situation word in WORD_EVENTS order
+    # picks the event, no situation word is the no-rule event.
+    risk = window = 0
+    counts = [0] * N_EVENTS
+    for s in strings:
+        risk += "u15" in s
+        window += "aware_t" in s
+        event = next((e for word, e in WORD_EVENTS if word in s), (Rule.R0, Obligation.GIVE_WAY))
+        counts[event_code(SituationOutcome(*event))] += 1
+    return assessment_from_counts(risk, window, counts, len(strings), Method.DES, seed)
+
+
+STATE_NAMES = st.sampled_from(["U1", "U2", "U3", "U9", "U13"])
+WORDS = st.sampled_from(["", "x", "u4", "u15", "aware_t"])
+
+
+@st.composite
+def trajectories(draw):
+    n_words = draw(st.integers(0, 6))
+    states = draw(st.lists(STATE_NAMES, min_size=n_words + 1, max_size=n_words + 1))
+    return states, draw(st.lists(WORDS, min_size=n_words, max_size=n_words))
+
+
+VESSEL_STATES = st.builds(
+    VesselState,
+    st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0),
+    st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 20.0),
+)
 
 
 class TestConfig:
@@ -96,6 +167,25 @@ class TestRunOnce:
 
     def test_marked_states(self):
         assert MARKED_STATES == {"U1", "U13"}
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(a=VESSEL_STATES, b=VESSEL_STATES, matched=st.booleans(),
+           d_act=st.floats(1.0, 2000.0),
+           t_aware=st.one_of(st.floats(1.0, 3600.0), st.just(math.inf)))
+    def test_trace_matches_per_state_reference(self, a, b, matched, d_act, t_aware):
+        # Matched velocities make the pair degenerate (TCPA = +inf).
+        if matched:
+            b = VesselState(b.north, b.east, a.course, a.speed)
+        assume(max(abs(a.north - b.north), abs(a.east - b.east)) > 1e-6)  # a bearing exists
+        zone = ComfortZone(d_act, t_aware)
+        states, words = run_trace(a, b, zone)
+        assert states == STATES + ("U1",)
+        assert words == reference_words(a, b, zone)
+        assert (words[8] == "act_t") == (words[1] == "aware_t")
+        if matched:
+            # The CPA never comes, which only an unbounded window holds.
+            assert cpa(a, b).tcpa == math.inf
+            assert (words[1] == "aware_t") == (t_aware == math.inf)
 
 
 class TestIndicator:
@@ -149,6 +239,21 @@ class TestEstimateProbabilities:
         a = estimate_probabilities([("u15", "u6")])
         for value in (a.p_risk, a.p_give_way, *(a.p_rule[r] for r in Rule)):
             assert value in (0.0, 1.0)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(pool=st.lists(
+               st.lists(st.sampled_from(["u4", "u5", "u6", "u7", "u8", "u15", "aware_t",
+                                         "aware_d", "act_t"]), max_size=6),
+               min_size=1, max_size=6),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=50),
+           as_generator=st.booleans(), seed=st.integers(0, 2**32))
+    def test_matches_one_string_at_a_time(self, pool, picks, as_generator, seed):
+        # Repeated strings, tuples and lists, several situation words in one
+        # string, a list or a generator of strings.
+        strings = [pool[i % len(pool)] if as_list else tuple(pool[i % len(pool)])
+                   for i, as_list in picks]
+        got = estimate_probabilities(iter(strings) if as_generator else strings, seed)
+        assert got == reference_probabilities(strings, seed)
 
 
 class TestAgreementWithClassifier:
@@ -245,12 +350,7 @@ class TestBehavioralRelation:
         runs = [run_trace(random_state(rng), random_state(rng), CFG) for _ in range(300)]
         # Hand-made runs with other state orders and list sequences.
         runs += [(("U1", "U3", "U1"), ("x", "")), (["U3", "U1"], ["y"]), (("U9",), ())]
-        counts, visits = {}, {}
-        for states, words in runs:
-            for i, word in enumerate(words):
-                visits[states[i]] = visits.get(states[i], 0) + 1
-                key = (states[i + 1], word, states[i])
-                counts[key] = counts.get(key, 0) + 1
+        counts, visits = reference_relation(runs)
         rel = estimate_behavioral_relation(runs)
         assert list(rel.counts.items()) == list(counts.items())
         assert list(rel.visits.items()) == list(visits.items())
@@ -264,9 +364,34 @@ class TestBehavioralRelation:
                 total = sum(c for (_n, w, s), c in counts.items() if s == state and w == word)
                 assert rel.output_probability(word, state) == (total / seen if seen else 0.0)
 
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(pool=st.lists(trajectories(), min_size=1, max_size=5),
+           picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=40),
+           as_generator=st.booleans())
+    def test_counts_match_reference_on_drawn_runs(self, pool, picks, as_generator):
+        # Repeated trajectories, as tuples or lists, from a list or a generator.
+        runs = [pool[i % len(pool)] if as_list else tuple(map(tuple, pool[i % len(pool)]))
+                for i, as_list in picks]
+        counts, visits = reference_relation(runs)
+        rel = estimate_behavioral_relation(iter(runs) if as_generator else runs)
+        assert list(rel.counts.items()) == list(counts.items())
+        assert list(rel.visits.items()) == list(visits.items())
+
     def test_misaligned_run_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
             estimate_behavioral_relation([(("U1", "U2"), ("a", "b"))])
+
+    def test_misaligned_run_after_aligned_ones_rejected_in_order(self):
+        aligned = run_trace(OWN_2, TARGET_2, CFG)
+
+        def runs():
+            yield aligned
+            yield aligned
+            yield (("U1", "U2"), ("a", "b"))
+            raise AssertionError("read past the misaligned run")
+
+        with pytest.raises(ValueError, match="misaligned"):
+            estimate_behavioral_relation(runs())
 
     def test_single_run_is_deterministic(self):
         rel = estimate_behavioral_relation([run_trace(OWN_2, TARGET_2, CFG)])

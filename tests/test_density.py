@@ -25,6 +25,7 @@ from colreg_risk.density import (
     ZeroDispersion,
     _NDTR_ONE_AT,
     _NDTR_ZERO_AT,
+    _PAIRWISE_PREFIXES,
     _derivative_norm,
     _grid_cv_scores,
     _stage_tables,
@@ -325,6 +326,36 @@ def _full_derivative_norm(s, t, i_sq, a_sq):
     )
 
 
+def _step_ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _numpy_pairwise_sum(values):
+    # NumPy's float64 pairwise sum in Python floats: a block of fewer than 8
+    # adds in order, one of at most 128 uses eight accumulators and adds its
+    # remainder in order, and a longer one splits at m//2 - (m//2) % 8.
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[n - n % 8:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _numpy_pairwise_sum(values[:half]) + _numpy_pairwise_sum(values[half:])
+
+
 def _reference_shifts(estimate):
     if estimate.topology is Topology.LINE:
         return np.zeros(1)
@@ -358,7 +389,7 @@ class TestExactTruncation:
         i_sq = np.arange(1, 2**14, dtype=float) ** 2
         # One set of tables for the whole sweep, as in bandwidth_isj: the
         # shared terms buffer must not carry a longer prefix into a shorter one.
-        tables = _stage_tables(i_sq, a_sq)
+        tables = _stage_tables(a_sq)
         # t values whose cut lands exactly on a DCT term, from the first to
         # the last, and their neighbours one ulp either side.
         on_term = [746.0 / (math.pi**2 * i_sq[k]) for k in (0, 1, 8000, i_sq.size - 1)]
@@ -376,6 +407,60 @@ class TestExactTruncation:
             live = np.flatnonzero(np.exp(-i_sq * math.pi**2 * t))
             partial += int(0 < live.size < i_sq.size)
         assert partial >= 30
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-30.0, 30.0), width=st.floats(0.0, 30.0),
+           t=st.one_of(
+               st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
+               st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+               st.tuples(st.integers(1, 2**14 - 1), st.sampled_from([-1, 0, 1])).map(
+                   lambda p: _step_ulps(746.0 / (math.pi**2 * float(p[0]) ** 2), p[1])),
+           ))
+    def test_stage_sum_matches_full_length_sum_for_drawn_coefficients(self, seed, lo, width, t):
+        # a_i^2 spread log-uniformly over up to 30 decades inside 1e-30..1e30;
+        # t log-uniform, at the special values, or with its cut on a term
+        # (and one ulp either side).  Two drawn t share one set of tables.
+        rng = np.random.default_rng(seed)
+        i_sq = np.arange(1, 2**14, dtype=float) ** 2
+        hi = min(30.0, lo + width)
+        a_sq = 10.0 ** rng.uniform(lo, hi, i_sq.size)
+        tables = _stage_tables(a_sq)
+        for t_now in (t, float(10.0 ** rng.uniform(-12.0, 2.0)), t):
+            for s in range(2, 8):
+                got = _derivative_norm(s, t_now, tables)
+                want = _full_derivative_norm(s, t_now, i_sq, a_sq)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (s, t_now)
+
+    def test_prefixes_are_numpy_pairwise_split(self):
+        # The nested block ends of np.add.reduce over the 2**14 - 1 terms:
+        # each block of more than 128 splits at m//2 - (m//2) % 8.
+        ends = [2**14 - 1]
+        while ends[-1] > 128:
+            half = ends[-1] // 2
+            ends.append(half - half % 8)
+        assert _PAIRWISE_PREFIXES == tuple(reversed(ends))
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 100, 120, 121, 128, 129, 248, 1000,
+                                      2**14 - 1])
+    def test_numpy_sum_is_the_pinned_pairwise_sum(self, size):
+        # If NumPy changes its float64 summation, this fails before the
+        # truncated stage sums move a bandwidth bit.
+        rng = np.random.default_rng(size)
+        values = np.exp(rng.normal(0.0, 20.0, size))
+        assert np.add.reduce(values) == _numpy_pairwise_sum(values.tolist())
+        assert np.sum(values) == np.add.reduce(values)
+
+    @pytest.mark.parametrize("prefix", _PAIRWISE_PREFIXES)
+    def test_zero_tail_sums_like_its_prefix(self, prefix):
+        # With every term from n_live on zero, the full-length sum is the
+        # sum over the first prefix that holds the live terms.
+        rng = np.random.default_rng(prefix)
+        values = np.exp(rng.normal(0.0, 20.0, 2**14 - 1))
+        below = _PAIRWISE_PREFIXES[_PAIRWISE_PREFIXES.index(prefix) - 1] if prefix > 120 else 0
+        for n_live in sorted({below + 1, (below + prefix) // 2, prefix - 1, prefix}):
+            padded = values.copy()
+            padded[n_live:] = 0.0
+            assert np.add.reduce(padded) == np.add.reduce(padded[:prefix]), n_live
 
     @pytest.mark.parametrize("n", [7, 1000, 40_000])
     def test_evaluate_matches_unblocked_line(self, n):

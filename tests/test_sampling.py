@@ -12,6 +12,7 @@ from colreg_risk import (
     draw_pair,
     make_uncertainty,
 )
+from colreg_risk.sampling import StateSample
 
 MEAN = VesselState(100.0, -50.0, 350.0, 10.0)
 UNC = StateUncertainty(10.0, 10.0, 2.0, 2.0)
@@ -135,6 +136,33 @@ class TestDraw:
         assert len(states) == 10
         assert states[3] == batch.state(3)
         assert 0.0 <= states[0].course < 360.0
+
+    @pytest.mark.parametrize("speed, clamp", [(1.0, True), (10.0, False)])
+    def test_as_states_equals_rows(self, speed, clamp):
+        # Mean 1 with sigma 2 clamps many speeds to 0.0; mean 10 leaves the
+        # unclamped speeds positive.
+        batch = draw(VesselState(100.0, -50.0, 359.5, speed), UNC, 2000, stream_seed=13,
+                     clamp_speed=clamp)
+        states = batch.as_states()
+        assert states == [batch.state(i) for i in range(len(batch))]
+        assert np.any(batch.speed == 0.0) == clamp
+        assert {type(getattr(states[-1], f)) for f in ("north", "east", "course", "speed")} == {
+            float
+        }
+
+    @pytest.mark.parametrize("column, value", [("north", math.nan), ("east", math.nan),
+                                               ("course", math.nan), ("speed", math.nan),
+                                               ("speed", -0.5)])
+    def test_as_states_rejects_what_a_state_rejects(self, column, value):
+        good = draw(MEAN, UNC, 4, stream_seed=14)
+        columns = {name: getattr(good, name).copy() for name in ("north", "east", "course",
+                                                                  "speed")}
+        columns[column][2] = value
+        batch = StateSample(**columns)
+        with pytest.raises(ValueError):
+            batch.state(2)
+        with pytest.raises(ValueError):
+            batch.as_states()
 
 
 class TestDrawPair:
