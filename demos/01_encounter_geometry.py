@@ -3,14 +3,15 @@ Encounter geometry basics
 =========================
 
 Closest-point-of-approach quantities, relative bearings, and the rule
-classification for three reference encounters.
+classification for three reference encounters.  The risk answer is the
+comfort zone's one test, DCPA inside the action radius, as in both
+Monte-Carlo pipelines.
 """
 
 from colreg_risk import (
     ComfortZone,
     VesselState,
-    classify_sample,
-    cpa,
+    classify_pair,
     relative_bearing,
 )
 
@@ -32,13 +33,12 @@ encounters = {
 }
 
 for name, (own, target) in encounters.items():
-    result = cpa(own, target)
-    risk, outcome = classify_sample(own, target, zone)
+    dcpa, tcpa, outcome = classify_pair(own, target)
     print(f"{name}:")
-    print(f"  TCPA = {result.tcpa:8.2f} s   DCPA = {result.dcpa:8.2f} m")
+    print(f"  TCPA = {tcpa:8.2f} s   DCPA = {dcpa:8.2f} m")
     print(f"  bearing own->target = {relative_bearing(own, target):6.1f} deg, "
           f"target->own = {relative_bearing(target, own):6.1f} deg")
-    print(f"  risk inside comfort zone: {risk}")
+    print(f"  risk inside comfort zone: {zone.at_risk(dcpa)}")
     print(f"  applicable rule: {outcome.rule.name}, "
           f"obligation: {outcome.obligation.name}")
     print()

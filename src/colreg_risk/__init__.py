@@ -26,7 +26,7 @@ from .colregs import (
     Rule,
     SituationOutcome,
     bearing_region,
-    classify_sample,
+    classify_pair,
     give_way_pairs,
     mutual_situation,
 )
@@ -103,7 +103,7 @@ __all__ = [
     "bandwidth_isj",
     "bandwidth_silverman",
     "bearing_region",
-    "classify_sample",
+    "classify_pair",
     "cpa",
     "draw",
     "draw_pair",

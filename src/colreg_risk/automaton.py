@@ -19,7 +19,9 @@ form a string that encodes the outcome:
 
 Strings from repeated runs over sampled states turn into empirical event
 probabilities; aligned state/word trajectories turn into an empirical
-behavioral relation.
+behavioral relation.  A loop emits at most one situation word, and a
+string of any other origin is read the same way: its situation is its
+first situation word in ``SITUATION_WORDS`` order, else no rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .assessment import Method, RiskAssessment, assessment_from_counts
 from .colregs import (
@@ -58,9 +60,7 @@ SITUATION_WORDS: Mapping[SituationOutcome, str] = {
     SituationOutcome(Rule.R15, Obligation.STAND_ON): "u7",
     SituationOutcome(Rule.R15, Obligation.GIVE_WAY): "u8",
 }
-_EVENT_CODE_FOR_WORD = {word: event_code(outcome) for outcome, word in SITUATION_WORDS.items()}
-_NO_RULE_CODE = event_code(SituationOutcome(Rule.R0, Obligation.GIVE_WAY))
-_ALL_SITUATION_WORDS = frozenset(SITUATION_WORDS.values())
+_NO_RULE = SituationOutcome(Rule.R0, Obligation.GIVE_WAY)
 
 # Indicator event key for the collision-risk word.
 RISK_ACT = "risk_act"
@@ -141,32 +141,37 @@ def run_once(j: VesselState, k: VesselState, zone: ComfortZone) -> RunString:
     return tuple(word for word in words if word)
 
 
+def _situation(s: Collection[str]) -> SituationOutcome:
+    """The situation a run string reports: its first situation word in
+    ``SITUATION_WORDS`` order, else no rule."""
+    return next((outcome for outcome, word in SITUATION_WORDS.items() if word in s), _NO_RULE)
+
+
 def indicator(s: Sequence[str], event: object) -> int:
     """Membership indicator for a run string.
 
     ``event`` is either RISK_ACT (the string contains the action-radius
-    word) or a (rule, obligation) pair; the no-rule event fires exactly
-    when no situation word is present.
+    word) or a (rule, obligation) pair, which fires when it is the string's
+    situation: the first situation word in ``SITUATION_WORDS`` order, else
+    no rule.  The six situation events therefore partition every string.
     """
     if event == RISK_ACT:
         return int(WORD_RISK_ACT in s)
     rule, obligation = event
     key = SituationOutcome(Rule(rule), Obligation(obligation))
-    if key == SituationOutcome(Rule.R0, Obligation.GIVE_WAY):
-        return int(not _ALL_SITUATION_WORDS.intersection(s))
-    word = SITUATION_WORDS.get(key)
-    if word is None:
+    if key != _NO_RULE and key not in SITUATION_WORDS:
         raise ValueError(f"no indicator event for {key}")
-    return int(word in s)
+    return int(_situation(s) == key)
 
 
 def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskAssessment:
     """Empirical event probabilities over a batch of run strings.
 
-    Each string increments exactly one situation counter (first matching
-    situation word, else the no-rule bucket), so the situation
-    probabilities reflect the joint sample rather than an independence
-    product.
+    Each string increments the counter of its situation, read as
+    ``indicator`` reads it (the first situation word in ``SITUATION_WORDS``
+    order, else no rule), so each situation probability is the mean of its
+    indicator and the probabilities reflect the joint sample rather than
+    an independence product.
     """
     # Runs repeat a handful of strings, so each distinct one is read once.
     runs = Counter(tuple(s) for s in strings)
@@ -182,10 +187,7 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
             risk_count += multiplicity
         if WORD_AWARE_TIME in present:
             window_count += multiplicity
-        code = next(
-            (c for word, c in _EVENT_CODE_FOR_WORD.items() if word in present), _NO_RULE_CODE
-        )
-        counts[code] += multiplicity
+        counts[event_code(_situation(present))] += multiplicity
 
     return assessment_from_counts(
         risk_count=risk_count,

@@ -24,7 +24,6 @@ any worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -33,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .colregs import (
     Rule,
     SituationOutcome,
     bearing_region,
-    classify_sample,
+    classify_pair,
     give_way_pairs,
     mutual_situation,
 )
@@ -66,7 +65,7 @@ from .estimator import (
     assess_kde,  # not called here; perfbench's tracer wraps it in this namespace
     propagation_study,
 )
-from .kinematics import CoincidentPositions, VesselState, cpa, relative_bearing
+from .kinematics import CoincidentPositions, VesselState, place_target, relative_bearing
 from .sampling import Spread, StateUncertainty, TooFewSamples, make_uncertainty
 
 
@@ -158,15 +157,8 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
         )
         if range_m <= 0.0:
             raise ConfigError(f"{context}: range_m must be positive, got {range_m}")
-        # Relative placement: bearing measured clockwise from own course.
-        theta = math.radians(own.course + bearing)
         try:
-            return VesselState(
-                own.north + range_m * math.cos(theta),
-                own.east + range_m * math.sin(theta),
-                course,
-                speed,
-            )
+            return place_target(own, bearing, range_m, course, speed)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
     return _parse_state(mapping, context)
@@ -326,13 +318,6 @@ def format_table(rows: Sequence[tuple[float, RiskAssessment]]) -> str:
     return "\n".join(lines)
 
 
-def write_rows_csv(rows: Sequence[tuple[float, RiskAssessment]], handle: IO[str]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["alpha", "method", *(name for name, _ in _RESULT_COLUMNS)])
-    for alpha, a in rows:
-        writer.writerow([repr(alpha), a.method.value, *map(repr, _probabilities(a))])
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {"seed": args.seed, "n_samples": args.samples,
                  "methods": None if args.method == "both" else [args.method]}
@@ -340,8 +325,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows = run_scenario(config)
     print(format_table(rows))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            write_rows_csv(rows, handle)
+        _write_csv(args.csv, ["alpha", "method", *(name for name, _ in _RESULT_COLUMNS)],
+                   ([repr(alpha), a.method.value, *map(repr, _probabilities(a))]
+                    for alpha, a in rows))
     return 0
 
 
@@ -349,11 +335,10 @@ def _format_bearing(bearing: float) -> str:
     return str(int(bearing)) if float(bearing).is_integer() else str(bearing)
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """One header row, then one row per index of the equal-length float
-    columns, written at once; a float's repr never needs CSV quoting."""
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """One header row, then the rows, written at once.  No cell needs CSV
+    quoting: each is a name, a float's repr or the blank ``h_grid``."""
+    lines = [",".join(header), *map(",".join, rows)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -432,11 +417,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for file_name, header, columns in files:
-        _write_csv(out_dir / file_name, header, columns)
-    with open(out_dir / "bandwidths.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"])
-        writer.writerows(bandwidth_rows)
+        float_rows = zip(*(c.tolist() for c in columns))
+        _write_csv(out_dir / file_name, header, (map(repr, row) for row in float_rows))
+    _write_csv(out_dir / "bandwidths.csv",
+               ["quantity", "bearing", "h_silverman", "h_isj", "h_grid", "selected"],
+               bandwidth_rows)
 
     print(f"wrote {3 * len(bearings)} buffer files, {3 * len(bearings)} density files, "
           f"and bandwidths.csv to {out_dir}")
@@ -474,20 +459,19 @@ def _expected_situation_table() -> dict[tuple[Region, Region], SituationOutcome]
 def _selftest_checks() -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
 
-    own1 = VesselState(0.0, 0.0, 0.0, 10.0)
-    tgt1 = VesselState(1250.0, 1000.0, 270.0, 10.0)
-    r1 = cpa(own1, tgt1)
+    cfg1 = load_config(bundled_config_path("scenario1"))
+    dcpa1, tcpa1, out1 = classify_pair(cfg1.own_ship, cfg1.target)
     checks.append(
-        ("scenario1 DCPA = 176.78 m", abs(r1.dcpa - 176.78) <= 0.01, f"DCPA(scenario 1) = {r1.dcpa:.2f}")
+        ("scenario1 DCPA = 176.78 m", abs(dcpa1 - 176.78) <= 0.01, f"DCPA(scenario 1) = {dcpa1:.2f}")
     )
     checks.append(
-        ("scenario1 TCPA = 112.5 s", abs(r1.tcpa - 112.5) <= 1e-6, f"TCPA(scenario 1) = {r1.tcpa:.2f}")
+        ("scenario1 TCPA = 112.5 s", abs(tcpa1 - 112.5) <= 1e-6, f"TCPA(scenario 1) = {tcpa1:.2f}")
     )
 
     cfg2 = load_config(bundled_config_path("scenario2"))
-    r2 = cpa(cfg2.own_ship, cfg2.target)
+    dcpa2, _, out2 = classify_pair(cfg2.own_ship, cfg2.target)
     checks.append(
-        ("scenario2 DCPA = 47.98 m", abs(r2.dcpa - 47.98) <= 0.01, f"DCPA(scenario 2) = {r2.dcpa:.2f}")
+        ("scenario2 DCPA = 47.98 m", abs(dcpa2 - 47.98) <= 0.01, f"DCPA(scenario 2) = {dcpa2:.2f}")
     )
     beta2 = relative_bearing(cfg2.own_ship, cfg2.target)
     checks.append(
@@ -518,14 +502,12 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     checks.append(("region band boundaries", boundary_ok, "5/112.5/247.5/355"))
 
     zone = ComfortZone(150.0, 600.0)
-    risk1, out1 = classify_sample(own1, tgt1, zone)
-    risk2, out2 = classify_sample(cfg2.own_ship, cfg2.target, zone)
     checks.append(
         (
             "nominal classifications",
-            (not risk1)
+            (not zone.at_risk(dcpa1))
             and out1 == SituationOutcome(Rule.R15, Obligation.GIVE_WAY)
-            and risk2
+            and zone.at_risk(dcpa2)
             and out2 == SituationOutcome(Rule.R15, Obligation.STAND_ON),
             "scenario 1 and 2",
         )
@@ -534,9 +516,9 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     # The tables are insensitive to the awareness horizon: risk binds on
     # d_act only, so doubling t_aware must not move any probability.
     probe = make_uncertainty((10.0, 10.0, 2.0, 2.0), 1.0)
-    a_short = assess_des(own1, StateUncertainty(0, 0, 0, 0), tgt1, probe,
+    a_short = assess_des(cfg1.own_ship, StateUncertainty(0, 0, 0, 0), cfg1.target, probe,
                          ComfortZone(150.0, 600.0), 2000, 7)
-    a_long = assess_des(own1, StateUncertainty(0, 0, 0, 0), tgt1, probe,
+    a_long = assess_des(cfg1.own_ship, StateUncertainty(0, 0, 0, 0), cfg1.target, probe,
                         ComfortZone(150.0, 1e6), 2000, 7)
     insensitive = a_short.p_risk == a_long.p_risk and all(
         a_short.p_rule[r] == a_long.p_rule[r] for r in Rule

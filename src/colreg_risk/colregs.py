@@ -17,6 +17,10 @@ This module owns each of these decisions once.  The scalar path
 since only the scalar path is fast for one pair, but read the same edges,
 course test and table, as do the KDE band masses (``band_regions``).  Both
 counting pipelines count outcomes by one situation event code (``event_code``).
+The risk test is ``ComfortZone.at_risk`` alone, DCPA <= d_act whatever the
+TCPA, so a pair past its CPA is at risk if that CPA fell inside d_act: a
+scalar caller asks ``zone.at_risk(dcpa)`` of ``classify_pair``'s DCPA, as
+the automaton's risk word, the DES count and the KDE band mass do.
 """
 
 from __future__ import annotations
@@ -207,7 +211,8 @@ def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, Situati
     """(dcpa, tcpa, outcome) of one deterministic pair, j acting.
 
     The CPA is ``cpa``'s, so a degenerate pair (matched velocities) has
-    DCPA the current separation and TCPA +inf.
+    DCPA the current separation and TCPA +inf.  The pair is at risk when
+    ``zone.at_risk(dcpa)``.
 
     Raises:
         CoincidentPositions: propagated from the bearing computation.
@@ -219,23 +224,6 @@ def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, Situati
         bearing_region(relative_bearing(k, j), k.course, j.course),
     )
     return result.dcpa, result.tcpa, outcome
-
-
-def classify_sample(
-    own: VesselState, other: VesselState, zone: ComfortZone
-) -> tuple[bool, SituationOutcome]:
-    """Single-sample risk test plus situation classification.
-
-    Risk requires DCPA <= d_act with the CPA inside the awareness window
-    0 <= TCPA <= t_aware.  A degenerate pair (matched velocities) poses a
-    risk only if the constant separation is already inside d_act.
-
-    Raises:
-        CoincidentPositions: propagated from the bearing computation.
-    """
-    dcpa, tcpa, outcome = classify_pair(own, other)
-    risk = zone.at_risk(dcpa) and (tcpa == math.inf or zone.in_window(tcpa))
-    return risk, outcome
 
 
 # ---------------------------------------------------------------------------

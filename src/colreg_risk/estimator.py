@@ -40,7 +40,14 @@ from .density import (
     integrate,
     select_bandwidth,
 )
-from .kinematics import VesselState, bearing_arrays, cpa_arrays, reciprocal_course
+from .kinematics import (
+    VesselState,
+    bearing_arrays,
+    cpa_arrays,
+    place_target,
+    reciprocal_course,
+    wrap_degrees,
+)
 from .sampling import SampleBatch, StateUncertainty, TooFewSamples, draw_pair, pair_stream_seeds
 
 
@@ -284,10 +291,10 @@ def propagation_study(
 
     For each bearing the own ship is sampled around (0, 0, course 0,
     10 m/s) and the target around a point ``range_m`` away on that bearing,
-    heading back on the mirrored course (180 - bearing) at 10 m/s, both
-    with the standard deviations ``_STUDY_SIGMAS`` (10 m, 10 m, 2 deg,
-    2 m/s).  Returns the raw per-bearing buffers for histogram and density
-    export.
+    heading back on the mirrored course 180 - bearing (wrapped into
+    [0, 360)) at 10 m/s, both with the standard deviations
+    ``_STUDY_SIGMAS`` (10 m, 10 m, 2 deg, 2 m/s).  Returns the raw
+    per-bearing buffers for histogram and density export.
 
     Raises:
         TooFewSamples: n < 1.
@@ -309,13 +316,7 @@ def propagation_study(
 
     out: dict[float, EncounterBuffers] = {}
     for bearing, pair_seed in zip(bearings, pair_seeds):
-        rad = math.radians(bearing)
-        target_mean = VesselState(
-            range_m * math.cos(rad),
-            range_m * math.sin(rad),
-            (180.0 - bearing) % 360.0,
-            10.0,
-        )
+        target_mean = place_target(own_mean, bearing, range_m, wrap_degrees(180.0 - bearing), 10.0)
         batch = draw_pair(own_mean, unc, target_mean, unc, n, pair_seed)
         out[bearing] = encounter_buffers(batch)
     return out

@@ -129,6 +129,21 @@ def relative_bearing(origin: VesselState, target: VesselState) -> float:
     return wrap_degrees(absolute - origin.course)
 
 
+def place_target(
+    own: VesselState, bearing: float, range_m: float, course: float, speed: float
+) -> VesselState:
+    """A vessel ``range_m`` meters from ``own`` at ``bearing`` degrees
+    clockwise from own's course, with the given course and speed.
+
+    Raises:
+        ValueError: the placed state fails a ``VesselState`` check.
+    """
+    theta = math.radians(own.course + bearing)
+    return VesselState(
+        own.north + range_m * math.cos(theta), own.east + range_m * math.sin(theta), course, speed
+    )
+
+
 def reciprocal_course(
     psi_j: float | np.ndarray, psi_k: float | np.ndarray
 ) -> float | np.ndarray:

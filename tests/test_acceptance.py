@@ -21,7 +21,7 @@ from colreg_risk import (
     bandwidth_grid_cv,
     bandwidth_isj,
     bandwidth_silverman,
-    classify_sample,
+    classify_pair,
     cpa,
     encounter_buffers,
     estimate_behavioral_relation,
@@ -284,7 +284,6 @@ class TestCriterion09AutomatonConsistency:
     def test_agreement_partition_and_sums(self):
         rng = np.random.default_rng(SEED + 3)
         cfg = ZONE
-        zone_inf = type(ZONE)(ZONE.d_act, math.inf)
         events = [
             (Rule.R0, Obligation.GIVE_WAY), (Rule.R13, Obligation.STAND_ON),
             (Rule.R13, Obligation.GIVE_WAY), (Rule.R14, Obligation.GIVE_WAY),
@@ -298,7 +297,7 @@ class TestCriterion09AutomatonConsistency:
             b = VesselState(float(rng.uniform(-3000, 3000)), float(rng.uniform(-3000, 3000)),
                             float(rng.uniform(0, 360)) % 360.0, float(rng.uniform(0.5, 20)))
             s = run_once(a, b, cfg)
-            _, outcome = classify_sample(a, b, zone_inf)
+            _, _, outcome = classify_pair(a, b)
             dcpa = cpa(a, b).dcpa
             word_ok = ("u15" in s) == (dcpa <= cfg.d_act)
             situation_ok = indicator(s, (outcome.rule, outcome.obligation)) == 1

@@ -13,7 +13,6 @@ from colreg_risk import (
     RISK_ACT,
     Rule,
     VesselState,
-    classify_sample,
     cpa,
     estimate_behavioral_relation,
     estimate_probabilities,
@@ -211,6 +210,29 @@ class TestIndicator:
             fired = [event for event in SITUATION_EVENTS if indicator(s, event) == 1]
             assert len(fired) == 1
 
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(strings=st.lists(
+        st.lists(st.sampled_from(["u4", "u5", "u6", "u7", "u8", "u15", "aware_t", "aware_d",
+                                  "act_t"]), max_size=6).map(tuple),
+        min_size=1, max_size=40))
+    def test_partition_and_means_match_estimate(self, strings):
+        # Strings with several situation words too: one situation event
+        # fires per string, and the indicator means are estimate_probabilities'
+        # shares.
+        for s in strings:
+            assert sum(indicator(s, event) for event in SITUATION_EVENTS) == 1
+        n = len(strings)
+        mean = {event: sum(indicator(s, event) for s in strings) / n
+                for event in [*SITUATION_EVENTS, RISK_ACT]}
+        got = estimate_probabilities(strings, 5)
+        for rule in Rule:
+            assert got.p_rule[rule] == (mean.get((rule, Obligation.STAND_ON), 0.0)
+                                        + mean.get((rule, Obligation.GIVE_WAY), 0.0))
+        give_way_share = sum(indicator(s, event) for s in strings for event in SITUATION_EVENTS
+                             if event[1] is Obligation.GIVE_WAY) / n
+        assert got.p_risk == mean[RISK_ACT]
+        assert got.p_give_way == give_way_share * mean[RISK_ACT]
+
 
 class TestEstimateProbabilities:
     def test_all_risky_head_on(self):
@@ -257,22 +279,17 @@ class TestEstimateProbabilities:
 
 
 class TestAgreementWithClassifier:
-    def test_words_match_classify_sample(self):
-        # The risk word is the pure action-radius test; the classifier's
-        # risk flag additionally windows on TCPA, so compare the word
-        # against the distance condition and the situation word against the
+    def test_words_match_classify_pair(self):
+        # The risk word is the zone's risk test of the classifier's DCPA,
+        # the action-radius test alone, and the situation word is the
         # classifier's outcome.
         rng = np.random.default_rng(63)
-        zone = ComfortZone(CFG.d_act, math.inf)
         for _ in range(1000):
             a, b = random_state(rng), random_state(rng)
             s = run_once(a, b, CFG)
-            risk, outcome = classify_sample(a, b, zone)
-            dcpa = cpa(a, b).dcpa
-            assert ("u15" in s) == (dcpa <= CFG.d_act)
-            if "u15" in s:
-                # Inside the radius, the classifier only adds the window.
-                assert risk == (0.0 <= cpa(a, b).tcpa <= zone.t_aware)
+            dcpa, _, outcome = classify_pair(a, b)
+            assert dcpa == cpa(a, b).dcpa
+            assert ("u15" in s) == CFG.at_risk(dcpa) == (dcpa <= CFG.d_act)
             expected_word = SITUATION_WORDS.get(outcome, "")
             if expected_word:
                 assert expected_word in s

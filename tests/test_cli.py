@@ -521,6 +521,17 @@ class TestAnalyzeCommand:
         mass = float(np.trapezoid(curve[:, 1], curve[:, 0]))
         assert mass == pytest.approx(1.0, abs=5e-3)
 
+    def test_bearing_just_above_180_writes_every_file(self, tmp_path):
+        # Its mirrored course rounds to 360.0 unless wrapped.
+        bearing = repr(math.nextafter(180.0, 360.0))
+        out_dir = tmp_path / "study"
+        assert main(["analyze", "--bearings", bearing, "--samples", "100",
+                     "--out", str(out_dir)]) == 0
+        expected = {"bandwidths.csv"} | {
+            f"{prefix}{q}_{bearing}.csv" for prefix in ("", "kde_") for q in ("tcpa", "dcpa", "bearing")
+        }
+        assert {p.name for p in out_dir.iterdir()} == expected
+
     def test_deterministic_outputs(self, tmp_path):
         dirs = []
         for tag in ("a", "b"):

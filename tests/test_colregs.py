@@ -11,17 +11,19 @@ from colreg_risk import (
     Region,
     Rule,
     SituationOutcome,
+    StateUncertainty,
     VesselState,
+    assess_des,
     bearing_region,
-    classify_sample,
+    classify_pair,
     give_way_pairs,
     mutual_situation,
+    run_once,
 )
 from colreg_risk.colregs import (
     BEARING_BANDS,
     band_regions,
     bearing_regions,
-    classify_pair,
     event_code,
     event_counts,
     region_codes,
@@ -155,34 +157,57 @@ class TestGiveWayPairs:
         assert len(pairs) == 10
 
 
+def risk_and_outcome(own, other):
+    # The scalar answer for one pair: the zone's risk test of classify_pair's DCPA.
+    dcpa, _, outcome = classify_pair(own, other)
+    return ZONE.at_risk(dcpa), outcome
+
+
 class TestClassifySample:
     def test_scenario1_no_risk_give_way(self):
-        risk, outcome = classify_sample(OWN_1, TARGET_1, ZONE)
+        risk, outcome = risk_and_outcome(OWN_1, TARGET_1)
         assert risk is False
         assert outcome == SituationOutcome(Rule.R15, Obligation.GIVE_WAY)
 
     def test_scenario2_risk_stand_on(self):
-        risk, outcome = classify_sample(OWN_2, TARGET_2, ZONE)
+        risk, outcome = risk_and_outcome(OWN_2, TARGET_2)
         assert risk is True
         assert outcome == SituationOutcome(Rule.R15, Obligation.STAND_ON)
 
     def test_scenario3_stand_on(self):
-        risk, outcome = classify_sample(OWN_3, TARGET_3, ZONE)
+        risk, outcome = risk_and_outcome(OWN_3, TARGET_3)
         assert risk is True
         assert outcome == SituationOutcome(Rule.R15, Obligation.STAND_ON)
 
     def test_distant_receding_target(self):
+        # Ahead and running away faster: the CPA, a 0 m pass, lies 1e5 s in
+        # the past.  Risk binds on DCPA alone, so the pair is at risk, and
+        # only the window test sees that the CPA is behind.
         own = VesselState(0, 0, 0, 10)
-        far = VesselState(1e6, 0, 0, 20)  # ahead, running away faster
-        risk, _ = classify_sample(own, far, ZONE)
-        assert risk is False
+        far = VesselState(1e6, 0, 0, 20)
+        dcpa, tcpa, _ = classify_pair(own, far)
+        assert (dcpa, tcpa) == (0.0, -1e5)
+        assert risk_and_outcome(own, far)[0] is True
+        assert ZONE.in_window(tcpa) is False
 
     def test_degenerate_pair_uses_separation(self):
         own = VesselState(0, 0, 0, 10)
         near = VesselState(100, 0, 0, 10)
         far = VesselState(5000, 0, 0, 10)
-        assert classify_sample(own, near, ZONE)[0] is True
-        assert classify_sample(own, far, ZONE)[0] is False
+        assert risk_and_outcome(own, near)[0] is True
+        assert risk_and_outcome(own, far)[0] is False
+
+    def test_past_cpa_pair_at_risk_in_every_path(self):
+        # 10 s past a 0 m CPA: the scalar test, the automaton's risk word
+        # and the DES count at zero spread give one answer.
+        own = VesselState(0, 0, 0, 10)
+        behind = VesselState(-50, 0, 0, 5)
+        dcpa, tcpa, _ = classify_pair(own, behind)
+        assert (dcpa, tcpa) == (0.0, -10.0)
+        assert risk_and_outcome(own, behind)[0] is True
+        assert "u15" in run_once(own, behind, ZONE)
+        exact = StateUncertainty(0.0, 0.0, 0.0, 0.0)
+        assert assess_des(own, exact, behind, exact, ZONE, 100, 1).p_risk == 1.0
 
 
 class TestComfortZonePredicates:

@@ -317,6 +317,15 @@ class TestPropagationStudy:
         neg = float(np.mean(study[180.0].tcpa < 0))
         assert 0.4 <= neg <= 0.6
 
+    def test_bearing_just_above_180_wraps_the_course(self, monkeypatch):
+        # (180 - bearing) % 360 rounds to 360.0 here; the wrapped course is
+        # 0, the own ship's, so the noise-free pair never closes.
+        monkeypatch.setattr(estimator, "_STUDY_SIGMAS", (0.0, 0.0, 0.0, 0.0))
+        bearing = math.nextafter(180.0, 360.0)
+        buffers = propagation_study([bearing], 1000.0, 100, seed=22)[bearing]
+        assert np.all(buffers.tcpa == math.inf)
+        assert np.all(buffers.course_delta == -180.0)
+
     def test_invalid_inputs(self):
         with pytest.raises(TooFewSamples, match="need n >= 1, got 0"):
             propagation_study([0.0], 1000.0, 0, seed=19)

@@ -18,6 +18,7 @@ from colreg_risk.kinematics import (
     REL_SPEED_SQ_EPS,
     bearing_arrays,
     cpa_arrays,
+    place_target,
     velocity_arrays,
     wrap_degrees,
 )
@@ -240,6 +241,25 @@ class TestRelativeBearing:
             assert 0.0 <= beta < 360.0
 
 
+class TestPlaceTarget:
+    def test_bearing_is_relative_to_own_course(self):
+        own = VesselState(100.0, 200.0, 90.0, 5.0)
+        placed = place_target(own, 90.0, 50.0, 10.0, 3.0)
+        assert (placed.north, placed.east) == pytest.approx((50.0, 200.0), abs=1e-9)
+        assert (placed.course, placed.speed) == (10.0, 3.0)
+        assert relative_bearing(own, placed) == pytest.approx(90.0, abs=1e-9)
+
+    def test_origin_heading_north_is_the_plain_polar_point(self):
+        # Bit for bit: 0.0 + x == x and radians(0.0 + b) == radians(b).
+        own = VesselState(0.0, 0.0, 0.0, 10.0)
+        rng = np.random.default_rng(23)
+        for bearing, range_m in zip(rng.uniform(0.0, 360.0, 200), rng.uniform(1.0, 1e4, 200)):
+            placed = place_target(own, float(bearing), float(range_m), 0.0, 10.0)
+            rad = math.radians(bearing)
+            assert placed.north == range_m * math.cos(rad)
+            assert placed.east == range_m * math.sin(rad)
+
+
 class TestReciprocalCourse:
     def test_reciprocal_pair(self):
         assert reciprocal_course(0.0, 180.0) == 0.0
@@ -333,7 +353,7 @@ class TestValidation:
     @pytest.mark.parametrize("speed", [math.inf, math.nan])
     def test_nonfinite_speed(self, speed):
         # An infinite speed used to be accepted; cpa against any moving
-        # vessel then gave (nan, nan) and classify_sample reported no risk.
+        # vessel then gave (nan, nan), which no risk test calls at risk.
         with pytest.raises(ValueError, match="finite"):
             VesselState(0, 0, 0.0, speed)
 
