@@ -353,14 +353,15 @@ def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
     """The h_silverman, h_isj, h_grid and selected cells of bandwidths.csv,
     h_grid blank unless the grid selector runs, plus a sampled density curve
     for one buffer."""
-    h_silverman = bandwidth_silverman(values)
+    h_silverman = bandwidth_silverman(values, topology)
     h_isj = select_bandwidth(values, topology)
     h_grid = None
     if selector == "grid":
         # Span a bracket around the pilot bandwidth of the capped samples.
         capped = values[:_CV_SAMPLE_CAP]
-        pilot = bandwidth_silverman(capped)
-        h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0, _CV_FOLDS)
+        pilot = bandwidth_silverman(capped, topology)
+        h_grid = bandwidth_grid_cv(capped, pilot / 20.0, 1.5 * pilot, pilot / 20.0, _CV_FOLDS,
+                                   topology)
     selected = {"isj": h_isj, "silverman": h_silverman, "grid": h_grid}[selector]
     estimate = fit(values, selected, topology)
     if topology is Topology.CIRCLE360:

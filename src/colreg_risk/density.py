@@ -84,6 +84,30 @@ def _as_samples(samples: Iterable[float], minimum: int) -> np.ndarray:
     return arr
 
 
+def _inside_circle(arr: np.ndarray) -> bool:
+    # Whether every angle lies strictly inside (0, 360), where x % 360 and
+    # wrap_degrees return x bit for bit.  The bounds are strict so that a
+    # -0.0 still takes the wrap, which turns it into +0.0.
+    return float(arr.min()) > 0.0 and float(arr.max()) < 360.0
+
+
+def _circular_recenter(arr: np.ndarray) -> np.ndarray:
+    # Rotate angular samples so their circular mean sits at 180 deg; the
+    # rotation leaves kernel geometry (and hence the bandwidth) unchanged.
+    rad = np.radians(arr)
+    mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
+    return (arr - mean + 180.0) % 360.0
+
+
+def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
+    """The samples a bandwidth selector reads on the line: line samples as
+    they are, angles wrapped into [0, 360) and recentred on their circular
+    mean, so that a cluster across the 0/360 cut is seen as one mode."""
+    if topology is Topology.LINE:
+        return arr
+    return _circular_recenter(arr if _inside_circle(arr) else arr % 360.0)
+
+
 def _image_shifts(estimate: DensityEstimate) -> np.ndarray:
     # One image on the line.  On the circle, enough periodic images that the
     # neglected tails are < 1e-12 even for very wide kernels.
@@ -100,7 +124,9 @@ def fit(
 ) -> DensityEstimate:
     """Fit a Gaussian-kernel density with the given bandwidth.
 
-    Circle-topology samples are wrapped into [0, 360) on entry.
+    Circle-topology samples are wrapped into [0, 360) on entry.  Samples
+    that all lie strictly inside (0, 360) are already wrapped and are only
+    copied; a +-0.0 takes the wrap, which makes it +0.0.
 
     Raises:
         TooFewSamples: fewer than two samples.
@@ -109,9 +135,10 @@ def fit(
     arr = _as_samples(samples, 2)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    if topology is Topology.CIRCLE360:
+    if topology is Topology.CIRCLE360 and not _inside_circle(arr):
         arr = wrap_degrees(arr)
-    arr = arr.copy()
+    else:
+        arr = arr.copy()
     arr.setflags(write=False)
     return DensityEstimate(arr, float(bandwidth), topology)
 
@@ -244,14 +271,20 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
     """Probability mass on [lo, hi], in closed form per kernel.
 
     On the circle, ``lo > hi`` denotes the arc that crosses 0/360 (for
-    example (355, 5) is the 10-degree arc around north).
+    example (355, 5) is the 10-degree arc around north); its bounds must
+    satisfy 0 <= hi < lo <= 360.
 
     Raises:
-        ValueError: line topology with lo > hi, or a NaN bound.
+        ValueError: line topology with lo > hi, a crossing arc with a bound
+            outside [0, 360], or a NaN bound.
     """
     if lo > hi:
         if estimate.topology is Topology.LINE:
             raise ValueError(f"lo must be <= hi on the line, got ({lo}, {hi})")
+        if not (hi >= 0.0 and lo <= 360.0):
+            raise ValueError(
+                f"an arc across 0/360 needs 0 <= hi < lo <= 360, got lo={lo}, hi={hi}"
+            )
         head, _, tail = band_masses(estimate, (0.0, hi, lo, 360.0))
         mass = tail + head
     else:
@@ -264,18 +297,31 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bandwidth_silverman(samples: Iterable[float]) -> float:
+def bandwidth_silverman(
+    samples: Iterable[float], topology: Topology = Topology.LINE
+) -> float:
     """Silverman's rule of thumb, robust form: 0.9 min(sd, IQR/1.34) n^(-1/5).
+
+    Angular samples are recentred on their circular mean first, as for
+    ``bandwidth_isj``, so a cluster at the 0/360 cut keeps its own spread.
 
     Raises:
         ZeroDispersion: the samples have no spread.
         FloatingPointError: the bandwidth is not finite, as when samples
             about 1e154 apart overflow the variance and the IQR is 0.
     """
-    arr = _as_samples(samples, 2)
+    arr = _line_view(_as_samples(samples, 2), topology)
+    return _silverman(arr, arr)
+
+
+def _silverman(arr: np.ndarray, ordered: np.ndarray) -> float:
+    # Silverman's rule on arr; ``ordered`` holds the same values in any
+    # order (arr itself, or a sorted copy) and gives the quartiles, which
+    # are order statistics.  The standard deviation's pairwise sum depends
+    # on the order, so it reads arr.
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sd = float(np.std(arr, ddof=1))
-        q75, q25 = np.percentile(arr, [75.0, 25.0])
+        q75, q25 = np.percentile(ordered, [75.0, 25.0])
         iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     if scale <= 0.0:
@@ -370,15 +416,6 @@ def _fixed_point(t: float, n_points: int, tables: _StageTables) -> float:
     return t - (2.0 * n_points * math.sqrt(math.pi) * f) ** (-0.4)
 
 
-def _circular_recenter(arr: np.ndarray) -> np.ndarray:
-    # Rotate angular samples so their circular mean sits at 180 deg; the
-    # rotation leaves kernel geometry (and hence the bandwidth) unchanged.
-    rad = np.radians(arr)
-    mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
-    shifted = (arr - mean + 180.0) % 360.0
-    return shifted
-
-
 def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) -> float:
     """Plug-in bandwidth from the DCT fixed point (Improved Sheather-Jones).
 
@@ -386,12 +423,22 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     the binned frequencies are cosine-transformed, and the squared relative
     bandwidth solves t = xi * gamma^[7](t) by bracketed root finding.
     Angular samples are recentred on their circular mean first so a cluster
-    at the 0/360 cut is seen as unimodal.  The index powers i^(2s) are
-    built once per process and multiplied by a_i^2 once per call.  Each
-    stage sum computes only the DCT terms whose exp factor is not exactly
-    0.0 and sums them over the shortest prefix of NumPy's pairwise blocks
-    that holds them, zero-padded; both steps are exact, so the bandwidth is
-    bit-identical to the one from the full-length sums.
+    at the 0/360 cut is seen as unimodal; angles strictly inside (0, 360)
+    skip the wrap into [0, 360), which would return them unchanged.  The
+    index powers i^(2s) are built once per process and multiplied by a_i^2
+    once per call.  Each stage sum computes only the DCT terms whose exp
+    factor is not exactly 0.0 and sums them over the shortest prefix of
+    NumPy's pairwise blocks that holds them, zero-padded; both steps are
+    exact, so the bandwidth is bit-identical to the one from the
+    full-length sums.
+
+    The samples are sorted once.  The pilot's quartiles (order statistics,
+    the same from any order), the distinct count and the bin counts are
+    read from that copy.  Bin i holds the values in [edge[i], edge[i+1]),
+    the last bin closed, which is where ``np.histogram``'s +-1 index
+    correction puts them on the same ``linspace`` edges.  The pilot's
+    standard deviation reads the unsorted samples: its pairwise sum
+    depends on their order.
 
     Raises:
         TooFewSamples: fewer than 50 samples (the selector is data-hungry).
@@ -399,27 +446,25 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
         FixedPointFailure: no root bracketed, or a sample range too narrow
             for the 2**14-bin grid at its magnitude; fall back to Silverman.
     """
-    arr = _as_samples(samples, 50)
-    if topology is Topology.CIRCLE360:
-        arr = _circular_recenter(arr % 360.0)
-    pilot = bandwidth_silverman(arr)
+    arr = _line_view(_as_samples(samples, 50), topology)
+    ordered = np.sort(arr)
+    pilot = _silverman(arr, ordered)
 
     n_bins = _ISJ_BINS
-    lo = float(arr.min()) - 3.0 * pilot
-    hi = float(arr.max()) + 3.0 * pilot
+    lo = float(ordered[0]) - 3.0 * pilot
+    hi = float(ordered[-1]) + 3.0 * pilot
     span = hi - lo
     # A spread narrow against its magnitude leaves fewer representable
     # values than grid edges; the plug-in rule has no grid to run on.
     edges = np.linspace(lo, hi, n_bins + 1)
     if not np.all(edges[1:] > edges[:-1]):
         raise FixedPointFailure(f"range {span!r} too narrow for {n_bins} bins at {hi!r}")
-    counts, _ = np.histogram(arr, bins=n_bins, range=(lo, hi))
-    rel_freq = counts / arr.size
+    rel_freq = _bin_counts(ordered, edges) / arr.size
 
     coeffs = dct(rel_freq, type=2)
     a_sq = (coeffs[1:] / 2.0) ** 2
     tables = _stage_tables(a_sq)
-    n_unique = int(np.unique(arr).size)
+    n_unique = _distinct_count(ordered)
 
     t_star = None
     bracket_hi = 0.01
@@ -440,18 +485,34 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     return math.sqrt(t_star) * span
 
 
+def _distinct_count(ordered: np.ndarray) -> int:
+    # Sorted values differ from their predecessor exactly where a new value
+    # starts; -0.0 and +0.0 count as one value, as in np.unique.
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _bin_counts(ordered: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # Counts of the sorted values in [edge[i], edge[i+1]), the last bin
+    # closed on the right; every value lies in [edge[0], edge[-1]].
+    starts = np.searchsorted(ordered, edges, "left")
+    starts[-1] = ordered.size
+    return np.diff(starts)
+
+
 def bandwidth_grid_cv(
     samples: Iterable[float],
     lo: float,
     hi: float,
     step: float,
     folds: int = 5,
+    topology: Topology = Topology.LINE,
 ) -> float:
     """Grid-search bandwidth maximising k-fold held-out log-likelihood.
 
     Exact (no binning): cost grows with len(grid) * n^2 / folds, so keep the
     sample count moderate.  Ties break toward the smaller bandwidth, and the
-    fold assignment is a fixed permutation from seed 0.
+    fold assignment is a fixed permutation from seed 0.  Angular samples
+    are recentred on their circular mean first, as for ``bandwidth_isj``.
 
     Each float32 exponent is clamped at -87 before the exp, so no kernel
     term is subnormal (exp(-87) = 1.65e-38 is normal); subnormal results
@@ -494,7 +555,7 @@ def bandwidth_grid_cv(
     grid = np.arange(lo, hi + 0.5 * step, step)
     if grid.size == 0:
         raise ValueError(f"no candidates in [{lo}, {hi}] with step {step}")
-    arr = _as_samples(samples, folds)
+    arr = _line_view(_as_samples(samples, folds), topology)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         scores = _grid_cv_scores(arr, grid, folds)
     if not np.isfinite(scores).all():
@@ -568,7 +629,7 @@ def select_bandwidth(
             RuntimeWarning,
             stacklevel=2,
         )
-        return bandwidth_silverman(samples)
+        return bandwidth_silverman(samples, topology)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Reproducibility contract: a batch is generated by a single vectorised pass
 from one ``numpy`` PCG64 stream keyed on the caller's seed, so identical
 (mean, uncertainty, n, seed) inputs produce bit-identical batches no matter
 how the surrounding code is threaded.  Paired batches derive one substream
-per vessel from the pair seed.
+per vessel from the pair seed.  An exactly known vessel (every sigma zero)
+reads nothing from its stream.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ class SampleBatch:
     states_k: StateSample
 
 
+def _is_minus_zero(value: float) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) < 0.0
+
+
 def draw(
     mean: VesselState,
     unc: StateUncertainty,
@@ -129,11 +134,24 @@ def draw(
     through the geometry instead (a negative speed reverses the velocity
     vector), which is what the error model actually says.
 
+    An exactly known vessel, all four sigmas +0.0, reads nothing from its
+    stream: each column is the mean component repeated.  A drawn value
+    ``loc + 0.0 * z`` is ``loc`` bit for bit unless ``loc`` is -0.0, so a
+    mean with a -0.0 component is still drawn.
+
     Raises:
         TooFewSamples: n < 1.
     """
     if n < 1:
         raise TooFewSamples(f"sample count must be >= 1, got {n}")
+    components = (mean.north, mean.east, mean.course, mean.speed)
+    sigmas = (unc.sigma_north, unc.sigma_east, unc.sigma_course, unc.sigma_speed)
+    # A -0.0 sigma is drawn too, and numpy rejects it as a negative scale.
+    if not any(sigmas) and not any(map(_is_minus_zero, sigmas + components)):
+        columns = [np.full(n, v, dtype=float) for v in components]
+        for arr in columns:
+            arr.setflags(write=False)
+        return StateSample(*columns)
     rng = np.random.default_rng(stream_seed)
     north = rng.normal(mean.north, unc.sigma_north, n)
     east = rng.normal(mean.east, unc.sigma_east, n)

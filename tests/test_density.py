@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -26,11 +26,16 @@ from colreg_risk.density import (
     _NDTR_ONE_AT,
     _NDTR_ZERO_AT,
     _PAIRWISE_PREFIXES,
+    _bin_counts,
+    _circular_recenter,
     _derivative_norm,
+    _distinct_count,
     _grid_cv_scores,
+    _silverman,
     _stage_tables,
     band_masses,
 )
+from colreg_risk.kinematics import wrap_degrees
 
 
 def brute_pdf(samples, h, x, shifts=(0.0,)):
@@ -171,6 +176,19 @@ class TestIntegrate:
         circle = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
         assert integrate(circle, -inf, 10.0) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("lo, hi", [(370.0, 10.0), (350.0, -5.0), (math.inf, 0.0),
+                                        (1.0, -math.inf)])
+    def test_arc_bounds_outside_the_circle_rejected(self, lo, hi):
+        d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
+        with pytest.raises(ValueError, match=rf"0 <= hi < lo <= 360, got lo={lo}, hi={hi}"):
+            integrate(d, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(355.0, 5.0), (360.0, 0.0), (10.0, 0.0), (360.0, 350.0)])
+    def test_arcs_on_the_circle_keep_their_masses(self, lo, hi):
+        d = fit([0.0, 90.0, 350.0, 359.5], 5.0, Topology.CIRCLE360)
+        head, _, tail = band_masses(d, (0.0, hi, lo, 360.0))
+        assert integrate(d, lo, hi) == float(np.clip(tail + head, 0.0, 1.0))
+
     def test_circle_arc_matches_quadrature(self):
         rng = np.random.default_rng(37)
         samples = rng.vonmises(0.0, 2.0, 600) * 180 / math.pi % 360
@@ -289,6 +307,149 @@ class TestIsj:
         with pytest.warns(RuntimeWarning, match="at least 50 samples"):
             h = select_bandwidth(x)
         assert h == bandwidth_silverman(x)
+
+
+class TestCircleBandwidths:
+    """Every selector reads angles recentred on their circular mean, so a
+    rotation of the samples leaves the bandwidth unchanged up to rounding."""
+
+    @staticmethod
+    def _rotations(n, sd, seed):
+        offsets = np.random.default_rng(seed).normal(0.0, sd, n)
+        return [(centre + offsets) % 360.0 for centre in (0.0, 0.4, 97.0, 180.0, 359.9)]
+
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_silverman_is_rotation_invariant(self, n):
+        h = [bandwidth_silverman(x, Topology.CIRCLE360) for x in self._rotations(n, 1.0, 47)]
+        assert h == pytest.approx([h[-2]] * len(h), rel=1e-9)
+        assert h[0] < 1.0  # read on the line, the cluster at north spans 360 degrees
+
+    def test_isj_is_rotation_invariant(self):
+        h = [bandwidth_isj(x, Topology.CIRCLE360) for x in self._rotations(2000, 1.0, 48)]
+        assert h == pytest.approx([h[-2]] * len(h), rel=1e-3)
+
+    def test_fallback_is_rotation_invariant(self):
+        # 40 samples are too few for the plug-in rule; Silverman's rule on
+        # the line gave about 78 degrees for the cluster across north.
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            h = [select_bandwidth(x, Topology.CIRCLE360)
+                 for x in self._rotations(40, 1.0, 49)]
+        assert h == pytest.approx([h[-2]] * len(h), rel=1e-9)
+        assert h[0] < 1.0
+
+    def test_grid_cv_is_rotation_invariant(self):
+        h = [bandwidth_grid_cv(x, 0.05, 1.5, 0.05, topology=Topology.CIRCLE360)
+             for x in self._rotations(500, 1.0, 50)]
+        assert h == [h[-2]] * len(h)
+        assert h[0] < 1.5  # inside the bracket, not pinned to an end
+
+    def test_line_default_reads_the_samples_as_they_are(self):
+        x = self._rotations(500, 1.0, 51)[0]
+        assert bandwidth_silverman(x) > 10.0
+
+
+def _circle_cases():
+    rng = np.random.default_rng(52)
+    inside = np.clip(rng.normal(180.0, 60.0, 3000), 1e-9, 359.0)
+    below_360 = np.concatenate([inside, [np.nextafter(360.0, 0.0), 359.9999999999999]])
+    return {
+        "inside": inside,
+        "plus_zero": np.concatenate([inside, [0.0]]),
+        "minus_zero": np.concatenate([[-0.0], inside, [-0.0]]),
+        "below_360": below_360,
+        "out_of_range": np.concatenate([inside, [-10.0, 360.0, 365.5, 720.25, -1e-300]]),
+        "across_north": rng.normal(0.0, 3.0, 3000),
+    }
+
+
+class TestCircleWrapSkip:
+    """Angles strictly inside (0, 360) skip the wrap, which would return
+    them unchanged; everything else is wrapped as before."""
+
+    @pytest.mark.parametrize("case", sorted(_circle_cases()))
+    def test_isj_equals_the_wrapped_path(self, case):
+        x = _circle_cases()[case]
+        reference = bandwidth_isj(_circular_recenter(x % 360.0))
+        assert bandwidth_isj(x, Topology.CIRCLE360) == reference
+
+    @pytest.mark.parametrize("case", sorted(_circle_cases()))
+    def test_fit_equals_the_wrapped_path(self, case):
+        x = _circle_cases()[case]
+        samples = fit(x, 1.0, Topology.CIRCLE360).samples
+        assert samples.tobytes() == wrap_degrees(x).tobytes()
+        assert not np.signbit(samples).any()
+        assert not samples.flags.writeable
+
+    def test_fit_copies_in_range_samples(self):
+        x = _circle_cases()["inside"].copy()
+        estimate = fit(x, 1.0, Topology.CIRCLE360)
+        x[0] = 5.0
+        assert estimate.samples[0] == _circle_cases()["inside"][0]
+
+
+@st.composite
+def _binned_samples(draw):
+    # Samples on a uniform grid of edges: uniform draws, values exactly on
+    # edges and repeated values, around magnitudes where a bin is anywhere
+    # from about one ulp to many thousands of ulps wide.
+    bins = draw(st.sampled_from([1, 3, 64, 2**14]))
+    centre = draw(st.sampled_from([0.0, -7.5, 180.0, 3.0e5, -2.5e9, 1e15]))
+    width = draw(st.floats(1.0, 1e6)) * float(np.spacing(max(abs(centre), 1.0)))
+    lo = centre - 0.5 * bins * width
+    hi = lo + bins * width
+    edges = np.linspace(lo, hi, bins + 1)
+    assume(lo < hi and np.all(edges[1:] > edges[:-1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    uniform = np.clip(lo + rng.random(draw(st.integers(1, 400))) * (hi - lo), lo, hi)
+    on_edges = edges[rng.integers(0, bins + 1, draw(st.integers(0, 100)))]
+    x = np.concatenate([uniform, on_edges, [lo, hi]])
+    x = np.concatenate([x, x[: draw(st.integers(0, x.size))]])
+    return rng.permutation(x), lo, hi, bins
+
+
+class TestSortedOrderStatistics:
+    """bandwidth_isj reads its pilot quartiles, distinct count and bin
+    counts from one sorted copy; each must equal numpy's unsorted answer."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_binned_samples())
+    def test_bin_counts_match_histogram(self, case):
+        x, lo, hi, bins = case
+        expected, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        counts = _bin_counts(np.sort(x), np.linspace(lo, hi, bins + 1))
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_binned_samples(), st.sampled_from([0.0, -0.0]))
+    def test_distinct_count_matches_unique(self, case, zero):
+        x = np.concatenate([case[0], [zero, -zero, zero]])
+        assert _distinct_count(np.sort(x)) == np.unique(x).size
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_binned_samples(), st.sampled_from([0.0, -0.0]))
+    def test_quartiles_match_percentile(self, case, zero):
+        x = np.concatenate([case[0], [zero, -zero]])
+        ordered = np.sort(x)
+        q = [75.0, 25.0, 0.0, 50.0, 100.0]
+        np.testing.assert_array_equal(np.percentile(ordered, q), np.percentile(x, q))
+        try:
+            expected = bandwidth_silverman(x)
+        except ZeroDispersion:
+            with pytest.raises(ZeroDispersion):
+                _silverman(x, ordered)
+        else:
+            assert _silverman(x, ordered) == expected
+
+    def test_isj_grid_counts_match_histogram(self):
+        # The grid bandwidth_isj bins on: three pilot bandwidths of padding.
+        x = _isj_golden_inputs()["rounded10k"][0]
+        pilot = bandwidth_silverman(x)
+        lo, hi = float(x.min()) - 3.0 * pilot, float(x.max()) + 3.0 * pilot
+        expected, _ = np.histogram(x, bins=2**14, range=(lo, hi))
+        counts = _bin_counts(np.sort(x), np.linspace(lo, hi, 2**14 + 1))
+        np.testing.assert_array_equal(counts, expected)
 
 
 def _isj_golden_inputs():

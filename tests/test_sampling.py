@@ -12,10 +12,28 @@ from colreg_risk import (
     draw_pair,
     make_uncertainty,
 )
+from colreg_risk.kinematics import wrap_degrees
 from colreg_risk.sampling import StateSample
 
 MEAN = VesselState(100.0, -50.0, 350.0, 10.0)
 UNC = StateUncertainty(10.0, 10.0, 2.0, 2.0)
+EXACT = StateUncertainty(0.0, 0.0, 0.0, 0.0)
+
+
+def _drawn(mean, unc, n, stream_seed, clamp_speed):
+    # The columns drawn from the stream, whatever the sigmas.
+    rng = np.random.default_rng(stream_seed)
+    north = rng.normal(mean.north, unc.sigma_north, n)
+    east = rng.normal(mean.east, unc.sigma_east, n)
+    course = wrap_degrees(mean.course + rng.normal(0.0, unc.sigma_course, n))
+    speed = rng.normal(mean.speed, unc.sigma_speed, n)
+    if clamp_speed:
+        speed = np.maximum(speed, 0.0)
+    return north, east, course, speed
+
+
+def _columns(batch):
+    return batch.north, batch.east, batch.course, batch.speed
 
 
 class TestMakeUncertainty:
@@ -73,6 +91,41 @@ class TestDraw:
         assert np.all(batch.east == MEAN.east)
         assert np.all(batch.course == MEAN.course)
         assert np.all(batch.speed == MEAN.speed)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("n", [1, 100_000])
+    @pytest.mark.parametrize("mean", [
+        MEAN,
+        VesselState(0.0, 0.0, 0.0, 10.0),
+        VesselState(0, 7, 90, 3),
+        VesselState(-3.5, 1e300, 0.0, 0.0),
+        VesselState(5e-324, -7.0, np.nextafter(360.0, 0.0), 1e-300),
+    ])
+    def test_exact_vessel_equals_its_draws(self, mean, n, clamp):
+        batch = draw(mean, EXACT, n, stream_seed=3, clamp_speed=clamp)
+        for column, drawn in zip(_columns(batch), _drawn(mean, EXACT, n, 3, clamp)):
+            assert column.dtype == drawn.dtype and column.tobytes() == drawn.tobytes()
+            assert column.flags.c_contiguous and not column.flags.writeable
+
+    @pytest.mark.parametrize("field", ["north", "east", "course", "speed"])
+    def test_minus_zero_mean_is_drawn(self, field):
+        # loc + 0.0 * z is +0.0 or -0.0 by the sign of z when loc is -0.0.
+        values = {"north": 1.0, "east": 2.0, "course": 3.0, "speed": 4.0, field: -0.0}
+        mean = VesselState(**values)
+        for clamp in (True, False):
+            batch = draw(mean, EXACT, 1000, stream_seed=4, clamp_speed=clamp)
+            for column, drawn in zip(_columns(batch), _drawn(mean, EXACT, 1000, 4, clamp)):
+                assert column.tobytes() == drawn.tobytes()
+
+    def test_minus_zero_sigma_still_rejected(self):
+        with pytest.raises(ValueError, match="scale < 0"):
+            draw(MEAN, StateUncertainty(0.0, -0.0, 0.0, 0.0), 10, stream_seed=1)
+
+    def test_exact_vessel_leaves_the_other_draws(self):
+        pair = draw_pair(MEAN, EXACT, MEAN, UNC, 1000, seed=8)
+        drawn = draw_pair(MEAN, UNC, MEAN, UNC, 1000, seed=8)
+        for a, b in zip(_columns(pair.states_k), _columns(drawn.states_k)):
+            assert a.tobytes() == b.tobytes()
 
     def test_invalid_count(self):
         with pytest.raises(TooFewSamples, match="sample count must be >= 1, got 0"):
