@@ -147,14 +147,22 @@ def _situation(s: Collection[str]) -> SituationOutcome:
     return next((outcome for outcome, word in SITUATION_WORDS.items() if word in s), _NO_RULE)
 
 
+def _words(s: Sequence[str]) -> RunString:
+    if isinstance(s, str):  # read letter by letter, "xu15x" would hold "u15"
+        raise ValueError(f"a run string is a sequence of words, not a str: {s!r:.60}")
+    return tuple(s)
+
+
 def indicator(s: Sequence[str], event: object) -> int:
     """Membership indicator for a run string.
 
     ``event`` is either RISK_ACT (the string contains the action-radius
     word) or a (rule, obligation) pair, which fires when it is the string's
     situation: the first situation word in ``SITUATION_WORDS`` order, else
-    no rule.  The six situation events therefore partition every string.
+    no rule.  The six situation events therefore partition every string.  A
+    ``str`` is not a run string (ValueError).
     """
+    s = _words(s)
     if event == RISK_ACT:
         return int(WORD_RISK_ACT in s)
     rule, obligation = event
@@ -171,10 +179,10 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
     ``indicator`` reads it (the first situation word in ``SITUATION_WORDS``
     order, else no rule), so each situation probability is the mean of its
     indicator and the probabilities reflect the joint sample rather than
-    an independence product.
+    an independence product.  A ``str`` is not a run string (ValueError).
     """
     # Runs repeat a handful of strings, so each distinct one is read once.
-    runs = Counter(tuple(s) for s in strings)
+    runs = Counter(map(_words, strings))
     if not runs:
         raise TooFewSamples("no run strings given")
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -149,16 +148,11 @@ def _parse_state(mapping: dict, context: str) -> VesselState:
 def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
     _check_object(mapping, context)
     if "bearing_deg" in mapping:
-        _check_unknown(
-            mapping, {"bearing_deg", "range_m", "course_deg", "speed_mps"}, context
-        )
-        bearing, range_m, course, speed = _numbers(
-            mapping, ("bearing_deg", "range_m", "course_deg", "speed_mps"), context
-        )
-        if range_m <= 0.0:
-            raise ConfigError(f"{context}: range_m must be positive, got {range_m}")
+        fields = ("bearing_deg", "range_m", "course_deg", "speed_mps")
+        _check_unknown(mapping, set(fields), context)
+        values = _numbers(mapping, fields, context)
         try:
-            return place_target(own, bearing, range_m, course, speed)
+            return place_target(own, *values)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
     return _parse_state(mapping, context)
@@ -379,25 +373,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bearings = [float(b) for b in args.bearings.split(",") if b.strip() != ""]
     except ValueError:
         raise ConfigError(f"invalid --bearings value: {args.bearings!r}") from None
-    if not bearings:
-        raise ConfigError("no --bearings given")
-    if not all(0.0 <= b < 360.0 for b in bearings):
-        raise ConfigError(f"--bearings must lie in [0, 360), got {args.bearings!r}")
-    if len(set(bearings)) != len(bearings):
-        raise ConfigError(f"--bearings must be distinct, got {args.bearings!r}")
-    if not (math.isfinite(args.range) and args.range > 0.0):
-        raise ConfigError(f"--range must be positive and finite, got {args.range}")
-    if not 2 <= args.samples <= _MAX_COUNT:
-        raise ConfigError(f"--samples must be >= 2 and <= {_MAX_COUNT}, got {args.samples}")
     if args.bandwidth == "grid" and args.samples < _CV_FOLDS:
         raise ConfigError(f"--bandwidth grid needs at least {_CV_FOLDS} samples, "
                           f"got --samples {args.samples}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     # Every buffer, curve and bandwidth is computed before the directory is
-    # made, so a numeric failure leaves nothing behind.
-    study = propagation_study(bearings, args.range, args.samples, args.seed)
+    # made, so a numeric failure leaves nothing behind.  The study selects no
+    # bandwidth, so its ValueError is a bad flag value, never ZeroDispersion.
+    try:
+        study = propagation_study(bearings, args.range, args.samples, args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--bearings {args.bearings!r}, --range {args.range}, "
+                          f"--samples {args.samples}, --seed {args.seed}: {exc}") from None
     buffers = [
         (name, _format_bearing(bearing), values, topology)
         for bearing, b in study.items()

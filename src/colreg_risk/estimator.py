@@ -13,7 +13,6 @@ the answers ``assess`` gives for both at once.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -297,19 +296,18 @@ def propagation_study(
     per-bearing buffers for histogram and density export.
 
     Raises:
-        TooFewSamples: n < 1.
-        ValueError: a bearing outside [0, 360) or repeated, or a range that
-            is not positive and finite.
+        ValueError: no bearing, or one outside [0, 360) or repeated; or, from
+            the functions that take them and before any draw, a negative
+            ``seed``, a ``range_m`` not positive and finite, or an ``n``
+            below 1 (``TooFewSamples``) or too large for numpy.
     """
-    if n < 1:
-        raise TooFewSamples(f"need n >= 1, got {n}")
+    if not bearings:
+        raise ValueError("need at least one bearing")
     for bearing in bearings:
         if not 0.0 <= bearing < 360.0:
             raise ValueError(f"bearing must lie in [0, 360), got {bearing}")
     if len(set(bearings)) != len(bearings):
         raise ValueError(f"bearings must be distinct, got {bearings}")
-    if not (math.isfinite(range_m) and range_m > 0.0):
-        raise ValueError(f"range_m must be positive and finite, got {range_m}")
     unc = StateUncertainty(*_STUDY_SIGMAS)
     own_mean = VesselState(0.0, 0.0, 0.0, 10.0)
     pair_seeds = pair_stream_seeds(seed, max(2, len(bearings)))

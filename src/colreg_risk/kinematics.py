@@ -136,8 +136,10 @@ def place_target(
     clockwise from own's course, with the given course and speed.
 
     Raises:
-        ValueError: the placed state fails a ``VesselState`` check.
+        ValueError: ``range_m`` not positive and finite, or a bad ``VesselState``.
     """
+    if not (math.isfinite(range_m) and range_m > 0.0):
+        raise ValueError(f"range_m must be positive and finite, got {range_m}")
     theta = math.radians(own.course + bearing)
     return VesselState(
         own.north + range_m * math.cos(theta), own.east + range_m * math.sin(theta), course, speed

@@ -40,7 +40,7 @@ class Spread(Enum):
 class StateUncertainty:
     """Per-component standard deviations of the tracker error.
 
-    Units: meters, meters, degrees, meters/second.
+    Units: meters, meters, degrees, meters/second.  -0.0 is stored as +0.0.
     """
 
     sigma_north: float
@@ -55,6 +55,7 @@ class StateUncertainty:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, abs(value))  # numpy rejects a -0.0 scale
 
 
 def make_uncertainty(
@@ -141,13 +142,13 @@ def draw(
 
     Raises:
         TooFewSamples: n < 1.
+        ValueError: n too large for a numpy array, raised before allocating.
     """
     if n < 1:
         raise TooFewSamples(f"sample count must be >= 1, got {n}")
     components = (mean.north, mean.east, mean.course, mean.speed)
     sigmas = (unc.sigma_north, unc.sigma_east, unc.sigma_course, unc.sigma_speed)
-    # A -0.0 sigma is drawn too, and numpy rejects it as a negative scale.
-    if not any(sigmas) and not any(map(_is_minus_zero, sigmas + components)):
+    if not any(sigmas) and not any(map(_is_minus_zero, components)):
         columns = [np.full(n, v, dtype=float) for v in components]
         for arr in columns:
             arr.setflags(write=False)
@@ -155,7 +156,9 @@ def draw(
     rng = np.random.default_rng(stream_seed)
     north = rng.normal(mean.north, unc.sigma_north, n)
     east = rng.normal(mean.east, unc.sigma_east, n)
-    course = wrap_degrees(mean.course + rng.normal(0.0, unc.sigma_course, n))
+    # An overflowed course draw wraps to NaN unwarned; the geometry rejects it.
+    with np.errstate(invalid="ignore"):
+        course = wrap_degrees(mean.course + rng.normal(0.0, unc.sigma_course, n))
     speed = rng.normal(mean.speed, unc.sigma_speed, n)
     if clamp_speed:
         speed = np.maximum(speed, 0.0)

@@ -202,6 +202,12 @@ class TestIndicator:
         with pytest.raises(ValueError):
             indicator((), (Rule.R14, Obligation.STAND_ON))
 
+    @pytest.mark.parametrize("event", [RISK_ACT, (Rule.R15, Obligation.STAND_ON)])
+    def test_str_is_not_a_run_string(self, event):
+        # Read letter by letter, "xu15x" would contain the word "u15".
+        with pytest.raises(ValueError, match="not a str"):
+            indicator("xu15x", event)
+
     def test_partition_over_run_strings(self):
         rng = np.random.default_rng(61)
         for _ in range(300):
@@ -246,6 +252,12 @@ class TestEstimateProbabilities:
     def test_empty_input(self):
         with pytest.raises(TooFewSamples, match="no run strings given"):
             estimate_probabilities([])
+
+    @pytest.mark.parametrize("strings", [["u15"], [("u15",), "u6"], "u15"])
+    def test_str_is_not_a_run_string(self, strings):
+        # Read letter by letter, ["u15"] would give p_risk 0.0.
+        with pytest.raises(ValueError, match="not a str"):
+            estimate_probabilities(strings)
 
     def test_probability_identities(self):
         rng = np.random.default_rng(62)

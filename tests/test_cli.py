@@ -428,6 +428,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "alpha_list: 1e+300 times own_diag overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, minus, plus", [
+        ("alpha_list", [-0.0], [0.0]),
+        ("own_diag", [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+        ("diag", [10.0, 10.0, -0.0, 2.0], [10.0, 10.0, 0.0, 2.0]),
+    ])
+    def test_minus_zero_dispersion_runs_as_plus_zero(self, tmp_path, scenario1_raw, field,
+                                                     minus, plus):
+        # numpy rejects a -0.0 scale; a -0.0 sigma used to crash a worker.
+        scenario1_raw.update(alpha_list=[1.0], n_samples=2000)
+        probabilities = []
+        for values in (minus, plus):
+            scenario1_raw[field] = values
+            csv_path = tmp_path / "rows.csv"
+            assert main(["run", "--config", str(write_config(tmp_path, scenario1_raw)),
+                         "--csv", str(csv_path)]) == 0
+            rows = csv_path.read_text(encoding="utf-8").splitlines()
+            probabilities.append([row.split(",")[1:] for row in rows])
+        assert probabilities[0] == probabilities[1]
+
 
 def _raw(name):
     with open(bundled_config_path(name), "r", encoding="utf-8") as fh:
@@ -450,9 +469,9 @@ def _fail_on_warnings_but_fallback():
 
 
 class TestRunFuzz:
-    """``run`` on scenario-2 configs with extreme finite values ends in a
-    documented exit code, never a traceback, and exit 0 means every printed
-    probability is finite and in [0, 1]."""
+    """``run`` on scenario-2 configs with extreme values ends in a documented
+    exit code with one stderr line, never a traceback, and exit 0 means
+    every printed probability is finite and in [0, 1]."""
 
     # Each field keeps its scenario-2 value (None) or takes an extreme one.
     FIELDS = {
@@ -487,6 +506,39 @@ class TestRunFuzz:
             for row in rows:
                 for column in ("p_risk", "p_R0", "p_R13", "p_R14", "p_R15", "p_give_way"):
                     assert 0.0 <= float(row[column]) <= 1.0, (column, row)
+
+    # Signed zeros, subnormals, huge, negative and non-finite values, each
+    # put in place of one scenario-2 entry: (section or None, field, index).
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e154, 1e300, MAX_FLOAT,
+                            -1.0, -MAX_FLOAT, math.nan, math.inf, -math.inf])
+    ENTRIES = [(None, "alpha_list", 0), (None, "d_act_m", None),
+               ("target", "range_m", None), ("target", "bearing_deg", None),
+               *((None, field, i) for field in ("diag", "own_diag") for i in range(4))]
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @given(edits=st.lists(st.tuples(st.sampled_from(ENTRIES), edge), min_size=1, max_size=3),
+           method=st.sampled_from([("des", 64), ("des", 64), ("des", 64), ("kde", 1000)]))
+    def test_edge_values_exit_cleanly(self, tmp_path_factory, edits, method):
+        raw = _raw("scenario2")
+        raw.update(alpha_list=[1.0], own_diag=[0.0] * 4, methods=[method[0]],
+                   n_samples=method[1])
+        for (section, field, index), value in edits:
+            mapping = raw if section is None else raw[section]
+            if index is None:
+                mapping[field] = value
+            else:
+                mapping[field][index] = value
+        path = write_config(tmp_path_factory.mktemp("fuzz"), raw)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            _fail_on_warnings_but_fallback()
+            code = main(["run", "--config", str(path)])
+        assert code in (0, 2, 3)
+        err = stderr.getvalue().splitlines()
+        if code:
+            assert len(err) == 1
+            assert err[0].startswith(("config error:", "numeric failure:")), err
 
 
 def _bandwidth_rows(out_dir):
@@ -553,11 +605,23 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("arg", ["--bearings=400", "--bearings=-10", "--bearings=nan",
                                      "--bearings=0,360", "--bearings=inf", "--range=nan",
                                      "--range=inf", "--range=0", "--range=-5", "--seed=-1",
-                                     "--bearings=0,0", "--bearings=0,-0"])
+                                     "--bearings=0,0", "--bearings=0,-0", "--bearings="])
     def test_bad_placement_exits_2(self, capsys, tmp_path, arg):
         out_dir = tmp_path / "x"
         assert main(["analyze", arg, "--samples", "300", "--out", str(out_dir)]) == 2
         assert arg.split("=")[0] in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "1", "-3"])
+    def test_too_few_samples_exit_2(self, capsys, tmp_path, samples):
+        # draw needs one sample; Silverman's rule, which every export runs,
+        # needs two.
+        out_dir = tmp_path / "x"
+        assert main(["analyze", "--bearings", "0", f"--samples={samples}",
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert samples == "1" or "--samples" in err[0]
         assert not out_dir.exists()
 
     def test_tiny_sample_count_still_normalised(self, tmp_path):

@@ -327,7 +327,7 @@ class TestPropagationStudy:
         assert np.all(buffers.course_delta == -180.0)
 
     def test_invalid_inputs(self):
-        with pytest.raises(TooFewSamples, match="need n >= 1, got 0"):
+        with pytest.raises(TooFewSamples, match="sample count must be >= 1, got 0"):
             propagation_study([0.0], 1000.0, 0, seed=19)
         with pytest.raises(ValueError):
             propagation_study([400.0], 1000.0, 10, seed=20)
@@ -339,6 +339,7 @@ class TestPropagationStudy:
         ([0.0], 0.0, "range_m"),
         ([0.0], math.inf, "range_m"),
         ([0.0], math.nan, "range_m"),
+        ([], 1000.0, "at least one bearing"),
     ])
     def test_rejects_what_analyze_rejects(self, bearings, range_m, match):
         with pytest.raises(ValueError, match=match):

@@ -1,8 +1,8 @@
-"""Golden outputs: SHA-256 digests of ``run`` and ``selftest`` output.
+"""Golden outputs: SHA-256 digests of ``run``, ``analyze`` and ``selftest`` output.
 
-Any change that moves a bit of a scenario table, at one worker thread or
-two, fails here.  A change that moves them on purpose updates the digests
-and says in CHANGES.md which outputs moved and why.
+Any change that moves a bit of a scenario table or an ``analyze`` file, at
+one worker thread or two, fails here.  A change that moves them on purpose
+updates the digests and says in CHANGES.md which outputs moved and why.
 """
 
 import hashlib
@@ -21,6 +21,38 @@ _RUN_DIGESTS = {
                   "5751f6e1299c6d7a3559bda654e1e1d297248b5e2cb7ee08ca4740d1481aec2c"),
 }
 _SELFTEST_DIGEST = "56091e3b8e4fcbcddcadbec35eb45c092fd08912689d7a0647f3862ea25f6bfc"
+
+# analyze --bearings 0,90 --samples 400 --seed 5: every file it writes.  The
+# buffer files are the same under each selector; the curves and
+# bandwidths.csv are the selector's own.
+_ANALYZE_BUFFER_DIGESTS = {
+    "bearing_0.csv": "3ae6e2cb77ad4a6f5049cfb86975cd9fa764eb0e62bea58470515a4b566b5935",
+    "bearing_90.csv": "ecce5a46c356d78dcdcfb1319afad67e3cbeb0f246199b76d7f32d0c9ac010ea",
+    "dcpa_0.csv": "ff7f61bdc324ffb6df35d689b20950935f43f5acea48fc0055657f4564f3f50c",
+    "dcpa_90.csv": "5abd4a82b727354ec4b44811e66b91dd6e792cadee12b0826ccf660f182eaeb9",
+    "tcpa_0.csv": "7ddcb83c40da1796a3e038ba7f078f7353fc709ffecbec6348f126a03f003dbe",
+    "tcpa_90.csv": "1658a4d1236ba311591901c69d02a3e5e172039e4ee4a90d1933613458d0eaa3",
+}
+_ANALYZE_DENSITY_DIGESTS = {
+    "isj": {
+        "bandwidths.csv": "ae93bf8208a026995ace5c9a452373211a696acf2585a9edc3bcd2e420538dba",
+        "kde_bearing_0.csv": "3fa0912fde6ba9fc6eab215ec3e28b3558e4fe776f96efa5d262c822cbce1350",
+        "kde_bearing_90.csv": "d8113e103e33578fce629bc781979cbe2c3447ea06da3b1371a9948a5ac49abd",
+        "kde_dcpa_0.csv": "a56633da33dbd03aeac5a1d55e6ee26d4c7626dce3dfd060406f5eb532c73e65",
+        "kde_dcpa_90.csv": "dd357ef8ed93830ed3723008dbed756d04c71f91f922701204ba557a987a3eb9",
+        "kde_tcpa_0.csv": "ccecc8c2d7c31b2e3739ca2e048e53f4b90c5ceeb9d32b131f145ec5069279b3",
+        "kde_tcpa_90.csv": "659271ebb4a89b7ba48c5216b2bfcc4b9a9565ba8bdd739079d4b04b3f8a989d",
+    },
+    "grid": {
+        "bandwidths.csv": "aec4000f7325f96278d14d9e2ec9481c406fd380963b91e3bc8e8f3053e36e7d",
+        "kde_bearing_0.csv": "e680fe4618ef4b8c30ac81fcaeac3226e7dd8160eec0a1a996b38619609137ee",
+        "kde_bearing_90.csv": "5d9d2586bf7f5f90ac76527882f6a3ed030345402648ba7224ed5367fb11b249",
+        "kde_dcpa_0.csv": "c06d88ac265709069d99fb7f847a158b1660c5366c3b49e84bb637f17e1d0697",
+        "kde_dcpa_90.csv": "d9d78c158c5f8f5f21269e541afda8f0608082ec057480a994de52c61b176129",
+        "kde_tcpa_0.csv": "70549df24ee00ef5177554397c081513692a6e8a545b8946ab25083988507a29",
+        "kde_tcpa_90.csv": "e97ad5f4583f84ba6eef48e411a1d820283d65a02924a665a3f318d1c9186658",
+    },
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -41,3 +73,15 @@ def test_run_output_keeps_its_bits(name, threads, tmp_path, monkeypatch, capsys)
 def test_selftest_output_keeps_its_bits(capsys):
     assert main(["selftest"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == _SELFTEST_DIGEST
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("selector", sorted(_ANALYZE_DENSITY_DIGESTS))
+def test_analyze_output_keeps_its_bits(selector, threads, tmp_path, monkeypatch):
+    # File contents only: stdout names the output directory.
+    monkeypatch.setenv("COLREG_RISK_THREADS", threads)
+    out_dir = tmp_path / "study"
+    assert main(["analyze", "--bearings", "0,90", "--samples", "400", "--seed", "5",
+                 "--bandwidth", selector, "--out", str(out_dir)]) == 0
+    digests = {path.name: _sha256(path.read_bytes()) for path in out_dir.iterdir()}
+    assert digests == {**_ANALYZE_BUFFER_DIGESTS, **_ANALYZE_DENSITY_DIGESTS[selector]}

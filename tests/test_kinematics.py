@@ -259,6 +259,13 @@ class TestPlaceTarget:
             assert placed.north == range_m * math.cos(rad)
             assert placed.east == range_m * math.sin(rad)
 
+    @pytest.mark.parametrize("range_m", [0.0, -0.0, -100.0, math.nan, math.inf, -math.inf])
+    def test_range_must_be_positive_and_finite(self, range_m):
+        # A negative range would mirror the target through own ship.
+        own = VesselState(0.0, 0.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match="range_m"):
+            place_target(own, 10.0, range_m, 0.0, 1.0)
+
 
 class TestReciprocalCourse:
     def test_reciprocal_pair(self):

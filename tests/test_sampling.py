@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,9 +118,20 @@ class TestDraw:
             for column, drawn in zip(_columns(batch), _drawn(mean, EXACT, 1000, 4, clamp)):
                 assert column.tobytes() == drawn.tobytes()
 
-    def test_minus_zero_sigma_still_rejected(self):
-        with pytest.raises(ValueError, match="scale < 0"):
-            draw(MEAN, StateUncertainty(0.0, -0.0, 0.0, 0.0), 10, stream_seed=1)
+    def test_minus_zero_sigma_draws_as_plus_zero(self):
+        # numpy rejects a -0.0 scale; StateUncertainty stores it as +0.0.
+        for field, other in itertools.product(range(4), (0.0, 3.0)):
+            sigmas = [other] * 4
+            sigmas[field] = -0.0
+            unc = StateUncertainty(*sigmas)
+            stored = (unc.sigma_north, unc.sigma_east, unc.sigma_course, unc.sigma_speed)
+            assert math.copysign(1.0, stored[field]) == 1.0
+            sigmas[field] = 0.0
+            for clamp in (True, False):
+                batch = draw(MEAN, unc, 1000, 1, clamp_speed=clamp)
+                plus = draw(MEAN, StateUncertainty(*sigmas), 1000, 1, clamp_speed=clamp)
+                for column, expected in zip(_columns(batch), _columns(plus)):
+                    assert column.tobytes() == expected.tobytes()
 
     def test_exact_vessel_leaves_the_other_draws(self):
         pair = draw_pair(MEAN, EXACT, MEAN, UNC, 1000, seed=8)
