@@ -394,7 +394,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ("bearing", b.bearing_jk, Topology.CIRCLE360),
         )
     ]
-    outputs = _pool_map(lambda buffer: _density_outputs(*buffer[2:], args.bandwidth), buffers)
+    # Every export needs two samples per buffer, a rule the library checks.
+    try:
+        outputs = _pool_map(lambda buffer: _density_outputs(*buffer[2:], args.bandwidth),
+                            buffers)
+    except TooFewSamples as exc:
+        raise ConfigError(f"--samples {args.samples}: {exc}") from None
     files = []  # (file name, header, columns) in write order
     bandwidth_rows = []
     for (name, tag, values, _), (cells, xs, ys) in zip(buffers, outputs):

@@ -30,7 +30,7 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 from scipy.special import kolmogorov, ndtr
 
-from .kinematics import wrap_degrees
+from .kinematics import mod360, wrap_degrees
 from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -84,19 +84,12 @@ def _as_samples(samples: Iterable[float], minimum: int) -> np.ndarray:
     return arr
 
 
-def _inside_circle(arr: np.ndarray) -> bool:
-    # Whether every angle lies strictly inside (0, 360), where x % 360 and
-    # wrap_degrees return x bit for bit.  The bounds are strict so that a
-    # -0.0 still takes the wrap, which turns it into +0.0.
-    return float(arr.min()) > 0.0 and float(arr.max()) < 360.0
-
-
 def _circular_recenter(arr: np.ndarray) -> np.ndarray:
     # Rotate angular samples so their circular mean sits at 180 deg; the
     # rotation leaves kernel geometry (and hence the bandwidth) unchanged.
     rad = np.radians(arr)
     mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
-    return (arr - mean + 180.0) % 360.0
+    return mod360(arr - mean + 180.0)
 
 
 def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
@@ -105,7 +98,7 @@ def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
     mean, so that a cluster across the 0/360 cut is seen as one mode."""
     if topology is Topology.LINE:
         return arr
-    return _circular_recenter(arr if _inside_circle(arr) else arr % 360.0)
+    return _circular_recenter(mod360(arr))
 
 
 def _image_shifts(estimate: DensityEstimate) -> np.ndarray:
@@ -124,9 +117,8 @@ def fit(
 ) -> DensityEstimate:
     """Fit a Gaussian-kernel density with the given bandwidth.
 
-    Circle-topology samples are wrapped into [0, 360) on entry.  Samples
-    that all lie strictly inside (0, 360) are already wrapped and are only
-    copied; a +-0.0 takes the wrap, which makes it +0.0.
+    Circle-topology samples are wrapped into [0, 360) on entry, which
+    makes a -0.0 +0.0; line samples are copied.
 
     Raises:
         TooFewSamples: fewer than two samples.
@@ -135,10 +127,7 @@ def fit(
     arr = _as_samples(samples, 2)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    if topology is Topology.CIRCLE360 and not _inside_circle(arr):
-        arr = wrap_degrees(arr)
-    else:
-        arr = arr.copy()
+    arr = wrap_degrees(arr) if topology is Topology.CIRCLE360 else arr.copy()
     arr.setflags(write=False)
     return DensityEstimate(arr, float(bandwidth), topology)
 
@@ -258,12 +247,21 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
     x_min = float(data.min())
     x_max = float(data.max())
     masses = [0.0] * (len(edges) - 1)
+    # With a first edge of 0, the last edge c at image 0 and the first edge
+    # at image c give every kernel z = fl(c - x) / h, so one CDF serves both:
+    # on the circle, edge 360 at shift 0 is edge 0 at shift 360.
+    seam = None
     for shift in _image_shifts(estimate):
-        lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
+        if seam is not None and shift == edges[-1]:
+            lower = seam
+        else:
+            lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
         for band, edge in enumerate(edges[1:]):
             upper = _edge_cdf(edge, data, x_min, x_max, shift, h)
             masses[band] += float(np.mean(upper - lower))
             lower = upper
+        if shift == 0.0 and edges[0] == 0.0:
+            seam = lower
     return masses
 
 
@@ -311,18 +309,16 @@ def bandwidth_silverman(
             about 1e154 apart overflow the variance and the IQR is 0.
     """
     arr = _line_view(_as_samples(samples, 2), topology)
-    return _silverman(arr, arr)
+    return _silverman(arr, np.sort(arr))
 
 
 def _silverman(arr: np.ndarray, ordered: np.ndarray) -> float:
-    # Silverman's rule on arr; ``ordered`` holds the same values in any
-    # order (arr itself, or a sorted copy) and gives the quartiles, which
-    # are order statistics.  The standard deviation's pairwise sum depends
-    # on the order, so it reads arr.
+    # Silverman's rule on arr; ``ordered`` is arr sorted and gives the
+    # quartiles.  The standard deviation's pairwise sum depends on the
+    # order, so it reads arr.
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sd = float(np.std(arr, ddof=1))
-        q75, q25 = np.percentile(ordered, [75.0, 25.0])
-        iqr = float(q75 - q25)
+    iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     if scale <= 0.0:
         raise ZeroDispersion("samples have no dispersion")
@@ -330,6 +326,25 @@ def _silverman(arr: np.ndarray, ordered: np.ndarray) -> float:
     if not math.isfinite(bandwidth):
         raise FloatingPointError(f"Silverman bandwidth is not finite: {bandwidth}")
     return bandwidth
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    # np.percentile(ordered, 100 * q) for q in {0.25, 0.75}, read from the
+    # sorted values op for op as numpy's linear method computes it: the
+    # virtual index (n - 1) * q, the order statistics a and b on either side
+    # of it, and numpy's _lerp, which forms b - (b - a) * (1 - gamma) from
+    # gamma = 0.5 on and a + (b - a) * gamma below it.  For n >= 2 the index
+    # lies below n - 1, so b exists.  Python floats round as float64 does
+    # and an overflow gives inf or NaN without a warning, as under errstate.
+    # A zero result may differ from np.percentile's in sign only: numpy
+    # partitions its own copy, which can swap a -0.0 and a +0.0.  Silverman's
+    # rule reads the quartiles' difference only where it is > 0.
+    index = (ordered.size - 1) * q
+    below = math.floor(index)
+    gamma = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 # The ISJ grid has 2**14 bins, so its DCT has 2**14 - 1 terms past the mean.
@@ -423,22 +438,20 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) 
     the binned frequencies are cosine-transformed, and the squared relative
     bandwidth solves t = xi * gamma^[7](t) by bracketed root finding.
     Angular samples are recentred on their circular mean first so a cluster
-    at the 0/360 cut is seen as unimodal; angles strictly inside (0, 360)
-    skip the wrap into [0, 360), which would return them unchanged.  The
-    index powers i^(2s) are built once per process and multiplied by a_i^2
-    once per call.  Each stage sum computes only the DCT terms whose exp
-    factor is not exactly 0.0 and sums them over the shortest prefix of
-    NumPy's pairwise blocks that holds them, zero-padded; both steps are
-    exact, so the bandwidth is bit-identical to the one from the
-    full-length sums.
+    at the 0/360 cut is seen as unimodal.  The index powers i^(2s) are
+    built once per process and multiplied by a_i^2 once per call.  Each
+    stage sum computes only the DCT terms whose exp factor is not exactly
+    0.0 and sums them over the shortest prefix of NumPy's pairwise blocks
+    that holds them, zero-padded; both steps are exact, so the bandwidth
+    is bit-identical to the one from the full-length sums.
 
     The samples are sorted once.  The pilot's quartiles (order statistics,
-    the same from any order), the distinct count and the bin counts are
-    read from that copy.  Bin i holds the values in [edge[i], edge[i+1]),
-    the last bin closed, which is where ``np.histogram``'s +-1 index
-    correction puts them on the same ``linspace`` edges.  The pilot's
-    standard deviation reads the unsorted samples: its pairwise sum
-    depends on their order.
+    read as ``np.percentile`` computes them), the distinct count and the
+    bin counts are read from that copy.  Bin i holds the values in
+    [edge[i], edge[i+1]), the last bin closed, which is where
+    ``np.histogram``'s +-1 index correction puts them on the same
+    ``linspace`` edges.  The pilot's standard deviation reads the unsorted
+    samples: its pairwise sum depends on their order.
 
     Raises:
         TooFewSamples: fewer than 50 samples (the selector is data-hungry).

@@ -310,7 +310,7 @@ def propagation_study(
         raise ValueError(f"bearings must be distinct, got {bearings}")
     unc = StateUncertainty(*_STUDY_SIGMAS)
     own_mean = VesselState(0.0, 0.0, 0.0, 10.0)
-    pair_seeds = pair_stream_seeds(seed, max(2, len(bearings)))
+    pair_seeds = pair_stream_seeds(seed, len(bearings))
 
     out: dict[float, EncounterBuffers] = {}
     for bearing, pair_seed in zip(bearings, pair_seeds):

@@ -8,7 +8,8 @@ ground.  Velocity components are ordered (north, east) so that a course of
 All functions are pure; scalar entry points operate on ``VesselState`` and
 the ``*_arrays`` kernels run the same math vectorised over numpy columns
 for the Monte-Carlo layers.  ``wrap_degrees`` and ``reciprocal_course``
-take floats and numpy arrays alike.  The encounter decisions built on this
+take floats and numpy arrays alike, and every angle remainder in the
+package goes through ``mod360``.  The encounter decisions built on this
 geometry (bearing regions, the situation table) live in ``colregs``.
 """
 
@@ -67,15 +68,46 @@ class CpaResult:
     dcpa: float
 
 
+def mod360(angle: float | np.ndarray) -> float | np.ndarray:
+    """``angle % 360.0``, bit for bit, for floats and arrays.
+
+    numpy and Python take a float remainder in two steps: r = fmod(x, 360),
+    which is exact, then fl(r + 360) where r < 0, and +0.0 where r is zero.
+    On a float64 array whose values all lie in [-720, 720) additions alone
+    give the same bits, several times faster than numpy's fmod loop:
+
+    * x in [360, 720) becomes x - 360 and x in [-720, -360) becomes x + 360,
+      both exact by Sterbenz's lemma, so each is fmod's r.
+    * a value still negative becomes fl(r + 360), the sum numpy forms.  At
+      x = -360 and -720 that sum is +0.0, numpy's answer to fmod's -0.0.
+    * every other element is x + 0.0: x itself, and +0.0 for -0.0.
+
+    Any other input, NaN and infinities included, takes ``%`` itself.
+    """
+    if type(angle) is np.ndarray and angle.dtype == np.float64 and angle.size > 0:
+        lo, hi = float(angle.min()), float(angle.max())
+        if lo >= -720.0 and hi < 720.0:
+            wrapped = angle + 0.0
+            if hi >= 360.0:
+                wrapped -= (angle >= 360.0) * 360.0
+            if lo < -360.0:
+                wrapped += (angle < -360.0) * 360.0
+            if lo < 0.0:
+                wrapped += (wrapped < 0.0) * 360.0
+            return wrapped
+    return angle % 360.0
+
+
 def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
     """Wrap an angle (degrees) into [0, 360).
 
-    Guards the float edge case where ``x % 360`` rounds up to exactly 360
+    Guards the float edge case where the remainder rounds up to exactly 360
     for tiny negative inputs.
     """
-    wrapped = angle % 360.0
+    wrapped = mod360(angle)
     if isinstance(wrapped, np.ndarray):
-        return np.where(wrapped >= 360.0, 0.0, wrapped)
+        wrapped[wrapped >= 360.0] = 0.0  # a new array; np.where would allocate another
+        return wrapped
     return 0.0 if wrapped >= 360.0 else wrapped
 
 
@@ -136,8 +168,11 @@ def place_target(
     clockwise from own's course, with the given course and speed.
 
     Raises:
-        ValueError: ``range_m`` not positive and finite, or a bad ``VesselState``.
+        ValueError: a ``bearing`` that is not finite, a ``range_m`` not
+            positive and finite, or a bad ``VesselState``.
     """
+    if not math.isfinite(bearing):
+        raise ValueError(f"bearing must be finite, got {bearing}")
     if not (math.isfinite(range_m) and range_m > 0.0):
         raise ValueError(f"range_m must be positive and finite, got {range_m}")
     theta = math.radians(own.course + bearing)
@@ -153,7 +188,7 @@ def reciprocal_course(
 
     Zero means exactly reciprocal courses; identical courses map to -180.
     """
-    return (psi_j - psi_k) % 360.0 - 180.0
+    return mod360(psi_j - psi_k) - 180.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +198,29 @@ def reciprocal_course(
 # ---------------------------------------------------------------------------
 
 
+def _constant(column: np.ndarray) -> bool:
+    # Whether a float64 column repeats its first element's bit pattern, so
+    # that an elementwise pass gives every element the first one's result.
+    # A column of mixed -0.0 and +0.0 is not constant.
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64
+            and column.ndim == 1 and column.size > 1):
+        return False
+    bits = column.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 def velocity_arrays(course_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v_north, v_east) component arrays for course/speed columns."""
+    """(v_north, v_east) component arrays for course/speed columns.
+
+    When both columns are constant, as an exactly known vessel's are, the
+    trig runs once, on their first elements, and each component is filled
+    to the column length.  numpy's radians, cos and sin give an element the
+    same bits in a length-1 array as in a long one, so the result is the
+    per-sample one bit for bit.
+    """
+    if _constant(course_deg) and _constant(speed) and course_deg.shape == speed.shape:
+        vn, ve = velocity_arrays(course_deg[:1], speed[:1])
+        return np.full(course_deg.shape, vn[0]), np.full(course_deg.shape, ve[0])
     rad = np.radians(course_deg)
     return speed * np.cos(rad), speed * np.sin(rad)
 

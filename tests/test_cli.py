@@ -539,6 +539,16 @@ class TestRunFuzz:
         if code:
             assert len(err) == 1
             assert err[0].startswith(("config error:", "numeric failure:")), err
+            assert "math domain error" not in err[0]
+
+    @pytest.mark.parametrize("bearing", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_bearing_is_named(self, tmp_path, capsys, bearing):
+        # An infinite bearing used to exit 2 with "target: math domain error".
+        raw = _raw("scenario2")
+        raw["target"]["bearing_deg"] = bearing
+        assert main(["run", "--config", str(write_config(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: target: bearing must be finite, got {bearing}"]
 
 
 def _bandwidth_rows(out_dir):
@@ -621,7 +631,7 @@ class TestAnalyzeCommand:
                      "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert samples == "1" or "--samples" in err[0]
+        assert f"--samples {samples}" in err[0]
         assert not out_dir.exists()
 
     def test_tiny_sample_count_still_normalised(self, tmp_path):

@@ -30,8 +30,11 @@ from colreg_risk.density import (
     _circular_recenter,
     _derivative_norm,
     _distinct_count,
+    _edge_cdf,
     _grid_cv_scores,
+    _image_shifts,
     _silverman,
+    _sorted_quantile,
     _stage_tables,
     band_masses,
 )
@@ -363,8 +366,8 @@ def _circle_cases():
 
 
 class TestCircleWrapSkip:
-    """Angles strictly inside (0, 360) skip the wrap, which would return
-    them unchanged; everything else is wrapped as before."""
+    """Circle samples are wrapped on entry to ``fit`` and the selectors; the
+    wrap returns in-range angles with their bits, and a -0.0 as +0.0."""
 
     @pytest.mark.parametrize("case", sorted(_circle_cases()))
     def test_isj_equals_the_wrapped_path(self, case):
@@ -408,6 +411,16 @@ def _binned_samples(draw):
     return rng.permutation(x), lo, hi, bins
 
 
+def _assert_same_quantiles(got, expected):
+    # Equal bits, except that a zero may differ in sign: np.percentile
+    # partitions its own copy, which can swap a -0.0 and a +0.0 that the
+    # sort left in the other order.  Silverman's rule reads the quartiles'
+    # difference only where it is > 0, so its bandwidth keeps every bit.
+    np.testing.assert_array_equal(got, expected)
+    nonzero = expected != 0.0
+    np.testing.assert_array_equal(got[nonzero].view(np.int64), expected[nonzero].view(np.int64))
+
+
 class TestSortedOrderStatistics:
     """bandwidth_isj reads its pilot quartiles, distinct count and bin
     counts from one sorted copy; each must equal numpy's unsorted answer."""
@@ -441,6 +454,52 @@ class TestSortedOrderStatistics:
                 _silverman(x, ordered)
         else:
             assert _silverman(x, ordered) == expected
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, -1.7e308]),
+                    min_size=2, max_size=60)
+           | _binned_samples().map(lambda case: list(case[0])))
+    def test_sorted_quantiles_equal_percentile(self, values):
+        # Values up to the float64 limit, so that b - a overflows to inf and
+        # the interpolation gives inf or NaN on both paths.
+        ordered = np.sort(np.array(values, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.percentile(ordered, [75.0, 25.0])
+        got = np.array([_sorted_quantile(ordered, 0.75), _sorted_quantile(ordered, 0.25)])
+        _assert_same_quantiles(got, expected)
+
+    def test_sorted_quantiles_for_every_small_n(self):
+        # (n - 1) q runs through every fraction 0, 1/4, 1/2 and 3/4, so both
+        # branches of numpy's interpolation and its switch at 1/2 are met;
+        # ties and signed zeros included, then a few large n.
+        rng = np.random.default_rng(47)
+        sizes = [*range(2, 400), 2**17 - 1, 2**17, 2**17 + 1, 2**17 + 2, 100_000]
+        for n in sizes:
+            x = np.round(rng.normal(0.0, 3.0, n), 1)
+            if n % 97 == 0:
+                x *= 0.0  # zeros of both signs
+            x.sort()
+            expected = np.percentile(x, [75.0, 25.0])
+            got = np.array([_sorted_quantile(x, 0.75), _sorted_quantile(x, 0.25)])
+            _assert_same_quantiles(got, expected)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_binned_samples(), st.sampled_from(list(Topology)))
+    def test_silverman_equals_percentile_rule(self, case, topology):
+        # Silverman's rule as it read np.percentile on the unsorted samples.
+        x = case[0]
+        arr = density_module._line_view(x, topology)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = float(np.std(arr, ddof=1))
+            q75, q25 = np.percentile(arr, [75.0, 25.0])
+            iqr = float(q75 - q25)
+        scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+        if not (scale > 0.0 and math.isfinite(0.9 * scale * arr.size ** (-0.2))):
+            with pytest.raises((ZeroDispersion, FloatingPointError)):
+                bandwidth_silverman(x, topology)
+        else:
+            assert bandwidth_silverman(x, topology) == 0.9 * scale * arr.size ** (-0.2)
 
     def test_isj_grid_counts_match_histogram(self):
         # The grid bandwidth_isj bins on: three pilot bandwidths of padding.
@@ -755,6 +814,68 @@ class TestSaturationWindow:
         estimate = fit(rng.normal(0.0, 3.0, 20_000) % 360.0, 0.4, topology)
         edges = (0.0, 5.0, 112.5, 247.5, 355.0, 360.0)
         assert band_masses(estimate, edges) == _full_band_masses(estimate, edges)
+
+
+def _recomputed_band_masses(estimate, edges):
+    # band_masses with every edge's CDF computed afresh at every image.
+    data = estimate.samples
+    h = estimate.bandwidth
+    x_min, x_max = float(data.min()), float(data.max())
+    masses = [0.0] * (len(edges) - 1)
+    for shift in _image_shifts(estimate):
+        lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
+        for band, edge in enumerate(edges[1:]):
+            upper = _edge_cdf(edge, data, x_min, x_max, shift, h)
+            masses[band] += float(np.mean(upper - lower))
+            lower = upper
+    return masses
+
+
+@st.composite
+def _seam_cases(draw):
+    # Circle buffers at and around the 0/360 cut, with bandwidths from far
+    # below the spread up to several periods (more images), and edges that
+    # run from 0 to 360: the bearing bands, a crossing arc's four edges, or
+    # random ones.
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = draw(st.sampled_from([0.0, 359.0, 180.0]) | st.floats(0.0, 360.0))
+    spread = 10.0 ** draw(st.floats(-3.0, 2.0))
+    estimate = fit(centre + spread * rng.standard_normal(n),
+                   spread * 10.0 ** draw(st.floats(-2.0, 1.5)), Topology.CIRCLE360)
+    inner = draw(st.sampled_from([[5.0, 112.5, 247.5, 355.0], [3.0, 350.0]])
+                 | st.lists(st.floats(0.0, 360.0), max_size=5))
+    return estimate, [0.0, *sorted(inner), 360.0]
+
+
+class TestSeamReuse:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(_seam_cases())
+    def test_equals_recomputed_cdfs(self, case):
+        estimate, edges = case
+        got = band_masses(estimate, edges)
+        expected = _recomputed_band_masses(estimate, edges)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
+    def test_one_cdf_serves_the_seam(self, monkeypatch):
+        # Edge 360 at image 0 is edge 0 at image 360: one call fewer, and
+        # only on the circle with a first edge of 0.
+        calls = []
+        real = density_module._edge_cdf
+
+        def counted(edge, *args):
+            calls.append(edge)
+            return real(edge, *args)
+
+        monkeypatch.setattr(density_module, "_edge_cdf", counted)
+        rng = np.random.default_rng(53)
+        edges = (0.0, 5.0, 112.5, 247.5, 355.0, 360.0)
+        for topology, first, saved in ((Topology.CIRCLE360, 0.0, 1), (Topology.CIRCLE360, 1.0, 0),
+                                       (Topology.LINE, 0.0, 0)):
+            estimate = fit(rng.normal(0.0, 3.0, 500) % 360.0, 0.4, topology)
+            calls.clear()
+            band_masses(estimate, (first, *edges[1:]))
+            assert len(calls) == len(edges) * _image_shifts(estimate).size - saved
 
 
 def _reference_grid_cv_scores(arr, grid, folds):

@@ -317,6 +317,15 @@ class TestPropagationStudy:
         neg = float(np.mean(study[180.0].tcpa < 0))
         assert 0.4 <= neg <= 0.6
 
+    def test_one_bearing_draws_what_it_draws_among_more(self):
+        # The study asks for one pair seed per bearing; the seeds are a
+        # prefix-stable list, so bearing 0's buffers do not depend on how
+        # many bearings follow it.
+        alone = propagation_study([0.0], 1000.0, 300, seed=19)[0.0]
+        first = propagation_study([0.0, 90.0, 200.0], 1000.0, 300, seed=19)[0.0]
+        for name in ("tcpa", "dcpa", "bearing_jk", "bearing_kj", "course_delta"):
+            assert getattr(alone, name).tobytes() == getattr(first, name).tobytes()
+
     def test_bearing_just_above_180_wraps_the_course(self, monkeypatch):
         # (180 - bearing) % 360 rounds to 360.0 here; the wrapped course is
         # 0, the own ship's, so the noise-free pair never closes.

@@ -6,6 +6,7 @@ updates the digests and says in CHANGES.md which outputs moved and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -20,6 +21,12 @@ _RUN_DIGESTS = {
     "scenario3": ("91506859728da6e0da3d3d25db1fbb51b47ea6789a4069d12c372cea3601eabe",
                   "5751f6e1299c6d7a3559bda654e1e1d297248b5e2cb7ee08ca4740d1481aec2c"),
 }
+# The same run for scenario 3 with own_diag = diag: the bundled configs all
+# know the own ship exactly, so only this one draws and maps both vessels.
+_BOTH_UNCERTAIN_DIGESTS = (
+    "db237f5f3fdd6081d4e97d93569448eaf1b93a6c8c896cfc43876fa81d67cbc2",
+    "0dff81cd00d0c69be79cff206b0fe3af977ddaeca7ee74f6314974cac614ae34",
+)
 _SELFTEST_DIGEST = "56091e3b8e4fcbcddcadbec35eb45c092fd08912689d7a0647f3862ea25f6bfc"
 
 # analyze --bearings 0,90 --samples 400 --seed 5: every file it writes.  The
@@ -68,6 +75,20 @@ def test_run_output_keeps_its_bits(name, threads, tmp_path, monkeypatch, capsys)
                  "--seed", "3", "--csv", str(csv)]) == 0
     stdout = capsys.readouterr().out
     assert (_sha256(stdout.encode()), _sha256(csv.read_bytes())) == _RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_both_uncertain_run_keeps_its_bits(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLREG_RISK_THREADS", threads)
+    raw = json.loads(bundled_config_path("scenario3").read_text())
+    raw["own_diag"] = raw["diag"]
+    config = tmp_path / "both_uncertain.json"
+    config.write_text(json.dumps(raw))
+    csv = tmp_path / "table.csv"
+    assert main(["run", "--config", str(config), "--samples", "5000", "--seed", "3",
+                 "--csv", str(csv)]) == 0
+    stdout = capsys.readouterr().out
+    assert (_sha256(stdout.encode()), _sha256(csv.read_bytes())) == _BOTH_UNCERTAIN_DIGESTS
 
 
 def test_selftest_output_keeps_its_bits(capsys):

@@ -16,8 +16,10 @@ from colreg_risk import (
 )
 from colreg_risk.kinematics import (
     REL_SPEED_SQ_EPS,
+    _constant,
     bearing_arrays,
     cpa_arrays,
+    mod360,
     place_target,
     velocity_arrays,
     wrap_degrees,
@@ -259,6 +261,13 @@ class TestPlaceTarget:
             assert placed.north == range_m * math.cos(rad)
             assert placed.east == range_m * math.sin(rad)
 
+    @pytest.mark.parametrize("bearing", [math.nan, math.inf, -math.inf])
+    def test_bearing_must_be_finite(self, bearing):
+        # math.cos(inf) used to raise "math domain error", naming nothing.
+        own = VesselState(0.0, 0.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match=f"bearing must be finite, got {bearing}"):
+            place_target(own, bearing, 100.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("range_m", [0.0, -0.0, -100.0, math.nan, math.inf, -math.inf])
     def test_range_must_be_positive_and_finite(self, range_m):
         # A negative range would mirror the target through own ship.
@@ -346,6 +355,148 @@ class TestArrayKernels:
             oracle = (float(pj[i]) - float(pk[i])) % 360.0 - 180.0
             assert arr[i] == oracle
             assert arr[i] == reciprocal_course(float(pj[i]), float(pk[i]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# Each bound of mod360's shift domain [-720, 720) and of its steps, the
+# values one ulp either side, signed zeros and subnormals.
+_MOD_EDGES = sorted({
+    v
+    for bound in (-720.0, -360.0, 0.0, 360.0, 720.0)
+    for v in (bound, np.nextafter(bound, -math.inf), np.nextafter(bound, math.inf))
+} | {-0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, -1e-17, 1e-17, 1e300, -1e300})
+_MOD_SPECIAL = st.sampled_from(_MOD_EDGES + [math.nan, math.inf, -math.inf])
+_MOD_DOMAIN = st.floats(-720.0, 720.0, exclude_max=True) | st.sampled_from(
+    [v for v in _MOD_EDGES if -720.0 <= v < 720.0])
+
+
+class TestMod360:
+    """mod360 is x % 360.0 in 64-bit patterns, whichever path it takes."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @given(st.lists(_MOD_DOMAIN, min_size=1, max_size=60)
+           | st.lists(st.floats(width=64) | _MOD_SPECIAL, min_size=1, max_size=60))
+    def test_arrays_match_remainder(self, values):
+        x = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf % 360 is NaN on either path
+            got, expected = mod360(x), x % 360.0
+        assert type(got) is np.ndarray and got.shape == x.shape
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+        with np.errstate(invalid="ignore"):
+            wrapped = wrap_degrees(x)
+        np.testing.assert_array_equal(
+            _bits(wrapped), _bits(np.where(expected >= 360.0, 0.0, expected)))
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(st.floats(width=64) | _MOD_SPECIAL)
+    def test_scalars_match_remainder(self, value):
+        for x in (value, np.float64(value), np.array(value)):
+            with np.errstate(invalid="ignore"):
+                got, expected = mod360(x), x % 360.0
+            assert type(got) is type(expected)
+            assert _bits(got) == _bits(expected)
+
+    def test_shift_domain_at_scale(self):
+        # Uniform draws over the domain plus every edge value, so each
+        # shift step runs on a long array.
+        rng = np.random.default_rng(41)
+        x = np.concatenate([rng.uniform(-720.0, 720.0, 100_000),
+                            [v for v in _MOD_EDGES if -720.0 <= v < 720.0]])
+        np.testing.assert_array_equal(_bits(mod360(x)), _bits(x % 360.0))
+        np.testing.assert_array_equal(
+            _bits(wrap_degrees(x)), _bits(np.where(x % 360.0 >= 360.0, 0.0, x % 360.0)))
+
+    def test_other_types_take_the_remainder(self):
+        for x in (np.array([-1, 725, 360]), np.array([-1.5, 400.0], dtype=np.float32),
+                  np.empty(0)):
+            got = mod360(x)
+            assert got.dtype == (x % 360.0).dtype
+            np.testing.assert_array_equal(got, x % 360.0)
+
+    def test_inputs_are_not_modified(self):
+        x = np.array([-700.0, -0.0, 500.0])
+        mod360(x)
+        np.testing.assert_array_equal(_bits(x), _bits([-700.0, -0.0, 500.0]))
+
+
+def _per_sample(kernel, *columns):
+    # The kernel on the columns plus one row whose values differ from every
+    # other, so no column is constant and each element takes its own trig;
+    # the extra row is dropped.
+    extended = [np.append(c, 0.5 if c[0] != 0.5 else 1.5) for c in columns]
+    out = kernel(*extended)
+    return tuple(o[:-1] for o in out) if isinstance(out, tuple) else out[:-1]
+
+
+_STATE_VALUES = {
+    "north": st.floats(-1e4, 1e4), "east": st.floats(-1e4, 1e4),
+    "course": st.floats(0.0, 360.0, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+    "speed": st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0]),
+}
+
+
+@st.composite
+def _vessel_columns(draw, n):
+    # One vessel's four columns: each constant or drawn per sample, and a
+    # zero component sometimes mixed -0.0/+0.0.
+    columns = []
+    for values in _STATE_VALUES.values():
+        kind = draw(st.sampled_from(["constant", "constant", "varying", "mixed zero"]))
+        if kind == "constant":
+            column = np.full(n, draw(values))
+        elif kind == "varying":
+            column = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        else:
+            column = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        columns.append(column)
+    return columns
+
+
+class TestConstantVessel:
+    """An exactly known vessel's columns are constant; its trig runs once
+    and every output equals the per-sample one bit for bit."""
+
+    def test_constant_means_one_bit_pattern(self):
+        assert _constant(np.full(5, 3.5))
+        assert _constant(np.full(5, -0.0))
+        assert not _constant(np.array([0.0, -0.0, 0.0]))
+        assert not _constant(np.array([1.0, 1.0, 2.0]))
+        assert not _constant(np.array([7.0]))  # too short to save anything
+        assert not _constant(np.full(4, 2, dtype=np.int64))
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), n=st.integers(2, 40))
+    def test_geometry_equals_per_sample(self, data, n):
+        j = data.draw(_vessel_columns(n))
+        k = data.draw(_vessel_columns(n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for got, expected in (
+                (velocity_arrays(j[2], j[3]), _per_sample(velocity_arrays, j[2], j[3])),
+                (cpa_arrays(*j, *k), _per_sample(cpa_arrays, *j, *k)),
+                ((bearing_arrays(*j[:3], *k[:2]),),
+                 (_per_sample(bearing_arrays, *j[:3], *k[:2]),)),
+            ):
+                for g, e in zip(got, expected):
+                    assert g.shape == (n,)
+                    np.testing.assert_array_equal(g.view(np.uint8), e.view(np.uint8))
+
+    def test_exact_own_ship_at_scale(self):
+        # Scenario 2's exact own ship against 100k drawn targets: the
+        # velocity trig runs once and the outputs keep every bit.
+        rng = np.random.default_rng(43)
+        n = 100_000
+        own = [np.full(n, v) for v in (OWN_2.north, OWN_2.east, OWN_2.course, OWN_2.speed)]
+        target = [rng.normal(500.0, 10.0, n), rng.normal(-20.0, 10.0, n),
+                  rng.uniform(0.0, 360.0, n), rng.normal(6.0, 2.0, n)]
+        for got, expected in zip(cpa_arrays(*own, *target), _per_sample(cpa_arrays, *own, *target)):
+            assert got.shape == (n,)
+            np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
+        vn, ve = velocity_arrays(own[2], own[3])
+        np.testing.assert_array_equal(_bits(vn), _bits(_per_sample(velocity_arrays, *own[2:])[0]))
+        np.testing.assert_array_equal(_bits(ve), _bits(_per_sample(velocity_arrays, *own[2:])[1]))
 
 
 class TestValidation:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colreg_risk import (
     Spread,
@@ -14,7 +16,7 @@ from colreg_risk import (
     make_uncertainty,
 )
 from colreg_risk.kinematics import wrap_degrees
-from colreg_risk.sampling import StateSample
+from colreg_risk.sampling import StateSample, pair_stream_seeds
 
 MEAN = VesselState(100.0, -50.0, 350.0, 10.0)
 UNC = StateUncertainty(10.0, 10.0, 2.0, 2.0)
@@ -249,3 +251,15 @@ class TestDrawPair:
     def test_metadata(self):
         batch = draw_pair(MEAN, UNC, MEAN, UNC, 123, seed=5)
         assert len(batch.states_j) == 123 and len(batch.states_k) == 123
+
+
+class TestPairStreamSeeds:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**128))
+    def test_prefix_stable(self, seed):
+        # A longer list extends a shorter one, so a caller may ask for
+        # exactly as many seeds as it uses.
+        longest = pair_stream_seeds(seed, 9)
+        for count in range(1, 9):
+            assert pair_stream_seeds(seed, count) == longest[:count]
+        assert pair_stream_seeds(seed) == longest[:2]
