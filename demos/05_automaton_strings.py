@@ -35,10 +35,8 @@ print()
 unc = StateUncertainty(10.0, 10.0, 2.0, 2.0)
 batch = draw_pair(own, StateUncertainty(0, 0, 0, 0), target, unc, 4000,
                   seed=7, clamp_speed=True)
-strings = [
-    run_once(batch.states_j.state(i), batch.states_k.state(i), zone)
-    for i in range(len(batch.states_j))
-]
+rows = list(zip(batch.states_j.as_states(), batch.states_k.as_states()))
+strings = [run_once(own_i, target_i, zone) for own_i, target_i in rows]
 assessment = estimate_probabilities(strings, seed=7)
 print(f"risk probability:      {assessment.p_risk:.3f}")
 for rule, value in assessment.p_rule.items():
@@ -47,10 +45,7 @@ print(f"give-way probability:  {assessment.p_give_way:.3f}")
 print()
 
 # The empirical behavioral relation: word probabilities per source state.
-runs = [
-    run_trace(batch.states_j.state(i), batch.states_k.state(i), zone)
-    for i in range(500)
-]
+runs = [run_trace(own_i, target_i, zone) for own_i, target_i in rows[:500]]
 relation = estimate_behavioral_relation(runs)
 print("empirical output probabilities at the testing states:")
 for state, word in (("U1", "aware_d"), ("U2", "aware_t"), ("U4", "u6"),

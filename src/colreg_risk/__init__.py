@@ -12,7 +12,6 @@ from .automaton import (
     EmpiricalBehavior,
     RISK_ACT,
     RunString,
-    StochasticAutomaton,
     estimate_behavioral_relation,
     estimate_probabilities,
     indicator,
@@ -92,7 +91,6 @@ __all__ = [
     "Spread",
     "StateSample",
     "StateUncertainty",
-    "StochasticAutomaton",
     "TooFewSamples",
     "Topology",
     "VesselState",

@@ -1,10 +1,8 @@
 """Stochastic discrete-event evaluation of vessel encounters.
 
-A generic stochastic automaton is a five-tuple (states, inputs, outputs,
-behavioral relation, initial distribution).  The situation-interpretation
-instance used here is input-free: every evaluation walks the thirteen-state
-loop U1 -> U2 -> ... -> U13 -> U1 once, and the words emitted along the way
-form a string that encodes the outcome:
+Every evaluation walks the thirteen-state loop U1 -> U2 -> ... -> U13 -> U1
+once, reading no input, and the words emitted along the way form a string
+that encodes the outcome:
 
 * U1 emits ``aware_d`` when DCPA is inside the awareness radius, twice the
   action radius,
@@ -18,17 +16,17 @@ form a string that encodes the outcome:
 * all other states are silent pass-throughs.
 
 Strings from repeated runs over sampled states turn into empirical event
-probabilities; aligned state/word trajectories turn into an empirical
-behavioral relation.  A loop emits at most one situation word, and a
+probabilities.  Aligned state/word trajectories turn into the loop's
+behavioral relation: how often each (next state, word) follows each state,
+counted over the runs.  A loop emits at most one situation word, and a
 string of any other origin is read the same way: its situation is its
 first situation word in ``SITUATION_WORDS`` order, else no rule.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .assessment import Method, RiskAssessment, assessment_from_counts
@@ -66,7 +64,6 @@ _NO_RULE = SituationOutcome(Rule.R0, Obligation.GIVE_WAY)
 RISK_ACT = "risk_act"
 
 STATES: tuple[str, ...] = tuple(f"U{i}" for i in range(1, 14))
-MARKED_STATES: frozenset[str] = frozenset({"U1", "U13"})
 
 
 # The automaton reads the comfort zone directly; the old name stays for
@@ -74,39 +71,7 @@ MARKED_STATES: frozenset[str] = frozenset({"U1", "U13"})
 AutomatonConfig = ComfortZone
 
 
-@dataclass(frozen=True)
-class StochasticAutomaton:
-    """Generic stochastic automaton container.
-
-    ``behavior`` maps (next_state, word, state) to a probability; for each
-    source state the outgoing probabilities must sum to one.
-    """
-
-    states: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    behavior: Mapping[tuple[str, str, str], float]
-    initial: Mapping[str, float]
-    marked: frozenset[str] = field(default_factory=frozenset)
-
-    def validate(self) -> None:
-        """Check probability bounds, known states and unit masses to 1e-12."""
-        tol = 1e-12
-        for (nxt, _word, src), prob in self.behavior.items():
-            if not (0.0 <= prob <= 1.0):
-                raise ValueError(f"behavior({nxt!r}|{src!r}) = {prob} outside [0, 1]")
-            if nxt not in self.states or src not in self.states:
-                raise ValueError("behavior references unknown state")
-        for src in self.states:
-            outgoing = [p for (n, w, s), p in self.behavior.items() if s == src]
-            if outgoing and abs(math.fsum(outgoing) - 1.0) > tol:
-                raise ValueError(f"outgoing mass from {src!r} is {math.fsum(outgoing)}")
-        total_p0 = math.fsum(self.initial.values())
-        if abs(total_p0 - 1.0) > tol:
-            raise ValueError(f"initial distribution sums to {total_p0}")
-
-
-# The state sequence of every loop: U1 through U13 and back to the marked U1.
+# The state sequence of every loop: U1 through U13 and back to U1.
 _LOOP = STATES + ("U1",)
 
 
@@ -115,8 +80,8 @@ def run_trace(
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """One full loop: aligned (state sequence, per-transition words).
 
-    The state sequence has fourteen entries (U1 through U13 and back to the
-    marked U1); words[i] is emitted on the transition out of states[i] and
+    The state sequence has fourteen entries (U1 through U13 and back to
+    U1); words[i] is emitted on the transition out of states[i] and
     is the empty string for silent transitions.
     """
     dcpa, tcpa, outcome = classify_pair(j, k)
@@ -211,53 +176,30 @@ def estimate_probabilities(strings: Iterable[RunString], seed: int = 0) -> RiskA
 class EmpiricalBehavior:
     """Empirical behavioral relation estimated from aligned trajectories.
 
-    Probabilities are transition counts over source-state visits, so the
-    bound and unit-sum properties hold by construction; ``outgoing_mass``
-    evaluates the sum integer-first and therefore returns exactly 1.0 for
-    every visited state.
+    ``counts`` maps (next state, word, state) to its transition count and
+    ``visits`` maps each state to the transitions out of it.  Probabilities
+    are counts over visits, so they lie in [0, 1] by construction, and
+    ``outgoing_mass`` sums the integer counts before its one division, so
+    it is exactly 1.0 for every visited state.
     """
 
     counts: Mapping[tuple[str, str, str], int]
     visits: Mapping[str, int]
 
-    def probability(self, next_state: str, word: str, state: str) -> float:
+    def _share(self, state: str, keep: Callable[[str], bool]) -> float:
+        """Summed counts of the transitions out of ``state`` whose word
+        ``keep`` accepts, divided once by the visits."""
         seen = self.visits.get(state, 0)
         if seen == 0:
             return 0.0
-        return self.counts.get((next_state, word, state), 0) / seen
-
-    def _share(self, state: str, keep: Callable[[str, str], bool]) -> float:
-        """Summed counts of the transitions out of ``state`` whose (next
-        state, word) ``keep`` accepts, divided once by the visits."""
-        seen = self.visits.get(state, 0)
-        if seen == 0:
-            return 0.0
-        total = sum(
-            c for (nxt, w, src), c in self.counts.items() if src == state and keep(nxt, w)
-        )
+        total = sum(c for (_nxt, w, src), c in self.counts.items() if src == state and keep(w))
         return total / seen
 
-    def transition_probability(self, next_state: str, state: str) -> float:
-        return self._share(state, lambda nxt, _w: nxt == next_state)
-
     def output_probability(self, word: str, state: str) -> float:
-        return self._share(state, lambda _nxt, w: w == word)
+        return self._share(state, lambda w: w == word)
 
     def outgoing_mass(self, state: str) -> float:
-        return self._share(state, lambda _nxt, _w: True)
-
-    def as_automaton(self) -> StochasticAutomaton:
-        words = sorted({w for (_n, w, _s) in self.counts})
-        automaton = StochasticAutomaton(
-            states=STATES,
-            inputs=(),
-            outputs=tuple(words),
-            behavior={key: self.probability(*key) for key in self.counts},
-            initial={"U1": 1.0},
-            marked=MARKED_STATES,
-        )
-        automaton.validate()
-        return automaton
+        return self._share(state, lambda _w: True)
 
 
 def estimate_behavioral_relation(

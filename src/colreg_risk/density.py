@@ -536,12 +536,7 @@ def bandwidth_grid_cv(
     1 (1.1e-16), so the row sums and scores are those of the unclamped exp.
 
     The scores do not depend on the block size of the distance matrices
-    (see ``_grid_cv_scores``).  Up to 4M distances per fold they are those
-    of summing the fold in one block; a larger fold was once summed in 4M
-    blocks, and for it (n above about 5000 with 5 folds, never analyze,
-    which caps the search at 2000 samples) the fold sum's order differs:
-    on 10k standard-normal samples the largest relative score change is
-    4.7e-16 and the pick is unchanged.
+    (see ``_grid_cv_scores``).
 
     Raises:
         ValueError: a non-finite lo, hi or step, a non-positive lo or step,

@@ -249,17 +249,20 @@ def cpa_arrays(
     rel_sq = dvn * dvn + dve * dve
     rel_sq[np.isinf(rel_sq)] = np.nan
     degenerate = rel_sq <= REL_SPEED_SQ_EPS
+    # With no degenerate pair each fill below would copy its input unchanged.
+    any_degenerate = degenerate.any()
 
     dpn = north_j - north_k
     dpe = east_j - east_k
-    safe_rel = np.where(degenerate, 1.0, rel_sq)
+    safe_rel = np.where(degenerate, 1.0, rel_sq) if any_degenerate else rel_sq
     tcpa = -(dpn * dvn + dpe * dve) / safe_rel
     sep_n = dpn + dvn * tcpa
     sep_e = dpe + dve * tcpa
     dcpa = np.hypot(sep_n, sep_e)
 
-    tcpa = np.where(degenerate, np.inf, tcpa)
-    dcpa = np.where(degenerate, np.hypot(dpn, dpe), dcpa)
+    if any_degenerate:
+        tcpa = np.where(degenerate, np.inf, tcpa)
+        dcpa = np.where(degenerate, np.hypot(dpn, dpe), dcpa)
     return tcpa, dcpa, degenerate
 
 

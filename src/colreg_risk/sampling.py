@@ -2,8 +2,10 @@
 
 Each state component (north, east, course, speed) is perturbed by an
 independent zero-mean Gaussian.  Sampled courses are wrapped back into
-[0, 360); sampled speeds are clamped at zero, which only matters when the
-speed dispersion is a sizeable fraction of the mean speed.
+[0, 360).  ``draw_pair``, which the estimators call, keeps the raw speed
+draws, so a speed may come out negative; ``clamp_speed=True`` truncates
+speeds at zero instead, which the automaton path asks for because a
+``VesselState`` rejects a negative speed.
 
 Reproducibility contract: a batch is generated by a single vectorised pass
 from one ``numpy`` PCG64 stream keyed on the caller's seed, so identical
@@ -95,14 +97,8 @@ class StateSample:
     def __len__(self) -> int:
         return self.north.shape[0]
 
-    def state(self, i: int) -> VesselState:
-        return VesselState(
-            float(self.north[i]), float(self.east[i]),
-            float(self.course[i]), float(self.speed[i]),
-        )
-
     def as_states(self) -> list[VesselState]:
-        """Every row as a ``VesselState``, equal to ``state(i)`` for each i."""
+        """Every row as a ``VesselState``, in row order."""
         columns = (self.north, self.east, self.course, self.speed)
         return list(map(VesselState, *(column.tolist() for column in columns)))
 

@@ -21,7 +21,7 @@ from colreg_risk import (
     run_trace,
 )
 from colreg_risk.assessment import assessment_from_counts
-from colreg_risk.automaton import MARKED_STATES, STATES, SITUATION_WORDS
+from colreg_risk.automaton import STATES, SITUATION_WORDS
 from colreg_risk.colregs import N_EVENTS, SituationOutcome, classify_pair, event_code
 from colreg_risk.sampling import StateUncertainty, TooFewSamples, draw_pair
 
@@ -163,9 +163,6 @@ class TestRunOnce:
         assert len(states) == 14 and len(words) == 13
         assert states[1:-1] == STATES[1:]
         assert words[3] == "u7" and words[7] == "u15"
-
-    def test_marked_states(self):
-        assert MARKED_STATES == {"U1", "U13"}
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=300)
     @given(a=VESSEL_STATES, b=VESSEL_STATES, matched=st.booleans(),
@@ -386,9 +383,7 @@ class TestBehavioralRelation:
         words = {w for (_n, w, _s) in counts} | {"absent"}
         for state in list(visits) + ["U0"]:
             seen = visits.get(state, 0)
-            for nxt in list(visits) + ["U0"]:
-                total = sum(c for (n, _w, s), c in counts.items() if s == state and n == nxt)
-                assert rel.transition_probability(nxt, state) == (total / seen if seen else 0.0)
+            assert sum(c for (_n, _w, s), c in rel.counts.items() if s == state) == seen
             for word in words:
                 total = sum(c for (_n, w, s), c in counts.items() if s == state and w == word)
                 assert rel.output_probability(word, state) == (total / seen if seen else 0.0)
@@ -405,6 +400,13 @@ class TestBehavioralRelation:
         rel = estimate_behavioral_relation(iter(runs) if as_generator else runs)
         assert list(rel.counts.items()) == list(counts.items())
         assert list(rel.visits.items()) == list(visits.items())
+        # The unit mass holds exactly, and each word's probability is its
+        # reference count over the state's visits.
+        for state, seen in visits.items():
+            assert rel.outgoing_mass(state) == 1.0
+            for word in {w for (_n, w, s) in counts if s == state}:
+                total = sum(c for (_n, w, s), c in counts.items() if s == state and w == word)
+                assert rel.output_probability(word, state) == total / seen
 
     def test_misaligned_run_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -426,7 +428,7 @@ class TestBehavioralRelation:
         rel = estimate_behavioral_relation([run_trace(OWN_2, TARGET_2, CFG)])
         states, words = run_trace(OWN_2, TARGET_2, CFG)
         for i, word in enumerate(words):
-            assert rel.probability(states[i + 1], word, states[i]) == 1.0
+            assert rel.counts[states[i + 1], word, states[i]] == rel.visits[states[i]] == 1
 
     def test_row_sums_exact(self):
         rng = np.random.default_rng(65)
@@ -434,61 +436,27 @@ class TestBehavioralRelation:
         rel = estimate_behavioral_relation(runs)
         for state in STATES:
             assert rel.outgoing_mass(state) == 1.0
-        for key, count in rel.counts.items():
-            prob = rel.probability(*key)
-            assert 0.0 <= prob <= 1.0
-            assert count >= 1
+        for (_nxt, _word, state), count in rel.counts.items():
+            assert 1 <= count <= rel.visits[state]
 
     def test_marginals(self):
         runs = [run_trace(OWN_2, TARGET_2, CFG), run_trace(OWN_1, TARGET_1, CFG)]
         rel = estimate_behavioral_relation(runs)
         # One run emits the risk word from U8, the other does not.
         assert rel.output_probability("u15", "U8") == 0.5
-        assert rel.transition_probability("U9", "U8") == 1.0
+        # Both runs go on from U8 to U9.
+        assert sum(c for (n, _w, s), c in rel.counts.items() if (n, s) == ("U9", "U8")) == 2
+        assert rel.visits["U8"] == 2
 
     def test_risk_word_nearly_certain_in_close_encounter(self):
         unc = StateUncertainty(10.0, 10.0, 2.0, 2.0)
         batch = draw_pair(OWN_2, StateUncertainty(0, 0, 0, 0), TARGET_2, unc,
                           2000, seed=66, clamp_speed=True)
-        runs = [
-            run_trace(batch.states_j.state(i), batch.states_k.state(i), CFG)
-            for i in range(len(batch.states_j))
-        ]
+        runs = [run_trace(j, k, CFG)
+                for j, k in zip(batch.states_j.as_states(), batch.states_k.as_states())]
         rel = estimate_behavioral_relation(runs)
         assert rel.output_probability("u15", "U8") == pytest.approx(1.0, abs=0.01)
 
     def test_empty_input(self):
         with pytest.raises(TooFewSamples, match="no runs given"):
             estimate_behavioral_relation([])
-
-    def test_as_automaton_validates(self):
-        rng = np.random.default_rng(67)
-        runs = [run_trace(random_state(rng), random_state(rng), CFG) for _ in range(100)]
-        automaton = estimate_behavioral_relation(runs).as_automaton()
-        automaton.validate()
-        assert automaton.inputs == ()
-        assert automaton.marked == MARKED_STATES
-        for prob in automaton.behavior.values():
-            assert 0.0 <= prob <= 1.0
-
-
-class TestStochasticAutomatonValidation:
-    def test_bad_mass_rejected(self):
-        from colreg_risk import StochasticAutomaton
-
-        bad = StochasticAutomaton(
-            states=("A", "B"), inputs=(), outputs=("w",),
-            behavior={("B", "w", "A"): 0.6}, initial={"A": 1.0},
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
-
-    def test_bad_initial_rejected(self):
-        from colreg_risk import StochasticAutomaton
-
-        bad = StochasticAutomaton(
-            states=("A",), inputs=(), outputs=(),
-            behavior={("A", "", "A"): 1.0}, initial={"A": 0.5},
-        )
-        with pytest.raises(ValueError):
-            bad.validate()

@@ -43,8 +43,9 @@ class TestBuffers:
         buf = encounter_buffers(batch)
         from colreg_risk import cpa, relative_bearing
 
+        rows = list(zip(batch.states_j.as_states(), batch.states_k.as_states()))
         for i in range(0, 200, 17):
-            a, b = batch.states_j.state(i), batch.states_k.state(i)
+            a, b = rows[i]
             res = cpa(a, b)
             assert buf.tcpa[i] == pytest.approx(res.tcpa, rel=1e-12)
             assert buf.dcpa[i] == pytest.approx(res.dcpa, rel=1e-12)
@@ -179,8 +180,8 @@ class TestDesPath:
         n = 400
         batch = draw_pair(OWN_2, EXACT, TARGET_2, unc, n, seed=6, clamp_speed=True)
         strings = [
-            run_once(batch.states_j.state(i), batch.states_k.state(i), cfg)
-            for i in range(n)
+            run_once(a, b, cfg)
+            for a, b in zip(batch.states_j.as_states(), batch.states_k.as_states())
         ]
         from colreg_risk import estimate_probabilities
 
@@ -397,7 +398,8 @@ class TestProperties:
         assume(np.all(batch.states_j.speed >= 0.0) and np.all(batch.states_k.speed >= 0.0))
         cfg = ComfortZone(d_act, t_aware)
         scalar = estimate_probabilities(
-            [run_once(batch.states_j.state(i), batch.states_k.state(i), cfg) for i in range(n)]
+            [run_once(a, b, cfg)
+             for a, b in zip(batch.states_j.as_states(), batch.states_k.as_states())]
         )
         vector = assess_des(j, own_unc, k, tgt_unc, cfg, n, seed)
         assert vector.p_risk == scalar.p_risk

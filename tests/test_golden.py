@@ -1,7 +1,8 @@
-"""Golden outputs: SHA-256 digests of ``run``, ``analyze`` and ``selftest`` output.
+"""Golden outputs: SHA-256 digests of ``run``, ``analyze`` and ``selftest``
+output, and of the automaton path's relation and probabilities.
 
-Any change that moves a bit of a scenario table or an ``analyze`` file, at
-one worker thread or two, fails here.  A change that moves them on purpose
+Any change that moves a bit of a scenario table, an ``analyze`` file (at
+one worker thread or two) or a sampled relation fails here.  A change that moves them on purpose
 updates the digests and says in CHANGES.md which outputs moved and why.
 """
 
@@ -10,7 +11,17 @@ import json
 
 import pytest
 
+from colreg_risk import (
+    StateUncertainty,
+    estimate_behavioral_relation,
+    estimate_probabilities,
+    run_once,
+    run_trace,
+)
 from colreg_risk.cli import bundled_config_path, main
+from colreg_risk.sampling import draw_pair
+
+from scenarios import DIAG, OWN_2, TARGET_2, ZONE
 
 # run --samples 5000 --seed 3: (stdout, CSV) per bundled config.
 _RUN_DIGESTS = {
@@ -27,6 +38,9 @@ _BOTH_UNCERTAIN_DIGESTS = (
     "db237f5f3fdd6081d4e97d93569448eaf1b93a6c8c896cfc43876fa81d67cbc2",
     "0dff81cd00d0c69be79cff206b0fe3af977ddaeca7ee74f6314974cac614ae34",
 )
+# Scenario 2 with an exactly known own ship, 2000 clamped draws at seed 7:
+# the relation's counts and visits, then the run strings' probabilities.
+_AUTOMATON_DIGEST = "307734274025970c577bd5a513eac8983f178601436efc1231e34e260774866b"
 _SELFTEST_DIGEST = "56091e3b8e4fcbcddcadbec35eb45c092fd08912689d7a0647f3862ea25f6bfc"
 
 # analyze --bearings 0,90 --samples 400 --seed 5: every file it writes.  The
@@ -106,3 +120,15 @@ def test_analyze_output_keeps_its_bits(selector, threads, tmp_path, monkeypatch)
                  "--bandwidth", selector, "--out", str(out_dir)]) == 0
     digests = {path.name: _sha256(path.read_bytes()) for path in out_dir.iterdir()}
     assert digests == {**_ANALYZE_BUFFER_DIGESTS, **_ANALYZE_DENSITY_DIGESTS[selector]}
+
+
+def test_automaton_path_keeps_its_bits():
+    batch = draw_pair(OWN_2, StateUncertainty(0.0, 0.0, 0.0, 0.0), TARGET_2,
+                      StateUncertainty(*DIAG), 2000, seed=7, clamp_speed=True)
+    rows = list(zip(batch.states_j.as_states(), batch.states_k.as_states()))
+    rel = estimate_behavioral_relation(run_trace(j, k, ZONE) for j, k in rows)
+    a = estimate_probabilities((run_once(j, k, ZONE) for j, k in rows), seed=7)
+    text = repr((list(rel.counts.items()), list(rel.visits.items()),
+                 (a.p_risk, a.p_tcpa_window, list(a.p_rule.items()), a.p_give_way,
+                  a.p_stand_on, a.method, a.n_samples, a.seed)))
+    assert _sha256(text.encode()) == _AUTOMATON_DIGEST

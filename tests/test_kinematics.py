@@ -295,6 +295,22 @@ class TestReciprocalCourse:
             assert -180.0 <= value < 180.0
 
 
+def _cpa_arrays_always_filled(north_j, east_j, course_j, speed_j,
+                              north_k, east_k, course_k, speed_k):
+    # cpa_arrays with its three degenerate-pair fills run on every batch.
+    vjn, vje = velocity_arrays(course_j, speed_j)
+    vkn, vke = velocity_arrays(course_k, speed_k)
+    dvn, dve = vjn - vkn, vje - vke
+    rel_sq = dvn * dvn + dve * dve
+    rel_sq[np.isinf(rel_sq)] = np.nan
+    degenerate = rel_sq <= REL_SPEED_SQ_EPS
+    dpn, dpe = north_j - north_k, east_j - east_k
+    tcpa = -(dpn * dvn + dpe * dve) / np.where(degenerate, 1.0, rel_sq)
+    dcpa = np.hypot(dpn + dvn * tcpa, dpe + dve * tcpa)
+    return (np.where(degenerate, np.inf, tcpa),
+            np.where(degenerate, np.hypot(dpn, dpe), dcpa), degenerate)
+
+
 class TestArrayKernels:
     def test_wrap_degrees_edge(self):
         assert wrap_degrees(-1e-16) == 0.0
@@ -303,18 +319,34 @@ class TestArrayKernels:
         assert np.all((arr >= 0.0) & (arr < 360.0))
 
     def test_cpa_arrays_match_scalar(self):
+        # A batch with no degenerate pair (matched velocities), one with a
+        # degenerate pair at the end and one with seven spread through it.
+        for n_degenerate in (0, 1, 7):
+            self._check_cpa_arrays_against_scalar(n_degenerate)
+
+    @staticmethod
+    def _check_cpa_arrays_against_scalar(n_degenerate):
         rng = np.random.default_rng(17)
         states = [(random_state(rng), random_state(rng)) for _ in range(300)]
-        # Columns plus one deliberately degenerate pair at the end.
-        a_list = [p[0] for p in states] + [VesselState(0, 0, 45, 7)]
-        b_list = [p[1] for p in states] + [VesselState(10, 10, 45, 7)]
+        for i in range(n_degenerate):
+            # The pair at the end has matched velocities; the others differ
+            # by 1e-5 m/s, inside REL_SPEED_SQ_EPS, so only the fill gives
+            # them their CPA.
+            a = random_state(rng) if i else VesselState(0, 0, 45, 7)
+            b = replace(a, north=a.north + 10, east=a.east + 10,
+                        speed=a.speed + (1e-5 if i else 0.0))
+            states.insert(len(states) - 43 * i, (a, b))
+        a_list = [p[0] for p in states]
+        b_list = [p[1] for p in states]
         cols = lambda xs, f: np.array([f(x) for x in xs])
-        tcpa, dcpa, degenerate = cpa_arrays(
+        columns = (
             cols(a_list, lambda s: s.north), cols(a_list, lambda s: s.east),
             cols(a_list, lambda s: s.course), cols(a_list, lambda s: s.speed),
             cols(b_list, lambda s: s.north), cols(b_list, lambda s: s.east),
             cols(b_list, lambda s: s.course), cols(b_list, lambda s: s.speed),
         )
+        tcpa, dcpa, degenerate = cpa_arrays(*columns)
+        assert degenerate.sum() == n_degenerate
         # One formula: TCPA is bit-equal and DCPA differs only by the
         # rounding of math.hypot against np.hypot.
         for i, (a, b) in enumerate(zip(a_list, b_list)):
@@ -322,7 +354,11 @@ class TestArrayKernels:
             assert degenerate[i] == math.isinf(res.tcpa)
             assert tcpa[i] == res.tcpa
             assert abs(dcpa[i] - res.dcpa) <= math.ulp(res.dcpa)
-        assert (tcpa[-1], dcpa[-1]) == (res.tcpa, res.dcpa) == (math.inf, math.hypot(10, 10))
+        if n_degenerate:
+            assert (tcpa[-1], dcpa[-1]) == (math.inf, math.hypot(10, 10))
+        # Skipping the fills when no pair is degenerate keeps every bit.
+        for got, expected in zip((tcpa, dcpa, degenerate), _cpa_arrays_always_filled(*columns)):
+            np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
     def test_cpa_arrays_mark_overflow_nan(self):
         col = lambda *v: np.array(v, dtype=float)

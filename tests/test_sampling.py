@@ -87,6 +87,12 @@ class TestMakeUncertainty:
             make_uncertainty((10, 10, 2, 2), 1e308)
 
 
+def _row(batch, i):
+    # Row i built one column element at a time.
+    return VesselState(float(batch.north[i]), float(batch.east[i]),
+                       float(batch.course[i]), float(batch.speed[i]))
+
+
 class TestDraw:
     def test_zero_sigma_copies_mean(self):
         batch = draw(MEAN, StateUncertainty(0, 0, 0, 0), 50, stream_seed=1)
@@ -201,7 +207,7 @@ class TestDraw:
         batch = draw(MEAN, UNC, 10, stream_seed=12)
         states = batch.as_states()
         assert len(states) == 10
-        assert states[3] == batch.state(3)
+        assert states[3] == _row(batch, 3)
         assert 0.0 <= states[0].course < 360.0
 
     @pytest.mark.parametrize("speed, clamp", [(1.0, True), (10.0, False)])
@@ -211,7 +217,7 @@ class TestDraw:
         batch = draw(VesselState(100.0, -50.0, 359.5, speed), UNC, 2000, stream_seed=13,
                      clamp_speed=clamp)
         states = batch.as_states()
-        assert states == [batch.state(i) for i in range(len(batch))]
+        assert states == [_row(batch, i) for i in range(len(batch))]
         assert np.any(batch.speed == 0.0) == clamp
         assert {type(getattr(states[-1], f)) for f in ("north", "east", "course", "speed")} == {
             float
@@ -227,7 +233,7 @@ class TestDraw:
         columns[column][2] = value
         batch = StateSample(**columns)
         with pytest.raises(ValueError):
-            batch.state(2)
+            _row(batch, 2)
         with pytest.raises(ValueError):
             batch.as_states()
 
