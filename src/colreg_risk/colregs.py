@@ -244,23 +244,19 @@ def band_regions(values: np.ndarray) -> np.ndarray:
     return np.bincount(_BAND_REGION_CODES, weights=values, minlength=len(Region))
 
 
-def region_codes(beta: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """Region indices (Region values) for bearing/course-opposition columns.
-
-    Raises:
-        ValueError: a bearing outside [0, 360) or non-finite, or a
-            non-finite course delta, as ``bearing_region``.
-    """
-    bands = bearing_regions(beta)
-    if not np.all(np.isfinite(dpsi)):
-        raise ValueError("course deltas must be finite")
-    return np.where(course_head_on(dpsi), int(Region.HEAD_ON), bands)
-
-
 def situation_codes(
     beta_own: np.ndarray, beta_other: np.ndarray, dpsi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised (own_region, other_region) columns from the two bearing
     columns and the course-opposition column ``reciprocal_course(course_own,
-    course_other)``; |dpsi| is symmetric between the two viewpoints."""
-    return region_codes(beta_own, dpsi), region_codes(beta_other, dpsi)
+    course_other)``; |dpsi| is symmetric between the two viewpoints.
+
+    Raises:
+        ValueError: a bearing outside [0, 360) or non-finite, or a
+            non-finite course delta, as ``bearing_region``.
+    """
+    bands = bearing_regions(beta_own), bearing_regions(beta_other)
+    if not np.all(np.isfinite(dpsi)):
+        raise ValueError("course deltas must be finite")
+    head_on = course_head_on(dpsi)
+    return tuple(np.where(head_on, int(Region.HEAD_ON), b) for b in bands)

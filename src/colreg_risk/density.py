@@ -142,8 +142,9 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     summed over all samples in the same order, which makes the skip exact
     (bit-identical to evaluating every term).  A periodic image whose every
     term is such a zero for a block of points adds 0.0 to each row, so it is
-    skipped whole.  Infinite points, and finite ones so far out that their
-    squared distance overflows, have density 0.0.
+    skipped whole.  A finite point on the circle is read modulo 360; an
+    infinite point, or one on the line whose squared distance overflows,
+    has density 0.0.
 
     Raises:
         ValueError: a NaN point.
@@ -151,6 +152,9 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     points = np.atleast_1d(np.asarray(x, dtype=float))
     if np.isnan(points).any():
         raise ValueError("evaluation points must not be NaN")
+    if estimate.topology is Topology.CIRCLE360:
+        with np.errstate(invalid="ignore"):  # inf % 360 is NaN; an infinite point stays
+            points = np.where(np.isinf(points), points, mod360(points))
     data = estimate.samples
     h = estimate.bandwidth
     shifts = _image_shifts(estimate).tolist()
@@ -273,8 +277,8 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
     satisfy 0 <= hi < lo <= 360.
 
     Raises:
-        ValueError: line topology with lo > hi, a crossing arc with a bound
-            outside [0, 360], or a NaN bound.
+        ValueError: line topology with lo > hi, a finite circle bound
+            outside [0, 360], an infinite bound of a crossing arc, or a NaN bound.
     """
     if lo > hi:
         if estimate.topology is Topology.LINE:
@@ -286,6 +290,10 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
         head, _, tail = band_masses(estimate, (0.0, hi, lo, 360.0))
         mass = tail + head
     else:
+        if estimate.topology is Topology.CIRCLE360 and any(
+            math.isfinite(b) and not 0.0 <= b <= 360.0 for b in (lo, hi)
+        ):
+            raise ValueError(f"a finite bound on the circle must lie in [0, 360], got ({lo}, {hi})")
         (mass,) = band_masses(estimate, (lo, hi))
     return float(np.clip(mass, 0.0, 1.0))
 

@@ -208,7 +208,7 @@ def assess(
     zone: ComfortZone,
     n: int,
     seed: int,
-    methods: tuple[Method, ...],
+    methods: tuple[Method | str, ...],
 ) -> tuple[RiskAssessment, ...]:
     """Assessments of one vessel pair by each of ``methods``, in that order.
 
@@ -217,19 +217,19 @@ def assess(
     are released before the first method runs.
 
     Raises:
-        ValueError: ``methods`` is empty.
+        ValueError: ``methods`` is empty, or ``Method`` rejects an entry.
         TooFewSamples: n < 1, or n < 1000 with the density pipeline among
             ``methods``.
     """
+    methods = tuple(map(Method, methods))
     if not methods:
         raise ValueError("need at least one method")
-    steps = [_STEPS[method] for method in methods]
     if Method.KDE in methods and n < 1000:
         raise TooFewSamples(f"density pipeline needs n >= 1000, got {n}")
     if n < 1:
         raise TooFewSamples(f"need n >= 1, got {n}")
     buf = encounter_buffers(draw_pair(j_mean, j_unc, k_mean, k_unc, n, seed))
-    return tuple(step(buf, zone, n, seed) for step in steps)
+    return tuple(_STEPS[method](buf, zone, n, seed) for method in methods)
 
 
 def assess_kde(

@@ -198,29 +198,18 @@ def reciprocal_course(
 # ---------------------------------------------------------------------------
 
 
-def _constant(column: np.ndarray) -> bool:
-    # Whether a float64 column repeats its first element's bit pattern, so
-    # that an elementwise pass gives every element the first one's result.
-    # A column of mixed -0.0 and +0.0 is not constant.
-    if not (isinstance(column, np.ndarray) and column.dtype == np.float64
-            and column.ndim == 1 and column.size > 1):
-        return False
-    bits = column.view(np.int64)
-    return bool((bits == bits[0]).all())
-
-
 def velocity_arrays(course_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v_north, v_east) component arrays for course/speed columns.
 
-    When both columns are constant, as an exactly known vessel's are, the
-    trig runs once, on their first elements, and each component is filled
-    to the column length.  numpy's radians, cos and sin give an element the
-    same bits in a length-1 array as in a long one, so the result is the
-    per-sample one bit for bit.
+    When both columns are stride-0 views, as an exactly known vessel's are,
+    the trig runs once and each component is a stride-0 view of its one
+    result: numpy's radians, cos and sin give an element the same bits in a
+    length-1 array as in a long one, so that is the per-sample result.
     """
-    if _constant(course_deg) and _constant(speed) and course_deg.shape == speed.shape:
-        vn, ve = velocity_arrays(course_deg[:1], speed[:1])
-        return np.full(course_deg.shape, vn[0]), np.full(course_deg.shape, ve[0])
+    if course_deg.strides == speed.strides == (0,) and course_deg.shape == speed.shape:
+        # A slice of a stride-0 view keeps stride 0; the copies do not.
+        vn, ve = velocity_arrays(course_deg[:1].copy(), speed[:1].copy())
+        return np.broadcast_to(vn, course_deg.shape), np.broadcast_to(ve, course_deg.shape)
     rad = np.radians(course_deg)
     return speed * np.cos(rad), speed * np.sin(rad)
 

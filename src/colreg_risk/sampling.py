@@ -12,7 +12,7 @@ from one ``numpy`` PCG64 stream keyed on the caller's seed, so identical
 (mean, uncertainty, n, seed) inputs produce bit-identical batches no matter
 how the surrounding code is threaded.  Paired batches derive one substream
 per vessel from the pair seed.  An exactly known vessel (every sigma zero)
-reads nothing from its stream.
+reads nothing from its stream; each column is its mean, broadcast.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def draw(
     vector), which is what the error model actually says.
 
     An exactly known vessel, all four sigmas +0.0, reads nothing from its
-    stream: each column is the mean component repeated.  A drawn value
-    ``loc + 0.0 * z`` is ``loc`` bit for bit unless ``loc`` is -0.0, so a
-    mean with a -0.0 component is still drawn.
+    stream: each column is a read-only stride-0 view of its mean
+    component.  A drawn value ``loc + 0.0 * z`` is ``loc`` bit for bit
+    unless ``loc`` is -0.0, so a mean with a -0.0 component is still drawn.
 
     Raises:
         TooFewSamples: n < 1.
@@ -145,10 +145,7 @@ def draw(
     components = (mean.north, mean.east, mean.course, mean.speed)
     sigmas = (unc.sigma_north, unc.sigma_east, unc.sigma_course, unc.sigma_speed)
     if not any(sigmas) and not any(map(_is_minus_zero, components)):
-        columns = [np.full(n, v, dtype=float) for v in components]
-        for arr in columns:
-            arr.setflags(write=False)
-        return StateSample(*columns)
+        return StateSample(*(np.broadcast_to(np.float64(v), (n,)) for v in components))
     rng = np.random.default_rng(stream_seed)
     north = rng.normal(mean.north, unc.sigma_north, n)
     east = rng.normal(mean.east, unc.sigma_east, n)

@@ -26,7 +26,6 @@ from colreg_risk.colregs import (
     bearing_regions,
     event_code,
     event_counts,
-    region_codes,
     situation_codes,
 )
 from colreg_risk.density import Topology, band_masses, fit, integrate
@@ -110,8 +109,10 @@ class TestBearingRegion:
         # them head-on; both now reject them.
         with pytest.raises(ValueError, match="finite"):
             bearing_region(beta, 0.0, 90.0)
-        with pytest.raises(ValueError, match="finite"):
-            region_codes(np.array([10.0, beta]), np.full(2, 90.0))
+        bad, good = np.array([10.0, beta]), np.full(2, 10.0)
+        for columns in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                situation_codes(*columns, np.full(2, 90.0))
 
     @pytest.mark.parametrize("own, other", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
     def test_non_finite_course_delta_rejected(self, own, other):
@@ -119,8 +120,6 @@ class TestBearingRegion:
         dpsi = np.array([90.0, reciprocal_course(own, other)])
         with pytest.raises(ValueError, match="finite"):
             bearing_region(10.0, own, other)
-        with pytest.raises(ValueError, match="finite"):
-            region_codes(np.full(2, 10.0), dpsi)
         with pytest.raises(ValueError, match="finite"):
             situation_codes(np.full(2, 10.0), np.full(2, 200.0), dpsi)
 
@@ -291,25 +290,29 @@ class TestVectorisedCodes:
         if topology is Topology.CIRCLE360:
             assert abs(math.fsum(masses) - 1.0) <= 1e-9
 
-    def test_region_codes_match_scalar(self):
+    def test_situation_codes_match_scalar(self):
+        # Each view's codes are the scalar bearing_region's, band edges included.
         rng = np.random.default_rng(22)
         edges = np.array([0.0, 5.0, 112.5, 247.5, 355.0])
         beta = np.concatenate([rng.uniform(0, 360, 500), edges, np.nextafter(edges, 360.0)])
+        beta_other = beta[::-1]
         own = rng.uniform(0, 360, beta.size)
         other = np.where(np.arange(beta.size) % 4 == 0, (own + 175.0) % 360.0,
                          rng.uniform(0, 360, beta.size))
         dpsi = (own - other) % 360.0 - 180.0
-        codes = region_codes(beta, dpsi)
+        own_r, other_r = situation_codes(beta, beta_other, dpsi)
         for i in range(beta.size):
             args = float(beta[i]), float(own[i]), float(other[i])
-            assert codes[i] == int(reference_region(*args))
-            assert codes[i] == int(bearing_region(*args))
+            assert own_r[i] == int(reference_region(*args))
+            assert own_r[i] == int(bearing_region(*args))
+            other_args = float(beta_other[i]), float(other[i]), float(own[i])
+            assert other_r[i] == int(bearing_region(*other_args))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_region_codes_reject_non_finite_bearing(self, bad):
+    def test_situation_codes_reject_non_finite_bearing(self, bad):
         beta = np.array([10.0, bad, 200.0])
         with pytest.raises(ValueError, match="finite"):
-            region_codes(beta, np.full(3, 90.0))
+            situation_codes(beta, np.full(3, 10.0), np.full(3, 90.0))
         with pytest.raises(ValueError, match="finite"):
             situation_codes(np.full(3, 10.0), beta, np.full(3, 90.0))
 

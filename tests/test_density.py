@@ -81,6 +81,18 @@ class TestFitEvaluate:
         assert evaluate(d, math.inf) == evaluate(d, -math.inf) == 0.0
         assert evaluate(d, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
 
+    def test_circle_points_read_modulo_360(self):
+        # Exact images of 80 deg: beyond one period from the samples no
+        # periodic image reached them, and they used to read 0.0.
+        rng = np.random.default_rng(38)
+        samples = np.degrees(rng.vonmises(math.radians(80.0), 4.0, 1000))
+        d = fit(samples, 2.0, Topology.CIRCLE360)
+        xs = [80.0, 440.0, -280.0, 800.0, -640.0]
+        peak = evaluate(d, 80.0)
+        assert peak > 0.01
+        assert evaluate(d, np.array(xs)).tolist() == [peak] * len(xs)
+        assert [evaluate(d, x) for x in xs] == [peak] * len(xs)
+
     def test_point_mass_peak(self):
         d = fit(np.zeros(100), 1.0)
         assert evaluate(d, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
@@ -184,6 +196,16 @@ class TestIntegrate:
     def test_arc_bounds_outside_the_circle_rejected(self, lo, hi):
         d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
         with pytest.raises(ValueError, match=rf"0 <= hi < lo <= 360, got lo={lo}, hi={hi}"):
+            integrate(d, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(400.0, 480.0), (760.0, 840.0), (-10.0, 10.0),
+                                        (350.0, 360.5), (-math.inf, 400.0)])
+    def test_finite_bounds_outside_the_circle_rejected(self, lo, hi):
+        # (760, 840) lies beyond the periodic images and used to give 0.0,
+        # where (40, 120) and (400, 480) gave 1.0.
+        d = fit([70.0, 80.0, 90.0], 2.0, Topology.CIRCLE360)
+        assert integrate(d, 40.0, 120.0) == 1.0
+        with pytest.raises(ValueError, match=rf"in \[0, 360\], got \({lo}, {hi}\)"):
             integrate(d, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(355.0, 5.0), (360.0, 0.0), (10.0, 0.0), (360.0, 350.0)])
@@ -584,6 +606,9 @@ def _reference_shifts(estimate):
 
 
 def _unblocked_evaluate(estimate, xs):
+    if estimate.topology is Topology.CIRCLE360:  # finite points read modulo 360
+        with np.errstate(invalid="ignore"):
+            xs = np.where(np.isinf(xs), xs, xs % 360.0)
     h = estimate.bandwidth
     diff = xs[:, None] - estimate.samples[None, :]
     acc = np.zeros(xs.size)

@@ -141,11 +141,18 @@ class TestAssess:
         ((Method.DES, Method.KDE), 999, TooFewSamples),
         ((Method.KDE, Method.DES), 0, TooFewSamples),
         ((Method.DES,), 0, TooFewSamples),
+        (("x",), 2000, ValueError),
     ])
     def test_checks_come_before_the_draw(self, draws, methods, n, error):
         with pytest.raises(error):
             estimator.assess(OWN_2, EXACT, TARGET_2, EXACT, ZONE, n, 19, methods)
         assert draws == []
+
+    def test_method_names_work_like_members(self):
+        # parse_config reads a config's method names through Method(...); so does assess.
+        args = (OWN_2, EXACT, TARGET_2, make_uncertainty(DIAG, 1.0), ZONE, 1000, 20)
+        assert estimator.assess(*args, ("kde", "des")) == estimator.assess(
+            *args, (Method.KDE, Method.DES))
 
 
 class TestZeroUncertainty:

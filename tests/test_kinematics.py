@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from colreg_risk import (
     CoincidentPositions,
     CpaResult,
+    StateUncertainty,
     VesselState,
     cpa,
+    draw,
     reciprocal_course,
     relative_bearing,
 )
 from colreg_risk.kinematics import (
     REL_SPEED_SQ_EPS,
-    _constant,
     bearing_arrays,
     cpa_arrays,
     mod360,
@@ -460,8 +461,8 @@ class TestMod360:
 
 def _per_sample(kernel, *columns):
     # The kernel on the columns plus one row whose values differ from every
-    # other, so no column is constant and each element takes its own trig;
-    # the extra row is dropped.
+    # other, as full arrays, so each element takes its own trig; the extra
+    # row is dropped.
     extended = [np.append(c, 0.5 if c[0] != 0.5 else 1.5) for c in columns]
     out = kernel(*extended)
     return tuple(o[:-1] for o in out) if isinstance(out, tuple) else out[:-1]
@@ -476,12 +477,16 @@ _STATE_VALUES = {
 
 @st.composite
 def _vessel_columns(draw, n):
-    # One vessel's four columns: each constant or drawn per sample, and a
-    # zero component sometimes mixed -0.0/+0.0.
+    # One vessel's four columns: each one value broadcast (stride 0, as an
+    # exactly known vessel's), one value in a full array, drawn per sample,
+    # or a zero component mixed -0.0/+0.0.
     columns = []
     for values in _STATE_VALUES.values():
-        kind = draw(st.sampled_from(["constant", "constant", "varying", "mixed zero"]))
-        if kind == "constant":
+        kind = draw(st.sampled_from(["broadcast", "broadcast", "constant", "varying",
+                                     "mixed zero"]))
+        if kind == "broadcast":
+            column = np.broadcast_to(np.float64(draw(values)), (n,))
+        elif kind == "constant":
             column = np.full(n, draw(values))
         elif kind == "varying":
             column = np.array(draw(st.lists(values, min_size=n, max_size=n)))
@@ -492,16 +497,31 @@ def _vessel_columns(draw, n):
 
 
 class TestConstantVessel:
-    """An exactly known vessel's columns are constant; its trig runs once
-    and every output equals the per-sample one bit for bit."""
+    """An exactly known vessel's columns are stride-0 views of one value;
+    its trig runs once and every output equals the per-sample one bit for
+    bit."""
 
-    def test_constant_means_one_bit_pattern(self):
-        assert _constant(np.full(5, 3.5))
-        assert _constant(np.full(5, -0.0))
-        assert not _constant(np.array([0.0, -0.0, 0.0]))
-        assert not _constant(np.array([1.0, 1.0, 2.0]))
-        assert not _constant(np.array([7.0]))  # too short to save anything
-        assert not _constant(np.full(4, 2, dtype=np.int64))
+    def test_two_broadcast_columns_take_one_evaluation(self, monkeypatch):
+        calls = []
+        real = np.radians
+        monkeypatch.setattr(np, "radians", lambda x: calls.append(x.size) or real(x))
+        one = np.broadcast_to(np.float64(30.0), (5,))
+        zero = np.broadcast_to(np.float64(-0.0), (5,))
+        for vn_ve in (velocity_arrays(one, zero), velocity_arrays(one, one)):
+            assert all(v.strides == (0,) and v.shape == (5,) for v in vn_ve)
+        assert calls == [1, 1]
+        # Any full column, or broadcast columns of two lengths, takes the
+        # general path: one trig per element, full outputs.
+        for course, speed in (
+            (one, np.full(5, 2.0)),
+            (np.full(5, 30.0), one),
+            (one, np.array([0.0, -0.0, 0.0, -0.0, 0.0])),
+            (one, np.linspace(1.0, 2.0, 5)),
+            (one, np.broadcast_to(np.float64(2.0), (1,))),
+        ):
+            calls.clear()
+            vn, ve = velocity_arrays(course, speed)
+            assert calls == [5] and vn.strides == ve.strides == (8,)
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data(), n=st.integers(2, 40))
@@ -517,20 +537,23 @@ class TestConstantVessel:
             ):
                 for g, e in zip(got, expected):
                     assert g.shape == (n,)
-                    np.testing.assert_array_equal(g.view(np.uint8), e.view(np.uint8))
+                    np.testing.assert_array_equal(_bits(g), _bits(e))
 
     def test_exact_own_ship_at_scale(self):
-        # Scenario 2's exact own ship against 100k drawn targets: the
-        # velocity trig runs once and the outputs keep every bit.
+        # Scenario 2's exact own ship, as draw returns it, against 100k
+        # drawn targets: the velocity trig runs once, the velocity comes
+        # back as stride-0 views and the outputs keep every bit.
         rng = np.random.default_rng(43)
         n = 100_000
-        own = [np.full(n, v) for v in (OWN_2.north, OWN_2.east, OWN_2.course, OWN_2.speed)]
+        exact = draw(OWN_2, StateUncertainty(0.0, 0.0, 0.0, 0.0), n, stream_seed=43)
+        own = [exact.north, exact.east, exact.course, exact.speed]
         target = [rng.normal(500.0, 10.0, n), rng.normal(-20.0, 10.0, n),
                   rng.uniform(0.0, 360.0, n), rng.normal(6.0, 2.0, n)]
         for got, expected in zip(cpa_arrays(*own, *target), _per_sample(cpa_arrays, *own, *target)):
             assert got.shape == (n,)
             np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
         vn, ve = velocity_arrays(own[2], own[3])
+        assert vn.strides == ve.strides == (0,)
         np.testing.assert_array_equal(_bits(vn), _bits(_per_sample(velocity_arrays, *own[2:])[0]))
         np.testing.assert_array_equal(_bits(ve), _bits(_per_sample(velocity_arrays, *own[2:])[1]))
 
