@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import ndtr
 
 from colreg_risk import (
@@ -27,6 +28,7 @@ from colreg_risk.density import (
     _NDTR_ZERO_AT,
     _PAIRWISE_PREFIXES,
     _bin_counts,
+    _brentq,
     _circular_recenter,
     _derivative_norm,
     _distinct_count,
@@ -188,8 +190,14 @@ class TestIntegrate:
         assert band_masses(d, (-inf, -inf, inf, inf)) == [0.0, 1.0, 0.0]
         assert integrate(d, -inf, inf) == 1.0
         assert integrate(d, 1.0, inf) == pytest.approx(0.5, abs=1e-12)
-        circle = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
-        assert integrate(circle, -inf, 10.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 10.0), (10.0, math.inf)])
+    def test_infinite_bounds_on_the_circle_rejected(self, lo, hi):
+        # Both used to return 1.0, a clipped sum over the periodic images,
+        # where (0, 10) and (10, 360) hold 0.1667 and 0.8333.
+        d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
+        with pytest.raises(ValueError, match=rf"in \[0, 360\], got \({lo}, {hi}\)"):
+            integrate(d, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(370.0, 10.0), (350.0, -5.0), (math.inf, 0.0),
                                         (1.0, -math.inf)])
@@ -332,6 +340,137 @@ class TestIsj:
         with pytest.warns(RuntimeWarning, match="at least 50 samples"):
             h = select_bandwidth(x)
         assert h == bandwidth_silverman(x)
+
+
+def _scipy_brentq(f, a, b, args, xtol):
+    """scipy's brentq behind ``_brentq``'s interface: None for no sign change."""
+    try:
+        return scipy_brentq(f, a, b, args=args, xtol=xtol)
+    except ValueError as exc:
+        if "different signs" not in str(exc):
+            raise
+        return None
+
+
+def _brent_function(kind, params):
+    if kind == "cubic":
+        c0, c1, c2, c3 = params
+        return lambda x: ((c0 * x + c1) * x + c2) * x + c3
+    if kind == "linear":
+        scale, root = params
+        return lambda x: scale * (x - root)
+    if kind == "step":
+        root, low, high = params
+        return lambda x: low if x < root else high
+    zero, at, root = params  # a signed zero at one end of the bracket
+    return lambda x: zero if x == at else x - root
+
+
+@st.composite
+def _brent_cases(draw):
+    point = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    a, b = draw(point), draw(point)
+    kind = draw(st.sampled_from(["cubic", "linear", "step", "signed_zero"]))
+    if kind == "cubic":
+        params = draw(st.tuples(*[st.floats(-10.0, 10.0)] * 4))
+    elif kind == "linear":
+        params = (10.0 ** draw(st.integers(-300, 300)), draw(point))
+    elif kind == "step":
+        level = st.sampled_from([-1.0, -0.0, 0.0, 1.0, -3.5, 2.0])
+        params = (draw(point), draw(level), draw(level))
+    else:
+        params = (draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([a, b])), draw(point))
+    return kind, params, a, b, draw(st.sampled_from([5e-324, 1e-12, 1e-3]))
+
+
+def _solve(solver, f, a, b, xtol):
+    """The root's bits (None for no sign change, or the non-convergence
+    error) and the bits of every point ``solver`` evaluated, in order."""
+    points = []
+
+    def recorded(x):
+        points.append(x.hex())
+        return f(x)
+
+    try:
+        root = solver(recorded, a, b, (), xtol)
+    except RuntimeError as exc:
+        return ("RuntimeError", str(exc)), points
+    return (None if root is None else root.hex()), points
+
+
+class TestBrentq:
+    """``_brentq`` is scipy's C solver transcribed step for step: the same
+    evaluated points and the same root bits."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=500)
+    @given(_brent_cases())
+    def test_matches_scipy_step_for_step(self, case):
+        kind, params, a, b, xtol = case
+        f = _brent_function(kind, params)
+        assert _solve(_brentq, f, a, b, xtol) == _solve(_scipy_brentq, f, a, b, xtol)
+
+    @pytest.mark.parametrize("kind, params, a, b, xtol, expected", [
+        # Bisection toward a step at 0 with no absolute tolerance runs out
+        # of iterations halving down to the subnormals.
+        ("step", (0.0, -1.0, 1.0), -1.0, 1.0, 5e-324, "RuntimeError"),
+        ("cubic", (0.0, 1.0, 0.0, 1.0), -1.0, 1.0, 1e-12, None),
+        ("signed_zero", (-0.0, -1.0, 3.0), -1.0, 2.0, 1e-12, "-0x1.0000000000000p+0"),
+        ("signed_zero", (0.0, 2.0, 3.0), -1.0, 2.0, 1e-12, "0x1.0000000000000p+1"),
+        # At this scale two f values near the root are equal subnormals, so
+        # a step divides by zero and bisects.
+        ("linear", (1e-300, 0.3), -1.0, 1.0, 1e-12, "float"),
+    ])
+    def test_each_exit(self, kind, params, a, b, xtol, expected):
+        f = _brent_function(kind, params)
+        ported = _solve(_brentq, f, a, b, xtol)
+        assert ported == _solve(_scipy_brentq, f, a, b, xtol)
+        root = ported[0]
+        if expected == "RuntimeError":
+            assert root == ("RuntimeError", "Failed to converge after 100 iterations.")
+            assert len(ported[1]) == 102
+        elif expected == "float":
+            assert abs(float.fromhex(root) - 0.3) < 1e-11
+        else:
+            assert root == expected
+
+    def test_bandwidth_isj_keeps_scipy_bits(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        buffers = [
+            (rng.normal(0.0, 1.0, 1000), Topology.LINE),
+            (rng.standard_cauchy(1000), Topology.LINE),
+            (np.round(rng.normal(0.0, 3.0, 1000), 1), Topology.LINE),
+            (np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(8.0, 1.5, 500)]),
+             Topology.LINE),
+            (rng.exponential(1.0, 1000) ** 3, Topology.LINE),
+            (rng.normal(0.0, 4.0, 1000) % 360.0, Topology.CIRCLE360),
+            # Few distinct values: the first brackets hold no sign change, so
+            # the bracket doubles; the first buffer ends in a root, the
+            # second in FixedPointFailure.
+            (np.random.default_rng(1).integers(0, 20, 500).astype(float), Topology.LINE),
+            (np.random.default_rng(0).integers(0, 5, 857).astype(float), Topology.LINE),
+        ]
+
+        def outcomes():
+            results = []
+            for x, topology in buffers:
+                try:
+                    results.append(bandwidth_isj(x, topology).hex())
+                except FixedPointFailure as exc:
+                    results.append(str(exc))
+            return results
+
+        brackets = []
+
+        def scipy_backed(f, a, b, args, xtol):
+            brackets.append(b)
+            return _scipy_brentq(f, a, b, args, xtol)
+
+        ported = outcomes()
+        monkeypatch.setattr(density_module, "_brentq", scipy_backed)
+        assert outcomes() == ported
+        assert max(brackets) >= 0.08
+        assert ported[-2].startswith("0x") and not ported[-1].startswith("0x")
 
 
 class TestCircleBandwidths:
