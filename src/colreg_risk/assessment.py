@@ -32,8 +32,8 @@ class RiskAssessment:
     ``p_risk`` is P(DCPA <= d_act); ``p_tcpa_window`` is P(0 <= TCPA <=
     t_aware), reported separately because the action threshold alone
     drives the risk columns.  ``p_rule`` aggregates both obligations under
-    R13/R15, in RULE_VALUES order, and always sums to one across the four
-    rules.  ``p_give_way`` is the give-way share times ``p_risk`` and
+    R13/R15, in RULE_VALUES order, and sums to one across the four rules
+    up to rounding.  ``p_give_way`` is the give-way share times ``p_risk`` and
     ``p_stand_on`` is 1 - p_give_way.  Build one with ``from_shares``.
     """
 

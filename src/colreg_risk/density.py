@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.special import kolmogorov, ndtr
 
-from .kinematics import mod360, wrap_degrees
+from .kinematics import wrap_degrees
 from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -90,7 +90,7 @@ def _circular_recenter(arr: np.ndarray) -> np.ndarray:
     # rotation leaves kernel geometry (and hence the bandwidth) unchanged.
     rad = np.radians(arr)
     mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
-    return mod360(arr - mean + 180.0)
+    return wrap_degrees(arr - mean + 180.0)
 
 
 def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
@@ -99,7 +99,7 @@ def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
     mean, so that a cluster across the 0/360 cut is seen as one mode."""
     if topology is Topology.LINE:
         return arr
-    return _circular_recenter(mod360(arr))
+    return _circular_recenter(wrap_degrees(arr))
 
 
 def _image_shifts(estimate: DensityEstimate) -> np.ndarray:
@@ -143,9 +143,9 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
     summed over all samples in the same order, which makes the skip exact
     (bit-identical to evaluating every term).  A periodic image whose every
     term is such a zero for a block of points adds 0.0 to each row, so it is
-    skipped whole.  A finite point on the circle is read modulo 360; an
-    infinite point, or one on the line whose squared distance overflows,
-    has density 0.0.
+    skipped whole.  A finite point on the circle is wrapped as ``fit`` wraps
+    the samples; an infinite point, or one on the line whose squared
+    distance overflows, has density 0.0.
 
     Raises:
         ValueError: a NaN point.
@@ -155,7 +155,7 @@ def evaluate(estimate: DensityEstimate, x: float | np.ndarray) -> float | np.nda
         raise ValueError("evaluation points must not be NaN")
     if estimate.topology is Topology.CIRCLE360:
         with np.errstate(invalid="ignore"):  # inf % 360 is NaN; an infinite point stays
-            points = np.where(np.isinf(points), points, mod360(points))
+            points = np.where(np.isinf(points), points, wrap_degrees(points))
     data = estimate.samples
     h = estimate.bandwidth
     shifts = _image_shifts(estimate).tolist()
@@ -237,12 +237,18 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
     and when every kernel is saturated the CDF is that scalar.  Each band is
     still the mean over all samples in sample order, so the masses are
     bit-identical to evaluating ndtr on every kernel.  Infinite edges are
-    valid.
+    valid on the line; on the circle every edge lies in [0, 360], as one
+    beyond it would count periodic images' mass.
 
     Raises:
-        ValueError: a NaN edge, or edges that descend.
+        ValueError: a NaN edge, edges that descend, or an edge on the
+            circle outside [0, 360] (an infinite one included).
     """
     edges = [float(edge) for edge in edges]
+    if estimate.topology is Topology.CIRCLE360:
+        for edge in edges:
+            if edge < 0.0 or edge > 360.0:  # false for NaN, named below
+                raise ValueError(f"a band edge on the circle must lie in [0, 360], got {edge}")
     if any(math.isnan(edge) for edge in edges) or any(
         b < a for a, b in zip(edges, edges[1:])
     ):
@@ -273,29 +279,20 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
 def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
     """Probability mass on [lo, hi], in closed form per kernel.
 
-    On the circle, every bound lies in [0, 360], and ``lo > hi`` denotes
-    the arc that crosses 0/360 (for example (355, 5) is the 10-degree arc
-    around north).  Line bounds may be infinite.
+    On the circle, ``lo > hi`` denotes the arc that crosses 0/360 (for
+    example (355, 5) is the 10-degree arc around north).  Bounds follow
+    ``band_masses``' edge rules: not NaN, and on the circle in [0, 360].
 
     Raises:
-        ValueError: line topology with lo > hi, a circle bound outside
-            [0, 360] (an infinite one included), or a NaN bound.
+        ValueError: line topology with lo > hi, or a bound ``band_masses``
+            rejects: NaN, or on the circle outside [0, 360].
     """
     if lo > hi:
         if estimate.topology is Topology.LINE:
             raise ValueError(f"lo must be <= hi on the line, got ({lo}, {hi})")
-        if not (hi >= 0.0 and lo <= 360.0):
-            raise ValueError(
-                f"an arc across 0/360 needs 0 <= hi < lo <= 360, got lo={lo}, hi={hi}"
-            )
         head, _, tail = band_masses(estimate, (0.0, hi, lo, 360.0))
         mass = tail + head
     else:
-        # A bound beyond [0, 360], an infinite one too, adds periodic images' mass.
-        if estimate.topology is Topology.CIRCLE360 and any(
-            not (0.0 <= b <= 360.0 or math.isnan(b)) for b in (lo, hi)
-        ):
-            raise ValueError(f"a bound on the circle must lie in [0, 360], got ({lo}, {hi})")
         (mass,) = band_masses(estimate, (lo, hi))
     return float(np.clip(mass, 0.0, 1.0))
 

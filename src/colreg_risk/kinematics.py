@@ -8,9 +8,10 @@ ground.  Velocity components are ordered (north, east) so that a course of
 All functions are pure; scalar entry points operate on ``VesselState`` and
 the ``*_arrays`` kernels run the same math vectorised over numpy columns
 for the Monte-Carlo layers.  ``wrap_degrees`` and ``reciprocal_course``
-take floats and numpy arrays alike, and every angle remainder in the
-package goes through ``mod360``.  The encounter decisions built on this
-geometry (bearing regions, the situation table) live in ``colregs``.
+take floats and numpy arrays alike, and ``wrap_degrees`` is the package's
+one angle remainder, so every angle is read in [0, 360), never as 360.0.
+The encounter decisions built on this geometry (bearing regions, the
+situation table) live in ``colregs``.
 """
 
 from __future__ import annotations
@@ -68,23 +69,28 @@ class CpaResult:
     dcpa: float
 
 
-def mod360(angle: float | np.ndarray) -> float | np.ndarray:
-    """``angle % 360.0``, bit for bit, for floats and arrays.
+def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
+    """Wrap an angle (degrees) into [0, 360): ``angle % 360.0`` bit for bit,
+    for floats and arrays, except that a remainder that rounds up to 360,
+    as for tiny negative inputs, is read as 0.0.
 
     numpy and Python take a float remainder in two steps: r = fmod(x, 360),
     which is exact, then fl(r + 360) where r < 0, and +0.0 where r is zero.
-    On a float64 array whose values all lie in [-720, 720) additions alone
-    give the same bits, several times faster than numpy's fmod loop:
+    On a non-empty float64 array of one or more dimensions whose values all
+    lie in [-720, 720) additions alone give the same bits, several times
+    faster than numpy's fmod loop:
 
     * x in [360, 720) becomes x - 360 and x in [-720, -360) becomes x + 360,
       both exact by Sterbenz's lemma, so each is fmod's r.
     * a value still negative becomes fl(r + 360), the sum numpy forms.  At
       x = -360 and -720 that sum is +0.0, numpy's answer to fmod's -0.0.
+      Only this sum can reach 360.
     * every other element is x + 0.0: x itself, and +0.0 for -0.0.
 
     Any other input, NaN and infinities included, takes ``%`` itself.
     """
-    if type(angle) is np.ndarray and angle.dtype == np.float64 and angle.size > 0:
+    # A 0-d array's sums are numpy scalars, which the fix-up cannot index.
+    if type(angle) is np.ndarray and angle.dtype == np.float64 and angle.ndim and angle.size:
         lo, hi = float(angle.min()), float(angle.max())
         if lo >= -720.0 and hi < 720.0:
             wrapped = angle + 0.0
@@ -94,17 +100,9 @@ def mod360(angle: float | np.ndarray) -> float | np.ndarray:
                 wrapped += (angle < -360.0) * 360.0
             if lo < 0.0:
                 wrapped += (wrapped < 0.0) * 360.0
+                wrapped[wrapped >= 360.0] = 0.0
             return wrapped
-    return angle % 360.0
-
-
-def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
-    """Wrap an angle (degrees) into [0, 360).
-
-    Guards the float edge case where the remainder rounds up to exactly 360
-    for tiny negative inputs.
-    """
-    wrapped = mod360(angle)
+    wrapped = angle % 360.0
     if isinstance(wrapped, np.ndarray):
         wrapped[wrapped >= 360.0] = 0.0  # a new array; np.where would allocate another
         return wrapped
@@ -188,7 +186,7 @@ def reciprocal_course(
 
     Zero means exactly reciprocal courses; identical courses map to -180.
     """
-    return mod360(psi_j - psi_k) - 180.0
+    return wrap_degrees(psi_j - psi_k) - 180.0
 
 
 # ---------------------------------------------------------------------------

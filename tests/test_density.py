@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -95,6 +96,14 @@ class TestFitEvaluate:
         assert evaluate(d, np.array(xs)).tolist() == [peak] * len(xs)
         assert [evaluate(d, x) for x in xs] == [peak] * len(xs)
 
+    def test_tiny_negative_point_is_zero(self):
+        # -1e-17 % 360 rounds to 360.0, where fit stores such a sample as 0.0.
+        rng = np.random.default_rng(39)
+        d = fit(rng.normal(0.0, 3.0, 500), 0.5, Topology.CIRCLE360)
+        xs = np.array([-1e-17, -1e-300, 0.0])
+        assert evaluate(d, xs).tobytes() == np.full(3, evaluate(d, 0.0)).tobytes()
+        assert [evaluate(d, x).hex() for x in xs] == [evaluate(d, 0.0).hex()] * 3
+
     def test_point_mass_peak(self):
         d = fit(np.zeros(100), 1.0)
         assert evaluate(d, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
@@ -128,6 +137,12 @@ class TestFitEvaluate:
             assert evaluate(d, x) == pytest.approx(
                 brute_pdf(d.samples, 0.4, x, shifts), rel=1e-10, abs=1e-300
             )
+
+
+def _outside_the_circle(*edges):
+    # band_masses' message, naming the first edge outside [0, 360].
+    edge = float(next(e for e in edges if not 0.0 <= e <= 360.0))
+    return rf"a band edge on the circle must lie in \[0, 360\], got {re.escape(str(edge))}$"
 
 
 class TestIntegrate:
@@ -196,14 +211,15 @@ class TestIntegrate:
         # Both used to return 1.0, a clipped sum over the periodic images,
         # where (0, 10) and (10, 360) hold 0.1667 and 0.8333.
         d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
-        with pytest.raises(ValueError, match=rf"in \[0, 360\], got \({lo}, {hi}\)"):
+        with pytest.raises(ValueError, match=_outside_the_circle(lo, hi)):
             integrate(d, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(370.0, 10.0), (350.0, -5.0), (math.inf, 0.0),
                                         (1.0, -math.inf)])
     def test_arc_bounds_outside_the_circle_rejected(self, lo, hi):
+        # The arc's bands are (0, hi) and (lo, 360), so hi is read first.
         d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
-        with pytest.raises(ValueError, match=rf"0 <= hi < lo <= 360, got lo={lo}, hi={hi}"):
+        with pytest.raises(ValueError, match=_outside_the_circle(hi, lo)):
             integrate(d, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(400.0, 480.0), (760.0, 840.0), (-10.0, 10.0),
@@ -213,8 +229,25 @@ class TestIntegrate:
         # where (40, 120) and (400, 480) gave 1.0.
         d = fit([70.0, 80.0, 90.0], 2.0, Topology.CIRCLE360)
         assert integrate(d, 40.0, 120.0) == 1.0
-        with pytest.raises(ValueError, match=rf"in \[0, 360\], got \({lo}, {hi}\)"):
+        with pytest.raises(ValueError, match=_outside_the_circle(lo, hi)):
             integrate(d, lo, hi)
+
+    @pytest.mark.parametrize("edges", [(400.0, 480.0), (760.0, 840.0), (-1e6, 120.0),
+                                       (-math.inf, 10.0), (0.0, 5.0, 360.0, math.inf),
+                                       (0.0, np.nextafter(360.0, 361.0))])
+    def test_band_edges_outside_the_circle_rejected(self, edges):
+        # band_masses used to give 0.0 for (760, 840) and 2.0 for (-1e6, 120)
+        # on a cluster at 80 deg, where (40, 120) and (400, 480) gave 1.0.
+        d = fit(np.random.default_rng(40).normal(80.0, 1.0, 500), 2.0, Topology.CIRCLE360)
+        assert band_masses(d, (40.0, 120.0)) == [1.0]
+        with pytest.raises(ValueError, match=_outside_the_circle(*edges)):
+            band_masses(d, edges)
+
+    @pytest.mark.parametrize("edges", [(math.nan, 10.0), (0.0, math.nan, 360.0)])
+    def test_nan_edge_on_the_circle_named_as_nan(self, edges):
+        d = fit([0.0, 90.0, 350.0], 5.0, Topology.CIRCLE360)
+        with pytest.raises(ValueError, match="ascending and not NaN"):
+            band_masses(d, edges)
 
     @pytest.mark.parametrize("lo, hi", [(355.0, 5.0), (360.0, 0.0), (10.0, 0.0), (360.0, 350.0)])
     def test_arcs_on_the_circle_keep_their_masses(self, lo, hi):
@@ -543,6 +576,14 @@ class TestCircleWrapSkip:
         assert samples.tobytes() == wrap_degrees(x).tobytes()
         assert not np.signbit(samples).any()
         assert not samples.flags.writeable
+
+    def test_line_view_equals_the_wrapped_path(self):
+        # -1e-17 % 360 rounds to 360.0, where fit stores the sample as 0.0:
+        # the selectors used to read it 360 deg away, recentred to other bits.
+        x = np.append(_circle_cases()["across_north"][:2000], -1e-17)
+        view = density_module._line_view(x, Topology.CIRCLE360)
+        assert view.tobytes() == density_module._line_view(
+            wrap_degrees(x), Topology.CIRCLE360).tobytes()
 
     def test_fit_copies_in_range_samples(self):
         x = _circle_cases()["inside"].copy()
@@ -937,19 +978,25 @@ def _band_mass_cases(draw):
     n = draw(st.integers(2, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     # Circle spreads stay small so that 1e3 times them needs few images.
-    spread = 10.0 ** draw(st.floats(-3.0, 0.3 if topology is Topology.CIRCLE360 else 3.0))
+    circle = topology is Topology.CIRCLE360
+    spread = 10.0 ** draw(st.floats(-3.0, 0.3 if circle else 3.0))
     centre = draw(st.floats(-1e3, 1e3))
     h = spread * 10.0 ** draw(st.floats(-3.0, 3.0))
     samples = centre + spread * np.random.default_rng(seed).standard_normal(n)
     estimate = fit(samples, h, topology)
     data = estimate.samples
     # Edges at a sample plus a few bandwidths (inside, at and past the ndtr
-    # window), far outside the data, and infinite.
+    # window), far outside the data, and infinite.  On the circle every edge
+    # lies in [0, 360]: the near edges that fall inside, any edge in
+    # [0, 360] and the two ends.
     near = st.builds(lambda i, k: float(data[i] + k * h),
                      st.integers(0, n - 1), st.floats(-60.0, 60.0))
-    far = st.floats(-1e6, 1e6)
-    edges = draw(st.lists(near | far | st.sampled_from([-math.inf, math.inf]),
-                          min_size=2, max_size=6))
+    if circle:
+        edge = near.filter(lambda e: 0.0 <= e <= 360.0) | st.floats(0.0, 360.0) \
+            | st.sampled_from([0.0, 360.0])
+    else:
+        edge = near | st.floats(-1e6, 1e6) | st.sampled_from([-math.inf, math.inf])
+    edges = draw(st.lists(edge, min_size=2, max_size=6))
     return estimate, sorted(edges)
 
 

@@ -20,7 +20,6 @@ from colreg_risk.kinematics import (
     REL_SPEED_SQ_EPS,
     bearing_arrays,
     cpa_arrays,
-    mod360,
     place_target,
     velocity_arrays,
     wrap_degrees,
@@ -291,9 +290,18 @@ class TestReciprocalCourse:
     def test_output_range(self):
         rng = np.random.default_rng(16)
         psi = rng.uniform(-720, 720, size=(500, 2))
-        for a, b in psi:
+        # Course differences just below 0, where the remainder rounds to 360.
+        tiny = np.stack([np.zeros(4), np.array([1e-14, 2.8e-14, 5e-324, 1e-300])], axis=1)
+        for a, b in np.concatenate([psi, tiny]):
             value = reciprocal_course(float(a), float(b))
             assert -180.0 <= value < 180.0
+
+    @pytest.mark.parametrize("difference", [-1e-14, -2.8e-14, -5e-324, -1e-300])
+    def test_tiny_negative_difference_is_identical_courses(self, difference):
+        # (-1e-14) % 360 rounds to 360.0, which used to give +180.0.
+        assert reciprocal_course(0.0, -difference) == -180.0
+        arr = reciprocal_course(np.array([0.0, 90.0]), np.array([-difference, 90.0]))
+        np.testing.assert_array_equal(arr, [-180.0, -180.0])
 
 
 def _cpa_arrays_always_filled(north_j, east_j, course_j, speed_j,
@@ -398,7 +406,7 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-# Each bound of mod360's shift domain [-720, 720) and of its steps, the
+# Each bound of wrap_degrees' shift domain [-720, 720) and of its steps, the
 # values one ulp either side, signed zeros and subnormals.
 _MOD_EDGES = sorted({
     v
@@ -410,8 +418,14 @@ _MOD_DOMAIN = st.floats(-720.0, 720.0, exclude_max=True) | st.sampled_from(
     [v for v in _MOD_EDGES if -720.0 <= v < 720.0])
 
 
-class TestMod360:
-    """mod360 is x % 360.0 in 64-bit patterns, whichever path it takes."""
+def _read_as_zero(remainder):
+    # x % 360.0 with a remainder that rounded up to 360 read as 0.0.
+    return np.where(remainder >= 360.0, 0.0, remainder)
+
+
+class TestWrapDegrees:
+    """wrap_degrees is x % 360.0 in 64-bit patterns, with 360 read as 0,
+    whichever path it takes."""
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=400)
     @given(st.lists(_MOD_DOMAIN, min_size=1, max_size=60)
@@ -419,22 +433,18 @@ class TestMod360:
     def test_arrays_match_remainder(self, values):
         x = np.array(values, dtype=float)
         with np.errstate(invalid="ignore"):  # inf % 360 is NaN on either path
-            got, expected = mod360(x), x % 360.0
+            got, expected = wrap_degrees(x), x % 360.0
         assert type(got) is np.ndarray and got.shape == x.shape
-        np.testing.assert_array_equal(_bits(got), _bits(expected))
-        with np.errstate(invalid="ignore"):
-            wrapped = wrap_degrees(x)
-        np.testing.assert_array_equal(
-            _bits(wrapped), _bits(np.where(expected >= 360.0, 0.0, expected)))
+        np.testing.assert_array_equal(_bits(got), _bits(_read_as_zero(expected)))
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=200)
     @given(st.floats(width=64) | _MOD_SPECIAL)
     def test_scalars_match_remainder(self, value):
         for x in (value, np.float64(value), np.array(value)):
             with np.errstate(invalid="ignore"):
-                got, expected = mod360(x), x % 360.0
-            assert type(got) is type(expected)
-            assert _bits(got) == _bits(expected)
+                got, expected = wrap_degrees(x), x % 360.0
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(_read_as_zero(expected))
 
     def test_shift_domain_at_scale(self):
         # Uniform draws over the domain plus every edge value, so each
@@ -442,20 +452,18 @@ class TestMod360:
         rng = np.random.default_rng(41)
         x = np.concatenate([rng.uniform(-720.0, 720.0, 100_000),
                             [v for v in _MOD_EDGES if -720.0 <= v < 720.0]])
-        np.testing.assert_array_equal(_bits(mod360(x)), _bits(x % 360.0))
-        np.testing.assert_array_equal(
-            _bits(wrap_degrees(x)), _bits(np.where(x % 360.0 >= 360.0, 0.0, x % 360.0)))
+        np.testing.assert_array_equal(_bits(wrap_degrees(x)), _bits(_read_as_zero(x % 360.0)))
 
     def test_other_types_take_the_remainder(self):
         for x in (np.array([-1, 725, 360]), np.array([-1.5, 400.0], dtype=np.float32),
                   np.empty(0)):
-            got = mod360(x)
+            got = wrap_degrees(x)
             assert got.dtype == (x % 360.0).dtype
             np.testing.assert_array_equal(got, x % 360.0)
 
     def test_inputs_are_not_modified(self):
         x = np.array([-700.0, -0.0, 500.0])
-        mod360(x)
+        wrap_degrees(x)
         np.testing.assert_array_equal(_bits(x), _bits([-700.0, -0.0, 500.0]))
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +32,46 @@ def test_import_loads_no_scipy_optimize():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
+
+
+
+def _remainder_by_360(node):
+    # `x % 360` or `x %= 360`, with 360 an int or float constant.
+    if isinstance(node, ast.BinOp):
+        op, right = node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        op, right = node.op, node.value
+    else:
+        return False
+    return isinstance(op, ast.Mod) and isinstance(right, ast.Constant) and right.value == 360
+
+
+def _bound_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.alias):
+        return [node.asname or node.name]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    return []
+
+
+def test_one_angle_remainder():
+    # kinematics.wrap_degrees is the one angle remainder, so the package
+    # reads -1e-17 as 0.0 everywhere; a second `% 360` could read it as 360.
+    remainders, mod360_bindings = [], []
+    for path in sorted((ROOT / "src" / "colreg_risk").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        innermost = {}
+        for func in ast.walk(tree):  # breadth first: an inner function overwrites
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                innermost.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if _remainder_by_360(node):
+                remainders.append((path.stem, innermost.get(node)))
+            if "mod360" in _bound_names(node):
+                mod360_bindings.append(path.stem)
+    assert remainders == [("kinematics", "wrap_degrees")]
+    assert mod360_bindings == []
