@@ -486,12 +486,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
         ("give-way set derivation", give_way_pairs() == expected_gw, f"{len(expected_gw)} pairs")
     )
 
-    boundary_ok = (
-        bearing_region(5.0, 0.0, 90.0) is Region.HEAD_ON
-        and bearing_region(112.5, 0.0, 90.0) is Region.STARBOARD
-        and bearing_region(247.5, 0.0, 90.0) is Region.OVERTAKING
-        and bearing_region(355.0, 0.0, 90.0) is Region.PORT
-    )
+    boundary_ok = [bearing_region(b) for b in (5.0, 112.5, 247.5, 355.0)] == list(Region)
     checks.append(("region band boundaries", boundary_ok, "5/112.5/247.5/355"))
 
     zone = ComfortZone(150.0, 600.0)

@@ -1,16 +1,16 @@
 """Deterministic COLREGs classification for a power-driven vessel pair.
 
 An encounter is classified in two stages: each vessel maps the relative
-bearing of the other (plus the course-opposition measure) into one of four
-regions (head-on / starboard / overtaking / port), and the ordered region
-pair maps into an applicable rule plus the acting vessel's give-way or
-stand-on obligation.
+bearing of the other into one of four regions (head-on / starboard /
+overtaking / port), both views being head-on when the courses are near
+reciprocal, and the ordered region pair maps into an applicable rule plus
+the acting vessel's give-way or stand-on obligation.
 
 Region band boundaries (degrees, ``BAND_EDGES``): head-on covers [0, 5] and
-(355, 360) plus any pair whose courses are within ``HEAD_ON_COURSE_DEG`` of
-reciprocal; starboard covers (5, 112.5]; overtaking (112.5, 247.5]; port
-(247.5, 355].  The course proximity test uses |dpsi| uniformly in all bands
-so the mapping is total.
+(355, 360); starboard (5, 112.5]; overtaking (112.5, 247.5]; port
+(247.5, 355].  The course test, |dpsi| <= ``HEAD_ON_COURSE_DEG`` for one
+course-opposition measure of the pair, overrides every band, so the
+mapping is total.
 
 This module owns each of these decisions once.  The scalar path
 (``classify_pair``) and the array path (``situation_codes``) stay separate,
@@ -174,20 +174,15 @@ def event_counts(joint_counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-def bearing_region(beta: float, own_course: float, other_course: float) -> Region:
-    """Map a relative bearing (deg) and the two courses into a Region.
+def bearing_region(beta: float) -> Region:
+    """Region of a relative bearing (deg) by its band alone, as
+    ``bearing_regions``; ``classify_pair`` applies the course test.
 
     Raises:
-        ValueError: a bearing outside [0, 360) or non-finite, or a
-            non-finite course delta; neither lies in any band.
+        ValueError: a bearing outside [0, 360) or non-finite (in no band).
     """
     if not 0.0 <= beta < 360.0:
         raise ValueError(f"bearing must be finite and in [0, 360), got {beta}")
-    dpsi = reciprocal_course(own_course, other_course)
-    if not math.isfinite(dpsi):
-        raise ValueError(f"course delta must be finite, got {dpsi}")
-    if course_head_on(dpsi):
-        return Region.HEAD_ON
     return _BAND_REGIONS[bisect_left(BAND_EDGES, beta)]
 
 
@@ -210,6 +205,8 @@ def give_way_pairs() -> frozenset[tuple[Region, Region]]:
 def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, SituationOutcome]:
     """(dcpa, tcpa, outcome) of one deterministic pair, j acting.
 
+    Each view is its bearing's band region; courses that pass the one
+    ``course_head_on`` test make both head-on, as in ``situation_codes``.
     The CPA is ``cpa``'s, so a degenerate pair (matched velocities) has
     DCPA the current separation and TCPA +inf.  The pair is at risk when
     ``zone.at_risk(dcpa)``.
@@ -219,11 +216,11 @@ def classify_pair(j: VesselState, k: VesselState) -> tuple[float, float, Situati
         FloatingPointError: propagated from ``cpa`` when |dv|^2 overflows.
     """
     result = cpa(j, k)
-    outcome = mutual_situation(
-        bearing_region(relative_bearing(j, k), j.course, k.course),
-        bearing_region(relative_bearing(k, j), k.course, j.course),
-    )
-    return result.dcpa, result.tcpa, outcome
+    own = bearing_region(relative_bearing(j, k))
+    other = bearing_region(relative_bearing(k, j))
+    if course_head_on(reciprocal_course(j.course, k.course)):
+        own = other = Region.HEAD_ON
+    return result.dcpa, result.tcpa, mutual_situation(own, other)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +249,8 @@ def situation_codes(
     course_other)``; |dpsi| is symmetric between the two viewpoints.
 
     Raises:
-        ValueError: a bearing outside [0, 360) or non-finite, or a
-            non-finite course delta, as ``bearing_region``.
+        ValueError: a bearing outside [0, 360) or non-finite, as
+            ``bearing_regions``, or a non-finite course delta.
     """
     bands = bearing_regions(beta_own), bearing_regions(beta_other)
     if not np.all(np.isfinite(dpsi)):

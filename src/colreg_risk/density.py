@@ -93,11 +93,11 @@ def _circular_recenter(arr: np.ndarray) -> np.ndarray:
     return wrap_degrees(arr - mean + 180.0)
 
 
-def _line_view(arr: np.ndarray, topology: Topology) -> np.ndarray:
+def _line_view(arr: np.ndarray, topology: Topology | str) -> np.ndarray:
     """The samples a bandwidth selector reads on the line: line samples as
     they are, angles wrapped into [0, 360) and recentred on their circular
     mean, so that a cluster across the 0/360 cut is seen as one mode."""
-    if topology is Topology.LINE:
+    if Topology(topology) is Topology.LINE:
         return arr
     return _circular_recenter(wrap_degrees(arr))
 
@@ -114,7 +114,7 @@ def _image_shifts(estimate: DensityEstimate) -> np.ndarray:
 def fit(
     samples: Iterable[float],
     bandwidth: float,
-    topology: Topology = Topology.LINE,
+    topology: Topology | str = Topology.LINE,
 ) -> DensityEstimate:
     """Fit a Gaussian-kernel density with the given bandwidth.
 
@@ -123,11 +123,13 @@ def fit(
 
     Raises:
         TooFewSamples: fewer than two samples.
-        ValueError: a bandwidth that is not positive and finite.
+        ValueError: a bandwidth that is not positive and finite, or a
+            ``topology`` that ``Topology`` rejects.
     """
     arr = _as_samples(samples, 2)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    topology = Topology(topology)
     arr = wrap_degrees(arr) if topology is Topology.CIRCLE360 else arr.copy()
     arr.setflags(write=False)
     return DensityEstimate(arr, float(bandwidth), topology)
@@ -229,8 +231,8 @@ def _edge_cdf(
 
 def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float]:
     """Unclipped probability mass between each pair of consecutive ascending
-    ``edges``, in closed form per kernel.  Each edge's CDF is computed once per
-    periodic image and bounds the band below and the band above it.
+    ``edges`` (none for fewer than two), in closed form per kernel.  Each
+    edge's CDF is computed once per periodic image for both bands it bounds.
 
     Only kernels inside the ndtr window (-37.69, 8.31) of an edge are
     evaluated; the others get the exact 1.0 or 0.0 that ndtr returns there,
@@ -253,6 +255,8 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
         b < a for a, b in zip(edges, edges[1:])
     ):
         raise ValueError(f"band edges must be ascending and not NaN, got {edges}")
+    if len(edges) < 2:
+        return []
     data = estimate.samples
     h = estimate.bandwidth
     x_min = float(data.min())
@@ -303,7 +307,7 @@ def integrate(estimate: DensityEstimate, lo: float, hi: float) -> float:
 
 
 def bandwidth_silverman(
-    samples: Iterable[float], topology: Topology = Topology.LINE
+    samples: Iterable[float], topology: Topology | str = Topology.LINE
 ) -> float:
     """Silverman's rule of thumb, robust form: 0.9 min(sd, IQR/1.34) n^(-1/5).
 
@@ -510,7 +514,7 @@ def _brentq(
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def bandwidth_isj(samples: Iterable[float], topology: Topology = Topology.LINE) -> float:
+def bandwidth_isj(samples: Iterable[float], topology: Topology | str = Topology.LINE) -> float:
     """Plug-in bandwidth from the DCT fixed point (Improved Sheather-Jones).
 
     The samples are binned on a 2^14 grid padded by three pilot bandwidths,
@@ -593,7 +597,7 @@ def bandwidth_grid_cv(
     hi: float,
     step: float,
     folds: int = 5,
-    topology: Topology = Topology.LINE,
+    topology: Topology | str = Topology.LINE,
 ) -> float:
     """Grid-search bandwidth maximising k-fold held-out log-likelihood.
 
@@ -696,7 +700,7 @@ def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray
 
 def select_bandwidth(
     samples: Iterable[float],
-    topology: Topology = Topology.LINE,
+    topology: Topology | str = Topology.LINE,
 ) -> float:
     """The plug-in (ISJ) bandwidth, or Silverman's rule where it is unavailable.
 

@@ -269,9 +269,10 @@ def assess_des(
 
     Draws the same paired samples as the density pipeline for the given
     seed and evaluates the discrete-event loop per sample.  The per-sample
-    word tests are applied as vectorised masks; the result is identical to
-    running the automaton sample by sample, which the test-suite checks
-    against ``automaton.run_once`` directly.
+    word tests are applied as vectorised masks over the array geometry,
+    which shares the automaton's formulas and conventions; numpy's hypot and
+    arctan2 can differ from ``math``'s by an ulp, so a sample within an ulp
+    of ``d_act`` or of a band edge may count differently from ``run_once``.
     """
     return assess(j_mean, j_unc, k_mean, k_unc, zone, n, seed, (Method.DES,))[0]
 

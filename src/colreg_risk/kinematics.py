@@ -114,9 +114,10 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
 
     TCPA solves the minimum of the separation norm and is left unclamped;
     a negative value indicates the vessels are already past their CPA.
-    The arithmetic and conventions are ``cpa_arrays``': a degenerate pair
+    The formula and conventions are ``cpa_arrays``': a degenerate pair
     (|dv|^2 <= REL_SPEED_SQ_EPS, matched velocities) has no closest
-    approach, so TCPA is +inf and DCPA the current separation.
+    approach, so TCPA is +inf and DCPA the current separation.  ``math``'s
+    hypot rounds differently from numpy's, so a DCPA can differ by an ulp.
 
     Raises:
         FloatingPointError: if |dv|^2 overflows, which would collapse TCPA
@@ -145,8 +146,9 @@ def cpa(j: VesselState, k: VesselState) -> CpaResult:
 def relative_bearing(origin: VesselState, target: VesselState) -> float:
     """Bearing to ``target`` measured clockwise from ``origin``'s course.
 
-    Returns degrees in [0, 360).  Uses four-quadrant atan2 on the
-    (east, north) offsets.
+    Returns degrees in [0, 360).  Uses ``math``'s four-quadrant atan2 on
+    the (east, north) offsets, which can round differently from the numpy
+    one in ``bearing_arrays``.
 
     Raises:
         CoincidentPositions: if the two positions agree within POSITION_EPS.

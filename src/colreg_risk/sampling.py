@@ -63,13 +63,13 @@ class StateUncertainty:
 def make_uncertainty(
     diag: Sequence[float],
     alpha: float,
-    interpretation: Spread = Spread.STD_DEV,
+    interpretation: Spread | str = Spread.STD_DEV,
 ) -> StateUncertainty:
     """Scale a 4-entry dispersion diagonal by ``alpha``.
 
-    With ``Spread.STD_DEV`` the entries are standard deviations and scale
-    linearly (sigma = alpha * d); with ``Spread.VARIANCE`` they are
-    variances (sigma = sqrt(alpha * d)).
+    With ``Spread.STD_DEV`` (or its value ``"stddev"``) the entries are
+    standard deviations and scale linearly (sigma = alpha * d); with
+    ``Spread.VARIANCE`` they are variances (sigma = sqrt(alpha * d)).
     """
     entries = [float(v) for v in diag]
     if len(entries) != 4:
@@ -78,7 +78,7 @@ def make_uncertainty(
         raise ValueError("dispersion entries and alpha must be finite")
     if alpha < 0.0 or any(v < 0.0 for v in entries):
         raise ValueError("dispersion entries and alpha must be >= 0")
-    if interpretation is Spread.STD_DEV:
+    if Spread(interpretation) is Spread.STD_DEV:
         sigmas = [alpha * v for v in entries]
     else:
         sigmas = [float(np.sqrt(alpha * v)) for v in entries]

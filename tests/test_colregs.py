@@ -24,12 +24,13 @@ from colreg_risk.colregs import (
     BEARING_BANDS,
     band_regions,
     bearing_regions,
+    course_head_on,
     event_code,
     event_counts,
     situation_codes,
 )
 from colreg_risk.density import Topology, band_masses, fit, integrate
-from colreg_risk.kinematics import bearing_arrays, reciprocal_course
+from colreg_risk.kinematics import bearing_arrays, place_target, reciprocal_course
 
 from scenarios import (
     EXPECTED_TABLE,
@@ -55,26 +56,48 @@ courses = st.floats(0.0, 360.0, exclude_max=True)
 bearings = st.one_of(st.sampled_from(LITERAL_EDGES + (0.0,)), courses)
 
 
+def scalar_region(beta, own_course, other_course):
+    """One view as ``classify_pair`` composes it: the band region, head-on
+    when the pair's one course test holds."""
+    if course_head_on(reciprocal_course(own_course, other_course)):
+        return HO
+    return bearing_region(beta)
+
+
+def placed_outcome(bearing, own_course, other_course):
+    """``classify_pair``'s outcome for a target 1 km from own at ``bearing``."""
+    own = VesselState(0.0, 0.0, own_course, 10.0)
+    target = place_target(own, bearing, 1000.0, other_course, 10.0)
+    return classify_pair(own, target)[2]
+
+
+# Only a pair of head-on views gives rule 14.
+BOTH_HEAD_ON = SituationOutcome(Rule.R14, Obligation.GIVE_WAY)
+
+
 class TestBearingRegion:
     def test_head_on_reciprocal(self):
-        assert bearing_region(0.0, 0.0, 180.0) is HO
+        assert placed_outcome(0.0, 0.0, 180.0) == BOTH_HEAD_ON
 
     def test_starboard(self):
-        assert bearing_region(90.0, 0.0, 270.0) is SB
+        assert bearing_region(90.0) is SB
 
     def test_port_scenario2_geometry(self):
-        # dpsi = 5.5 just misses the course-proximity branch.
+        # dpsi = 5.5 just misses the course test, so own keeps the port band
+        # and only the target, which sees own dead ahead, is head-on.
         assert reciprocal_course(0.0, 174.5) == pytest.approx(5.5)
-        assert bearing_region(354.5, 0.0, 174.5) is PS
+        assert bearing_region(354.5) is PS
+        assert placed_outcome(354.5, 0.0, 174.5) == mutual_situation(PS, HO)
 
     def test_overtaking_with_identical_courses(self):
-        # Identical courses give dpsi = -180, so the proximity branch does
-        # not fire and the 200-degree band wins.
+        # Identical courses give dpsi = -180, so the course test does not
+        # fire and the 200-degree band wins; the target sees own at 20 deg.
         assert reference_region(200.0, 0.0, 0.0) is OT
-        assert bearing_region(200.0, 0.0, 0.0) is OT
+        assert placed_outcome(200.0, 0.0, 0.0) == mutual_situation(OT, SB)
 
     def test_course_proximity_overrides_band(self):
-        assert bearing_region(200.0, 0.0, 183.0) is HO
+        assert bearing_region(200.0) is OT
+        assert placed_outcome(200.0, 0.0, 183.0) == BOTH_HEAD_ON
 
     @pytest.mark.parametrize(
         "beta,expected",
@@ -82,7 +105,7 @@ class TestBearingRegion:
          (247.5, OT), (247.5001, PS), (355.0, PS), (355.0001, HO), (359.999, HO)],
     )
     def test_band_boundaries(self, beta, expected):
-        assert bearing_region(beta, 0.0, 90.0) is expected
+        assert bearing_region(beta) is expected
 
     def test_totality_random(self):
         rng = np.random.default_rng(21)
@@ -92,23 +115,22 @@ class TestBearingRegion:
         ])
         for beta in betas:
             own, other = float(rng.uniform(0, 360)), float(rng.uniform(0, 360))
-            region = bearing_region(float(beta), own, other)
-            assert region in Region
-            assert region is reference_region(float(beta), own, other)
+            assert bearing_region(float(beta)) in Region
+            assert scalar_region(float(beta), own, other) is reference_region(float(beta), own, other)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_bearing_rejected(self, beta):
         # A NaN compares false against every edge and used to land in the
         # head-on band; it lies in no band, so it is an error.
         with pytest.raises(ValueError, match="finite"):
-            bearing_region(beta, 0.0, 90.0)
+            bearing_region(beta)
 
     @pytest.mark.parametrize("beta", [-20.0, -1e-9, 360.0, 400.0])
     def test_out_of_range_bearing_rejected(self, beta):
         # The scalar path used to wrap these while the array path called
         # them head-on; both now reject them.
         with pytest.raises(ValueError, match="finite"):
-            bearing_region(beta, 0.0, 90.0)
+            bearing_region(beta)
         bad, good = np.array([10.0, beta]), np.full(2, 10.0)
         for columns in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="finite"):
@@ -117,9 +139,10 @@ class TestBearingRegion:
     @pytest.mark.parametrize("own, other", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
     def test_non_finite_course_delta_rejected(self, own, other):
         # A NaN course delta is not head-on and used to fall into a band.
+        # A scalar pair cannot carry one: VesselState rejects the course.
         dpsi = np.array([90.0, reciprocal_course(own, other)])
-        with pytest.raises(ValueError, match="finite"):
-            bearing_region(10.0, own, other)
+        with pytest.raises(ValueError, match="course"):
+            VesselState(0.0, 0.0, own, 1.0), VesselState(0.0, 0.0, other, 1.0)
         with pytest.raises(ValueError, match="finite"):
             situation_codes(np.full(2, 10.0), np.full(2, 200.0), dpsi)
 
@@ -291,22 +314,32 @@ class TestVectorisedCodes:
             assert abs(math.fsum(masses) - 1.0) <= 1e-9
 
     def test_situation_codes_match_scalar(self):
-        # Each view's codes are the scalar bearing_region's, band edges included.
+        # Each view's codes are reference_region's and the scalar
+        # composition's, band edges included.  The scalar path tests the
+        # courses once per pair, so the target's view must agree with the
+        # reference read from the target's side: |dpsi| is symmetric, also
+        # for courses exactly 175 and 185 deg apart and their neighbours.
         rng = np.random.default_rng(22)
         edges = np.array([0.0, 5.0, 112.5, 247.5, 355.0])
         beta = np.concatenate([rng.uniform(0, 360, 500), edges, np.nextafter(edges, 360.0)])
-        beta_other = beta[::-1]
         own = rng.uniform(0, 360, beta.size)
         other = np.where(np.arange(beta.size) % 4 == 0, (own + 175.0) % 360.0,
                          rng.uniform(0, 360, beta.size))
-        dpsi = (own - other) % 360.0 - 180.0
-        own_r, other_r = situation_codes(beta, beta_other, dpsi)
+        # Courses exactly 175 and 185 deg apart either way, and the float
+        # neighbours of each; all these sums are exact.
+        base = np.tile([0.0, 0.5, 12.25, 90.0, 174.5, 180.0, 269.75, 359.0], 4)
+        apart = (base + np.repeat([175.0, 185.0, -175.0, -185.0], 8)) % 360.0
+        own = np.concatenate([own, np.tile(base, 3)])
+        other = np.concatenate([other, apart, np.nextafter(apart, 0.0), np.nextafter(apart, 360.0)])
+        beta = np.concatenate([beta, rng.uniform(0, 360, own.size - beta.size)])
+        beta_other = beta[::-1]
+        own_r, other_r = situation_codes(beta, beta_other, reciprocal_course(own, other))
         for i in range(beta.size):
-            args = float(beta[i]), float(own[i]), float(other[i])
-            assert own_r[i] == int(reference_region(*args))
-            assert own_r[i] == int(bearing_region(*args))
-            other_args = float(beta_other[i]), float(other[i]), float(own[i])
-            assert other_r[i] == int(bearing_region(*other_args))
+            courses = float(own[i]), float(other[i])
+            assert own_r[i] == int(reference_region(float(beta[i]), *courses))
+            assert own_r[i] == int(scalar_region(float(beta[i]), *courses))
+            assert other_r[i] == int(reference_region(float(beta_other[i]), *courses[::-1]))
+            assert other_r[i] == int(scalar_region(float(beta_other[i]), *courses))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_situation_codes_reject_non_finite_bearing(self, bad):

@@ -249,6 +249,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="ascending and not NaN"):
             band_masses(d, edges)
 
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_fewer_than_two_edges_give_no_band(self, topology, monkeypatch):
+        # No band, so no CDF: no edges used to raise IndexError, and one
+        # edge evaluated its CDF at every periodic image before giving [].
+        d = fit([0.0, 90.0, 350.0], 5.0, topology)
+        monkeypatch.setattr(density_module, "_edge_cdf", None)  # a call would fail
+        assert band_masses(d, []) == []
+        assert band_masses(d, (10.0,)) == []
+        with pytest.raises(ValueError, match="NaN"):
+            band_masses(d, (math.nan,))
+        if topology is Topology.CIRCLE360:
+            with pytest.raises(ValueError, match=_outside_the_circle(400.0)):
+                band_masses(d, (400.0,))
+
     @pytest.mark.parametrize("lo, hi", [(355.0, 5.0), (360.0, 0.0), (10.0, 0.0), (360.0, 350.0)])
     def test_arcs_on_the_circle_keep_their_masses(self, lo, hi):
         d = fit([0.0, 90.0, 350.0, 359.5], 5.0, Topology.CIRCLE360)

@@ -4,7 +4,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import colreg_risk
+from colreg_risk import (
+    ComfortZone,
+    Method,
+    Spread,
+    StateUncertainty,
+    VesselState,
+    assess,
+    make_uncertainty,
+)
+from colreg_risk.density import (
+    Topology,
+    bandwidth_grid_cv,
+    bandwidth_isj,
+    bandwidth_silverman,
+    evaluate,
+    fit,
+    select_bandwidth,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +54,47 @@ def test_import_loads_no_scipy_optimize():
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
 
+
+
+# Bearings clustered across the 0/360 cut, so the circle view recentres them.
+_ANGLES = np.random.default_rng(0).normal(0.0, 20.0, 400) % 360.0
+
+
+def _fitted(topology):
+    est = fit(_ANGLES, 5.0, topology)
+    return est.samples.tobytes(), est.bandwidth, est.topology, evaluate(est, 350.0)
+
+
+def _assessed(method):
+    own = VesselState(0.0, 0.0, 0.0, 10.0)
+    target = VesselState(995.40, -95.85, 174.5, 10.0)
+    unc = StateUncertainty(10.0, 10.0, 2.0, 2.0)
+    return assess(own, unc, target, unc, ComfortZone(150.0, 600.0), 1000, 3, (method,))
+
+
+# Each reader of an enum argument, and the enum it reads.
+_ENUM_READERS = {
+    "fit": (_fitted, Topology),
+    "bandwidth_silverman": (lambda t: bandwidth_silverman(_ANGLES, t), Topology),
+    "bandwidth_isj": (lambda t: bandwidth_isj(_ANGLES, t), Topology),
+    "bandwidth_grid_cv": (lambda t: bandwidth_grid_cv(_ANGLES, 1.0, 20.0, 1.0, 4, t), Topology),
+    "select_bandwidth": (lambda t: select_bandwidth(_ANGLES, t), Topology),
+    "make_uncertainty": (lambda s: make_uncertainty((10, 10, 2, 2), 4.0, s), Spread),
+    "assess": (_assessed, Method),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, member",
+    [(name, member) for name, (_, enum) in _ENUM_READERS.items() for member in enum],
+)
+def test_enum_value_name_reads_as_member(reader, member):
+    # A value name such as "line" or "stddev" is the member it names; one
+    # that names no member is an error, not whichever branch it falls into.
+    read = _ENUM_READERS[reader][0]
+    assert read(member.value) == read(member)
+    with pytest.raises(ValueError):
+        read("no-such-member")
 
 
 def _remainder_by_360(node):
