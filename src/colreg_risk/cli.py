@@ -121,7 +121,7 @@ def _number(value, context: str, integer: bool = False) -> float | int:
     try:
         return int(value) if integer else float(value)
     except OverflowError:
-        raise ConfigError(f"{context}: {value!r} is out of range") from None
+        raise ConfigError(f"{context}: {value!r:.60} is out of range") from None
 
 
 def _numbers(mapping: dict, fields: tuple[str, ...], context: str) -> list[float]:
@@ -249,8 +249,8 @@ def load_config(path: str | Path, **overrides) -> ScenarioConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over Python's digit limit
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if isinstance(raw, dict):
         raw.update(overrides)
     return parse_config(raw)

@@ -3,16 +3,18 @@
 Two interchangeable Monte-Carlo pipelines produce a ``RiskAssessment`` for
 a vessel pair: a density pipeline that fits kernel densities to the sampled
 CPA/bearing quantities and integrates the relevant bands, and a counting
-pipeline that walks the discrete-event loop per sample and averages the
-indicator outcomes.  ``assess`` draws one batch and builds its geometry
-once, then runs each requested pipeline on those same buffers, so the
-methods' disagreement measures the method, not the noise.  A batch is
-fixed by its seed, so ``assess_kde`` and ``assess_des`` called apart give
-the answers ``assess`` gives for both at once.
+pipeline that applies the discrete-event loop's word tests as masks over
+the buffers and averages the indicator outcomes.  ``assess`` draws one
+batch and builds its geometry once, then runs each requested pipeline on
+those same buffers, so the methods' disagreement measures the method, not
+the noise.  A batch is fixed by its seed, so ``assess_kde`` and
+``assess_des`` called apart give the answers ``assess`` gives for both at
+once.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -40,6 +42,8 @@ from .density import (
     select_bandwidth,
 )
 from .kinematics import (
+    POSITION_EPS,
+    CoincidentPositions,
     VesselState,
     bearing_arrays,
     cpa_arrays,
@@ -72,10 +76,20 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
     """Vectorised CPA/bearing evaluation of a sampled batch.
 
     Raises:
+        CoincidentPositions: some sampled pair's positions agree within
+            POSITION_EPS, where ``relative_bearing`` raises too; the array
+            bearing would otherwise be atan2(0, 0).
         FloatingPointError: a non-finite DCPA, bearing or course delta, or a
             NaN TCPA (+inf TCPA marks a degenerate pair and is kept).
     """
     sj, sk = batch.states_j, batch.states_k
+    with np.errstate(over="ignore"):  # an overflowing offset is not coincident
+        gap = sk.north - sj.north
+        near = np.flatnonzero(np.abs(gap, out=gap) <= POSITION_EPS)
+        del gap  # not held through the geometry below
+        # Only the rows that coincide northward need the east test.
+        if near.size and (np.abs(sk.east[near] - sj.east[near]) <= POSITION_EPS).any():
+            raise CoincidentPositions("bearing undefined for coincident sampled positions")
     tcpa, dcpa, _ = cpa_arrays(
         sj.north, sj.east, sj.course, sj.speed,
         sk.north, sk.east, sk.course, sk.speed,
@@ -99,9 +113,10 @@ def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
 
 
 # ---------------------------------------------------------------------------
-# Density-pipeline helpers.  A buffer with zero spread (exact tracking) has
-# no density; its probabilities are the shares of samples passing the DES
-# tests, so the pipeline returns the DES answer there.
+# Density-pipeline helpers.  Rows with no density -- every row of a buffer
+# with zero spread (exact tracking), and a degenerate pair's +inf TCPA --
+# take the share of samples passing the matching DES test, so the pipeline
+# returns the DES answer there.
 # ---------------------------------------------------------------------------
 
 
@@ -149,12 +164,11 @@ def _kde(buf: EncounterBuffers, zone: ComfortZone, n: int, seed: int) -> RiskAss
     """The density pipeline's step on one batch's buffers (see ``assess_kde``)."""
     p_risk = _line_probability(buf.dcpa, zone.at_risk, 0.0, zone.d_act)
     finite = np.isfinite(buf.tcpa)
+    p_window = float(np.mean(~finite)) * zone.in_window(math.inf)
     if finite.any():
-        p_window = float(np.mean(finite)) * _line_probability(
+        p_window += float(np.mean(finite)) * _line_probability(
             buf.tcpa[finite], zone.in_window, 0.0, zone.t_aware
         )
-    else:  # every pair degenerate: no TCPA density, only the DES test
-        p_window = float(np.mean(zone.in_window(buf.tcpa)))
     p_course_opposed = _line_probability(
         buf.course_delta, course_head_on, -HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG
     )
@@ -220,6 +234,8 @@ def assess(
         ValueError: ``methods`` is empty, or ``Method`` rejects an entry.
         TooFewSamples: n < 1, or n < 1000 with the density pipeline among
             ``methods``.
+        CoincidentPositions: a sampled pair at one position (see
+            ``encounter_buffers``).
     """
     methods = tuple(map(Method, methods))
     if not methods:
@@ -249,8 +265,11 @@ def assess_kde(
     region probabilities from the bearing bands with the head-on course
     correction, the joint as the product of the two marginals, and the
     give-way probability as the give-way mass of the joint times the risk.
-    A buffer with zero spread takes the share of samples that pass the DES
-    test instead, so with exact tracking the result is the DES answer.
+    Rows with no density take the share of samples that pass the DES test
+    instead: every row of a buffer with zero spread, so with exact tracking
+    the result is the DES answer, and each degenerate pair's +inf TCPA,
+    which counts toward the window probability exactly when
+    ``zone.in_window(inf)`` holds, that is when t_aware is infinite.
     Needs n >= 1000 (``TooFewSamples``).
     """
     return assess(j_mean, j_unc, k_mean, k_unc, zone, n, seed, (Method.KDE,))[0]

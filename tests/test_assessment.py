@@ -17,7 +17,7 @@ from colreg_risk.assessment import assessment_from_counts
 
 from scenarios import DIAG, OWN_2, TARGET_2, ZONE
 
-PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 # Literal slot layout: R0, R13, R14, R15, two slots each, stand-on first.
 # R0 and R14 never oblige the acting vessel to stand on.

@@ -164,7 +164,7 @@ class TestRunOnce:
         assert states[1:-1] == STATES[1:]
         assert words[3] == "u7" and words[7] == "u15"
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(a=VESSEL_STATES, b=VESSEL_STATES, matched=st.booleans(),
            d_act=st.floats(1.0, 2000.0),
            t_aware=st.one_of(st.floats(1.0, 3600.0), st.just(math.inf)))
@@ -213,7 +213,7 @@ class TestIndicator:
             fired = [event for event in SITUATION_EVENTS if indicator(s, event) == 1]
             assert len(fired) == 1
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(strings=st.lists(
         st.lists(st.sampled_from(["u4", "u5", "u6", "u7", "u8", "u15", "aware_t", "aware_d",
                                   "act_t"]), max_size=6).map(tuple),
@@ -271,7 +271,7 @@ class TestEstimateProbabilities:
         for value in (a.p_risk, a.p_give_way, *(a.p_rule[r] for r in Rule)):
             assert value in (0.0, 1.0)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(pool=st.lists(
                st.lists(st.sampled_from(["u4", "u5", "u6", "u7", "u8", "u15", "aware_t",
                                          "aware_d", "act_t"]), max_size=6),
@@ -388,7 +388,7 @@ class TestBehavioralRelation:
                 total = sum(c for (_n, w, s), c in counts.items() if s == state and w == word)
                 assert rel.output_probability(word, state) == (total / seen if seen else 0.0)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(pool=st.lists(trajectories(), min_size=1, max_size=5),
            picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=40),
            as_generator=st.booleans())

@@ -138,6 +138,42 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("d_act_m", 10**400, f"d_act_m: {'1' + '0' * 59} is out of range"),
+        ("diag", 5, "diag: expected a list of numbers"),
+        ("methods", [], "methods: must not be empty"),
+        ("methods", ["kde", "x"], "methods: entries must be 'kde' or 'des', got ['kde', 'x']"),
+    ], ids=["integer-too-large-for-a-float", "diag-not-a-list", "methods-empty",
+            "methods-unknown-entry"])
+    def test_rejection_message(self, tmp_path, scenario1_raw, capsys, field, value, message):
+        # The out-of-range message shows the literal's first 60 characters,
+        # not all 401.
+        scenario1_raw[field] = value
+        with pytest.raises(ConfigError) as caught:
+            parse_config(scenario1_raw)
+        assert str(caught.value) == message
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"{nope", "Expecting property name enclosed in double quotes"),
+        (b'{"seed": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"interpretation": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "5001-digit-integer", "not-utf-8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content, reason):
+        # The digit limit and the UTF-8 decoder raise ValueErrors that are
+        # not JSONDecodeError; both used to end the run in a traceback.
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="is not valid UTF-8 JSON"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: config {path} is not valid UTF-8 JSON: ")
+        assert reason in err[0]
+
     def test_integral_float_count_accepted(self, scenario1_raw):
         scenario1_raw["n_samples"] = 2000.0
         config = parse_config(scenario1_raw)
@@ -480,7 +516,7 @@ class TestRunFuzz:
         ("target", "speed_mps"): magnitudes,
     }
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(values=st.tuples(*(st.none() | field for field in FIELDS.values())),
            diag=st.none() | st.lists(magnitudes, min_size=4, max_size=4),
            alpha=st.sampled_from([0.0, 1.0, 5.0]) | magnitudes)
@@ -515,7 +551,7 @@ class TestRunFuzz:
                ("target", "range_m", None), ("target", "bearing_deg", None),
                *((None, field, i) for field in ("diag", "own_diag") for i in range(4))]
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(edits=st.lists(st.tuples(st.sampled_from(ENTRIES), edge), min_size=1, max_size=3),
            method=st.sampled_from([("des", 64), ("des", 64), ("des", 64), ("kde", 1000)]))
     def test_edge_values_exit_cleanly(self, tmp_path_factory, edits, method):
@@ -849,7 +885,7 @@ class TestAnalyzeFuzz:
         st.sampled_from([0.0, -5.0]) | st.floats(),
     )
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(bearings=st.lists(st.floats(0.0, 359.99), min_size=1, max_size=3, unique=True),
            extra=extra_bearing, range_m=range_m,
            samples=st.integers(5, 300) | st.integers(0, 300),

@@ -49,7 +49,7 @@ from scenarios import (
 )
 
 # Deterministic property runs: no example database, a fixed example order.
-PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=150)
+PROPERTY = settings(max_examples=150)
 LITERAL_EDGES = (5.0, 112.5, 247.5, 355.0)
 coords = st.floats(-5000.0, 5000.0)
 courses = st.floats(0.0, 360.0, exclude_max=True)

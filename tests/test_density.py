@@ -62,6 +62,15 @@ class TestFitEvaluate:
         with pytest.raises(ValueError, match="bandwidth must be positive and finite, got 0.0"):
             fit([0.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda s: fit(s, 1.0), bandwidth_silverman, select_bandwidth,
+        lambda s: bandwidth_grid_cv(s, 0.1, 1.0, 0.1),
+    ], ids=["fit", "bandwidth_silverman", "select_bandwidth", "bandwidth_grid_cv"])
+    def test_non_finite_sample_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            call([0.0, 1.0, 2.0, bad] * 20)
+
     @pytest.mark.parametrize("topology", list(Topology))
     @pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
     def test_nonfinite_bandwidth(self, bandwidth, topology):
@@ -381,6 +390,22 @@ class TestIsj:
             h = select_bandwidth(x, topology)
         assert h == bandwidth_silverman(x)
 
+    def test_fallback_on_unbracketed_fixed_point(self):
+        # Three repeated values: no bracket [0, 0.01] .. [0, 0.64] holds a
+        # sign change of t - xi * gamma(t).
+        x = np.repeat([0.0, 1.0, 3.0], [80, 20, 20])
+        with pytest.raises(FixedPointFailure, match=r"no positive root bracketed on \(0, 1\]"):
+            bandwidth_isj(x)
+        with pytest.warns(RuntimeWarning, match="no positive root bracketed"):
+            h = select_bandwidth(x)
+        assert h == bandwidth_silverman(x)
+
+    def test_fixed_point_collapses_at_the_first_stage(self):
+        # All DCT coefficients zero: the top-stage derivative norm is 0.0.
+        tables = _stage_tables(np.zeros(density_module._I_SQ.size))
+        with pytest.raises(FixedPointFailure, match="derivative-norm estimate collapsed"):
+            density_module._fixed_point(0.01, 100, tables)
+
     @pytest.mark.parametrize("n", [2, 49])
     def test_fallback_on_too_few_samples(self, n):
         x = np.random.default_rng(45).standard_normal(n)
@@ -450,7 +475,7 @@ class TestBrentq:
     """``_brentq`` is scipy's C solver transcribed step for step: the same
     evaluated points and the same root bits."""
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(_brent_cases())
     def test_matches_scipy_step_for_step(self, case):
         kind, params, a, b, xtol = case
@@ -641,7 +666,7 @@ class TestSortedOrderStatistics:
     """bandwidth_isj reads its pilot quartiles, distinct count and bin
     counts from one sorted copy; each must equal numpy's unsorted answer."""
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_binned_samples())
     def test_bin_counts_match_histogram(self, case):
         x, lo, hi, bins = case
@@ -650,13 +675,13 @@ class TestSortedOrderStatistics:
         assert counts.dtype == expected.dtype
         np.testing.assert_array_equal(counts, expected)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_binned_samples(), st.sampled_from([0.0, -0.0]))
     def test_distinct_count_matches_unique(self, case, zero):
         x = np.concatenate([case[0], [zero, -zero, zero]])
         assert _distinct_count(np.sort(x)) == np.unique(x).size
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_binned_samples(), st.sampled_from([0.0, -0.0]))
     def test_quartiles_match_percentile(self, case, zero):
         x = np.concatenate([case[0], [zero, -zero]])
@@ -671,7 +696,7 @@ class TestSortedOrderStatistics:
         else:
             assert _silverman(x, ordered) == expected
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, -1.7e308]),
                     min_size=2, max_size=60)
@@ -700,7 +725,7 @@ class TestSortedOrderStatistics:
             got = np.array([_sorted_quantile(x, 0.75), _sorted_quantile(x, 0.25)])
             _assert_same_quantiles(got, expected)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_binned_samples(), st.sampled_from(list(Topology)))
     def test_silverman_equals_percentile_rule(self, case, topology):
         # Silverman's rule as it read np.percentile on the unsorted samples.
@@ -847,7 +872,7 @@ class TestExactTruncation:
             partial += int(0 < live.size < i_sq.size)
         assert partial >= 30
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-30.0, 30.0), width=st.floats(0.0, 30.0),
            t=st.one_of(
                st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
@@ -934,7 +959,7 @@ class TestExactTruncation:
         if h < 1.0:
             assert np.any(got == 0.0)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(topology=st.sampled_from(list(Topology)), n=st.integers(2, 200),
            seed=st.integers(0, 2**32 - 1), centre=st.floats(0.0, 360.0),
            spread=st.floats(-3.0, 2.0), h_ratio=st.floats(-2.0, 1.0),
@@ -1025,7 +1050,7 @@ class TestSaturationWindow:
         assert np.all(ndtr(ones) == 1.0)
         assert np.all(ndtr(zeros) == 0.0)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_band_mass_cases())
     def test_band_masses_equal_full_ndtr(self, case):
         estimate, edges = case
@@ -1074,7 +1099,7 @@ def _seam_cases(draw):
 
 
 class TestSeamReuse:
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_seam_cases())
     def test_equals_recomputed_cdfs(self, case):
         estimate, edges = case
@@ -1165,7 +1190,7 @@ class TestGridCv:
         assert -87.0 > math.log(tiny)
 
     @pytest.mark.parametrize("shape", ["gauss", "cauchy", "clusters", "rounded"])
-    @settings(database=None, derandomize=True, deadline=None, max_examples=10)
+    @settings(max_examples=10)
     @given(data=st.data())
     def test_equals_unclamped_reference(self, shape, data):
         samples, lo, hi, step, folds = data.draw(_grid_cv_cases(shape))
@@ -1265,6 +1290,10 @@ class TestKsNormality:
     def test_minimum_count(self):
         with pytest.raises(TooFewSamples):
             ks_normality(np.arange(7.0))
+
+    def test_identical_samples_have_no_dispersion(self):
+        with pytest.raises(ZeroDispersion, match="samples have no dispersion"):
+            ks_normality([2.5] * 8)
 
     def test_calibration_on_normal_data(self):
         passes = 0

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colreg_risk import (
+    CoincidentPositions,
     ComfortZone,
     Method,
     Rule,
@@ -87,6 +88,21 @@ class TestBuffers:
             for assess in (assess_kde, assess_des):
                 with pytest.raises(FloatingPointError):
                     assess(OWN_2, huge, TARGET_2, huge, ZONE, 1000, 3)
+
+    @pytest.mark.parametrize("target_unc", [StateUncertainty(0.0, 0.0, 2.0, 0.0),
+                                            StateUncertainty(1e-12, 1e-12, 0.0, 0.0)],
+                             ids=["course-noise", "1e-12-m-position-noise"])
+    def test_coincident_positions_rejected(self, target_unc):
+        # The array bearing of a coincident pair was atan2(0, 0) = 0, dead
+        # ahead, so both pipelines reported p_R15 = 1.0 and p_risk = 1.0
+        # where relative_bearing raises.
+        own, target = VesselState(0.0, 0.0, 0.0, 10.0), VesselState(0.0, 0.0, 90.0, 10.0)
+        batch = draw_pair(own, EXACT, target, target_unc, 1000, seed=1)
+        with pytest.raises(CoincidentPositions, match="coincident sampled positions"):
+            encounter_buffers(batch)
+        for assess in (assess_kde, assess_des):
+            with pytest.raises(CoincidentPositions, match="coincident sampled positions"):
+                assess(own, EXACT, target, target_unc, ComfortZone(150.0, 600.0), 1000, 1)
 
     @pytest.mark.parametrize("field", ["tcpa", "dcpa", "bearing_jk", "bearing_kj",
                                        "course_delta"])
@@ -229,6 +245,34 @@ class TestKdePath:
         assert 0.0 <= a.p_tcpa_window <= float(np.mean(finite))
         assert a.p_tcpa_window == pytest.approx(des.p_tcpa_window, abs=0.01)
 
+    # Parallel mean courses at 10 m/s and a 1e-4 m/s target speed spread:
+    # 1270 of the 5000 pairs at seed 3 (25.4%) are degenerate (TCPA = +inf).
+    _PARALLEL_OWN = VesselState(0.0, 0.0, 0.0, 10.0)
+    _PARALLEL_TARGET = VesselState(500.0, 300.0, 0.0, 10.0)
+
+    def _parallel_windows(self, sigma_speed, t_aware):
+        """(KDE, DES) p_tcpa_window of the parallel pair at seed 3."""
+        unc = StateUncertainty(20.0, 20.0, 0.0, sigma_speed)
+        kde, des = estimator.assess(self._PARALLEL_OWN, EXACT, self._PARALLEL_TARGET, unc,
+                                    ComfortZone(150.0, t_aware), 5000, 3, ("kde", "des"))
+        return kde.p_tcpa_window, des.p_tcpa_window
+
+    def test_degenerate_pairs_take_the_des_window_share(self):
+        # The +inf TCPAs used to drop out of the KDE window probability
+        # (0.370 against DES 0.624) when the window has no upper end.
+        unc = StateUncertainty(20.0, 20.0, 0.0, 1e-4)
+        batch = draw_pair(self._PARALLEL_OWN, EXACT, self._PARALLEL_TARGET, unc, 5000, seed=3)
+        assert np.count_nonzero(np.isposinf(encounter_buffers(batch).tcpa)) == 1270
+        kde, des = self._parallel_windows(1e-4, math.inf)
+        assert abs(kde - des) <= 0.01
+
+    def test_finite_window_keeps_its_bits(self):
+        # A finite window never holds +inf, so the degenerate share adds 0.0.
+        assert self._parallel_windows(1e-4, 600.0) == (3.0529356637960072e-09, 0.0)
+
+    def test_every_pair_degenerate_counts_the_unbounded_window(self):
+        assert self._parallel_windows(0.0, math.inf) == (1.0, 1.0)
+
     def test_needs_enough_samples(self):
         with pytest.raises(TooFewSamples):
             assess_kde(OWN_1, EXACT, TARGET_1, make_uncertainty(DIAG, 1.0), ZONE, 500, seed=8)
@@ -364,7 +408,7 @@ class TestPropagationStudy:
 
 
 # Deterministic property runs: no example database, a fixed example order.
-PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=30)
+PROPERTY = settings(max_examples=30)
 coords = st.floats(-3000.0, 3000.0)
 mean_states = st.builds(
     VesselState, coords, coords, st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 15.0)

@@ -165,7 +165,7 @@ far_pairs = st.builds(lambda pair, a, b: (replace(pair[0], north=a), replace(pai
                       pairs, far, far)
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(pair=pairs)
 def test_cpa_equals_reference_expressions(pair):
     j, k = pair
@@ -178,7 +178,7 @@ def test_cpa_equals_reference_expressions(pair):
         assert (res.tcpa, res.dcpa) == expected
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(pair=pairs | far_pairs)
 def test_cpa_matches_cpa_arrays(pair):
     j, k = pair
@@ -427,7 +427,7 @@ class TestWrapDegrees:
     """wrap_degrees is x % 360.0 in 64-bit patterns, with 360 read as 0,
     whichever path it takes."""
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(st.lists(_MOD_DOMAIN, min_size=1, max_size=60)
            | st.lists(st.floats(width=64) | _MOD_SPECIAL, min_size=1, max_size=60))
     def test_arrays_match_remainder(self, values):
@@ -437,7 +437,7 @@ class TestWrapDegrees:
         assert type(got) is np.ndarray and got.shape == x.shape
         np.testing.assert_array_equal(_bits(got), _bits(_read_as_zero(expected)))
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.floats(width=64) | _MOD_SPECIAL)
     def test_scalars_match_remainder(self, value):
         for x in (value, np.float64(value), np.array(value)):
@@ -531,7 +531,7 @@ class TestConstantVessel:
             vn, ve = velocity_arrays(course, speed)
             assert calls == [5] and vn.strides == ve.strides == (8,)
 
-    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(data=st.data(), n=st.integers(2, 40))
     def test_geometry_equals_per_sample(self, data, n):
         j = data.draw(_vessel_columns(n))

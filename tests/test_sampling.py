@@ -260,7 +260,7 @@ class TestDrawPair:
 
 
 class TestPairStreamSeeds:
-    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(seed=st.integers(0, 2**128))
     def test_prefix_stable(self, seed):
         # A longer list extends a shorter one, so a caller may ask for
