@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.special import kolmogorov, ndtr
 
-from .kinematics import wrap_degrees
+from .kinematics import _wrap_owned, wrap_degrees
 from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -48,6 +48,9 @@ _EXP_ZERO_BELOW = -746.0
 # pins ndtr at both bounds and beyond.
 _NDTR_ZERO_AT = -37.69
 _NDTR_ONE_AT = 8.31
+# Kernels per ndtr chunk in the band integrals: the chunk's index, gather and
+# result arrays stay near 400 KB whatever the sample count.
+_NDTR_CHUNK = 16_384
 
 
 class ZeroDispersion(ValueError):
@@ -86,11 +89,23 @@ def _as_samples(samples: Iterable[float], minimum: int) -> np.ndarray:
 
 
 def _circular_recenter(arr: np.ndarray) -> np.ndarray:
-    # Rotate angular samples so their circular mean sits at 180 deg; the
-    # rotation leaves kernel geometry (and hence the bandwidth) unchanged.
+    """Angular samples rotated so their circular mean sits at 180 deg; the
+    rotation leaves kernel geometry (and hence the bandwidth) unchanged.
+
+    ``wrap_degrees(arr - mean + 180.0)`` bit for bit, in two n-buffers: one
+    trig buffer serves both means, each still the pairwise sum of one
+    contiguous array, and the recentring and the wrap run in the radians
+    buffer, op for op.
+    """
     rad = np.radians(arr)
-    mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
-    return wrap_degrees(arr - mean + 180.0)
+    trig = np.sin(rad)
+    mean_sin = float(np.mean(trig))
+    mean_cos = float(np.mean(np.cos(rad, out=trig)))
+    del trig
+    mean = math.degrees(math.atan2(mean_sin, mean_cos))
+    recentred = np.subtract(arr, mean, out=rad)
+    recentred += 180.0
+    return _wrap_owned(recentred)
 
 
 def _line_view(arr: np.ndarray, topology: Topology | str) -> np.ndarray:
@@ -209,24 +224,37 @@ def _image_is_zero(
 
 
 def _edge_cdf(
-    edge: float, data: np.ndarray, x_min: float, x_max: float, shift: float, h: float
+    edge: float,
+    data: np.ndarray,
+    x_min: float,
+    x_max: float,
+    shift: float,
+    h: float,
+    out: np.ndarray,
+    z: np.ndarray,
 ) -> float | np.ndarray:
-    # ndtr((edge - data + shift) / h) per kernel.  z falls as the sample
+    # ndtr((edge - data + shift) / h) per kernel, written into ``out``, with
+    # ``z`` as scratch for the standardised distances.  z falls as the sample
     # grows (each rounding step is monotone), so the extremes bound every z:
     # when all kernels are saturated the CDF is the scalar 1.0 or 0.0.
     if (edge - x_max + shift) / h >= _NDTR_ONE_AT:
         return 1.0
     if (edge - x_min + shift) / h <= _NDTR_ZERO_AT:
         return 0.0
-    z = edge - data
+    np.subtract(edge, data, out=z)
     z += shift
     z /= h
-    # Index arrays beat boolean indexing here, and ndtr(..., where=) is no
-    # option: with scipy 1.17.1 it corrupts the heap on long masks.
-    live = np.flatnonzero((z > _NDTR_ZERO_AT) & (z < _NDTR_ONE_AT))
-    cdf = (z >= _NDTR_ONE_AT).astype(float)
-    cdf[live] = ndtr(z[live])
-    return cdf
+    np.greater_equal(z, _NDTR_ONE_AT, out=out)
+    # ndtr is elementwise, so chunks of the live kernels keep every bit; they
+    # bound the index, gather and result arrays.  Index arrays beat boolean
+    # indexing here, and ndtr(..., where=) is no option: with scipy 1.17.1 it
+    # corrupts the heap on long masks.
+    for start in range(0, z.size, _NDTR_CHUNK):
+        z_part = z[start : start + _NDTR_CHUNK]
+        live = np.flatnonzero((z_part > _NDTR_ZERO_AT) & (z_part < _NDTR_ONE_AT))
+        if live.size:
+            out[start : start + _NDTR_CHUNK][live] = ndtr(z_part[live])
+    return out
 
 
 def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float]:
@@ -241,6 +269,12 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
     bit-identical to evaluating ndtr on every kernel.  Infinite edges are
     valid on the line; on the circle every edge lies in [0, 360], as one
     beyond it would count periodic images' mass.
+
+    The work runs in three n-buffers held for the call: each edge's CDF
+    goes into one of two that take turns as a band's lower and upper edge,
+    and one scratch takes the standardised distances and then each band's
+    difference, whose mean reads that one contiguous array, so its pairwise
+    sum is that of ``np.mean(upper - lower)``.
 
     Raises:
         ValueError: a NaN edge, edges that descend, or an edge on the
@@ -261,19 +295,28 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
     h = estimate.bandwidth
     x_min = float(data.min())
     x_max = float(data.max())
+    scratch = np.empty(data.size)
+    cdfs = [np.empty(data.size), np.empty(data.size)]
     masses = [0.0] * (len(edges) - 1)
     # With a first edge of 0, the last edge c at image 0 and the first edge
     # at image c give every kernel z = fl(c - x) / h, so one CDF serves both:
-    # on the circle, edge 360 at shift 0 is edge 0 at shift 360.
+    # on the circle, edge 360 at shift 0 is edge 0 at shift 360.  Image 360
+    # directly follows image 0, so the seam is read before its buffer takes
+    # another CDF.
     seam = None
     for shift in _image_shifts(estimate):
         if seam is not None and shift == edges[-1]:
             lower = seam
         else:
-            lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
+            lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h, cdfs[0], scratch)
         for band, edge in enumerate(edges[1:]):
-            upper = _edge_cdf(edge, data, x_min, x_max, shift, h)
-            masses[band] += float(np.mean(upper - lower))
+            out = cdfs[1] if lower is cdfs[0] else cdfs[0]
+            upper = _edge_cdf(edge, data, x_min, x_max, shift, h, out, scratch)
+            if isinstance(upper, float) and isinstance(lower, float):
+                diff = upper - lower
+            else:
+                diff = np.subtract(upper, lower, out=scratch)
+            masses[band] += float(np.mean(diff))
             lower = upper
         if shift == 0.0 and edges[0] == 0.0:
             seam = lower

@@ -166,8 +166,10 @@ def _kde(buf: EncounterBuffers, zone: ComfortZone, n: int, seed: int) -> RiskAss
     finite = np.isfinite(buf.tcpa)
     p_window = float(np.mean(~finite)) * zone.in_window(math.inf)
     if finite.any():
+        # Every TCPA finite: the buffer itself, with no n-sized copy.
+        tcpa = buf.tcpa if finite.all() else buf.tcpa[finite]
         p_window += float(np.mean(finite)) * _line_probability(
-            buf.tcpa[finite], zone.in_window, 0.0, zone.t_aware
+            tcpa, zone.in_window, 0.0, zone.t_aware
         )
     p_course_opposed = _line_probability(
         buf.course_delta, course_head_on, -HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG

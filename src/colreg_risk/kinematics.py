@@ -25,6 +25,8 @@ import numpy as np
 REL_SPEED_SQ_EPS = 1e-9
 # Position tolerance below which a bearing is undefined, meters.
 POSITION_EPS = 1e-9
+# Elements per block of wrap_degrees' shift steps.
+_WRAP_BLOCK = 8192
 
 
 class CoincidentPositions(ValueError):
@@ -88,25 +90,57 @@ def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
     * every other element is x + 0.0: x itself, and +0.0 for -0.0.
 
     Any other input, NaN and infinities included, takes ``%`` itself.
+
+    The shifts run over blocks of ``_WRAP_BLOCK`` elements, so each
+    ``mask * 360.0`` array is block-sized instead of n-sized; the blocks
+    change no bit, as every step is elementwise.
     """
-    # A 0-d array's sums are numpy scalars, which the fix-up cannot index.
-    if type(angle) is np.ndarray and angle.dtype == np.float64 and angle.ndim and angle.size:
-        lo, hi = float(angle.min()), float(angle.max())
-        if lo >= -720.0 and hi < 720.0:
-            wrapped = angle + 0.0
-            if hi >= 360.0:
-                wrapped -= (angle >= 360.0) * 360.0
-            if lo < -360.0:
-                wrapped += (angle < -360.0) * 360.0
-            if lo < 0.0:
-                wrapped += (wrapped < 0.0) * 360.0
-                wrapped[wrapped >= 360.0] = 0.0
-            return wrapped
+    wrapped = _shift_wrap(angle, None)
+    if wrapped is not None:
+        return wrapped
     wrapped = angle % 360.0
     if isinstance(wrapped, np.ndarray):
         wrapped[wrapped >= 360.0] = 0.0  # a new array; np.where would allocate another
         return wrapped
     return 0.0 if wrapped >= 360.0 else wrapped
+
+
+def _wrap_owned(angle: np.ndarray) -> np.ndarray:
+    # wrap_degrees of an array the caller owns and gives up: the shift path
+    # wraps it in place, the remainder path returns a new array.
+    wrapped = _shift_wrap(angle, angle)
+    return wrap_degrees(angle) if wrapped is None else wrapped
+
+
+def _shift_wrap(angle: float | np.ndarray, out: np.ndarray | None) -> np.ndarray | None:
+    # wrap_degrees' shift path into ``out`` (None for a new array, or
+    # ``angle`` itself), or None where the remainder must run.  Each shift
+    # mask reads the running result, which agrees with the input on it:
+    # step one changes -0.0 alone, and step two moves only values >= 360,
+    # into [0, 360), off the step-three mask.
+    # A 0-d array's sums are numpy scalars, which the fix-up cannot index.
+    if not (type(angle) is np.ndarray and angle.dtype == np.float64 and angle.ndim
+            and angle.size):
+        return None
+    lo, hi = float(angle.min()), float(angle.max())
+    if not (lo >= -720.0 and hi < 720.0):
+        return None
+    wrapped = np.add(angle, 0.0, out=out)
+    if hi < 360.0 and lo >= 0.0:
+        return wrapped
+    # Blocks along the first axis (views for any strides) keep each mask and
+    # product small enough to stay in cache and off fresh pages.
+    rows = max(1, _WRAP_BLOCK * wrapped.shape[0] // wrapped.size)
+    for start in range(0, wrapped.shape[0], rows):
+        part = wrapped[start : start + rows]
+        if hi >= 360.0:
+            part -= (part >= 360.0) * 360.0
+        if lo < -360.0:
+            part += (part < -360.0) * 360.0
+        if lo < 0.0:
+            part += (part < 0.0) * 360.0
+            part[part >= 360.0] = 0.0
+    return wrapped
 
 
 def cpa(j: VesselState, k: VesselState) -> CpaResult:
@@ -188,7 +222,11 @@ def reciprocal_course(
 
     Zero means exactly reciprocal courses; identical courses map to -180.
     """
-    return wrap_degrees(psi_j - psi_k) - 180.0
+    delta = psi_j - psi_k
+    # An array delta is a new array: it is wrapped and shifted in place.
+    delta = _wrap_owned(delta) if isinstance(delta, np.ndarray) else wrap_degrees(delta)
+    delta -= 180.0
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +243,26 @@ def velocity_arrays(course_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarr
     the trig runs once and each component is a stride-0 view of its one
     result: numpy's radians, cos and sin give an element the same bits in a
     length-1 array as in a long one, so that is the per-sample result.
+    Otherwise the east component is formed in the radians buffer, and each
+    product is ``speed * trig`` bit for bit, as IEEE multiplication commutes.
     """
     if course_deg.strides == speed.strides == (0,) and course_deg.shape == speed.shape:
         # A slice of a stride-0 view keeps stride 0; the copies do not.
         vn, ve = velocity_arrays(course_deg[:1].copy(), speed[:1].copy())
         return np.broadcast_to(vn, course_deg.shape), np.broadcast_to(ve, course_deg.shape)
     rad = np.radians(course_deg)
-    return speed * np.cos(rad), speed * np.sin(rad)
+    v_north = np.cos(rad)
+    v_north *= speed
+    v_east = np.sin(rad, out=rad)
+    v_east *= speed
+    return v_north, v_east
+
+
+def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a - b, written into whichever operand is writable: velocity_arrays'
+    # full columns are new arrays, its stride-0 views read-only.
+    out = a if a.flags.writeable else b if b.flags.writeable else None
+    return np.subtract(a, b, out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -230,28 +281,50 @@ def cpa_arrays(
     Where the mask is set, tcpa is +inf and dcpa is the current separation.
     Where |dv|^2 overflows, tcpa and dcpa are NaN, as ``cpa`` raises there.
     Overflow shows only as non-finite output, never as a numpy warning.
+
+    Every n-sized step writes into a buffer the kernel already holds: the
+    velocity differences overwrite the velocities, TCPA, the CPA separations
+    and DCPA are formed in place, and the position offsets are recomputed
+    where they are read instead of held, so at most five n-columns are live.
+    Each element still takes the operations of the plain expressions
+    ``-(dpn*dvn + dpe*dve) / rel_sq`` and ``hypot(dpn + dvn*tcpa, dpe +
+    dve*tcpa)`` in their order (an in-place ``x += y`` is ``y + x``, which
+    IEEE addition gives the same bits), so every output bit is theirs.
     """
     vjn, vje = velocity_arrays(course_j, speed_j)
     vkn, vke = velocity_arrays(course_k, speed_k)
-    dvn = vjn - vkn
-    dve = vje - vke
-    rel_sq = dvn * dvn + dve * dve
+    dvn = _difference(vjn, vkn)
+    dve = _difference(vje, vke)
+    del vjn, vje, vkn, vke
+    rel_sq = dvn * dvn
+    scratch = dve * dve
+    rel_sq += scratch
     rel_sq[np.isinf(rel_sq)] = np.nan
     degenerate = rel_sq <= REL_SPEED_SQ_EPS
     # With no degenerate pair each fill below would copy its input unchanged.
     any_degenerate = degenerate.any()
+    if any_degenerate:
+        rel_sq[degenerate] = 1.0  # a safe divisor; these rows are filled below
 
-    dpn = north_j - north_k
-    dpe = east_j - east_k
-    safe_rel = np.where(degenerate, 1.0, rel_sq) if any_degenerate else rel_sq
-    tcpa = -(dpn * dvn + dpe * dve) / safe_rel
-    sep_n = dpn + dvn * tcpa
-    sep_e = dpe + dve * tcpa
-    dcpa = np.hypot(sep_n, sep_e)
+    tcpa = np.subtract(north_j, north_k, out=scratch)
+    tcpa *= dvn
+    dp_e = np.subtract(east_j, east_k)
+    dp_e *= dve
+    tcpa += dp_e
+    np.negative(tcpa, out=tcpa)
+    tcpa /= rel_sq
+    # The offsets again, into the spent divisor and product buffers.
+    dp_n = np.subtract(north_j, north_k, out=rel_sq)
+    dp_e = np.subtract(east_j, east_k, out=dp_e)
+    sep_n = np.multiply(dvn, tcpa, out=dvn)
+    sep_n += dp_n
+    sep_e = np.multiply(dve, tcpa, out=dve)
+    sep_e += dp_e
+    dcpa = np.hypot(sep_n, sep_e, out=sep_n)
 
     if any_degenerate:
-        tcpa = np.where(degenerate, np.inf, tcpa)
-        dcpa = np.where(degenerate, np.hypot(dpn, dpe), dcpa)
+        tcpa[degenerate] = np.inf
+        np.copyto(dcpa, np.hypot(dp_n, dp_e, out=dp_n), where=degenerate)
     return tcpa, dcpa, degenerate
 
 
@@ -266,7 +339,13 @@ def bearing_arrays(
     """Vectorised relative bearing from vessel j to vessel k, [0, 360).
 
     Offsets that overflow give infinite atan2 arguments, never a warning.
+    ``arctan2``, ``degrees``, the course subtraction and the wrap all run in
+    the east-offset buffer, op for op as ``wrap_degrees(degrees(arctan2(
+    east_k - east_j, north_k - north_j)) - course_j)``, so at most two
+    n-columns are live and every bit is that expression's.
     """
-    absolute = np.degrees(np.arctan2(east_k - east_j, north_k - north_j))
-    return wrap_degrees(absolute - course_j)
-
+    bearing = np.subtract(east_k, east_j)
+    np.arctan2(bearing, np.subtract(north_k, north_j), out=bearing)
+    np.degrees(bearing, out=bearing)
+    bearing -= course_j
+    return _wrap_owned(bearing)

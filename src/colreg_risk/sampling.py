@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinematics import VesselState, wrap_degrees
+from .kinematics import VesselState, _wrap_owned
 
 
 class TooFewSamples(ValueError):
@@ -149,9 +149,13 @@ def draw(
     rng = np.random.default_rng(stream_seed)
     north = rng.normal(mean.north, unc.sigma_north, n)
     east = rng.normal(mean.east, unc.sigma_east, n)
+    # mean.course + z is z + mean.course bit for bit, so the draw is shifted
+    # and wrapped in its own buffer.
+    course = rng.normal(0.0, unc.sigma_course, n)
+    course += mean.course
     # An overflowed course draw wraps to NaN unwarned; the geometry rejects it.
     with np.errstate(invalid="ignore"):
-        course = wrap_degrees(mean.course + rng.normal(0.0, unc.sigma_course, n))
+        course = _wrap_owned(course)
     speed = rng.normal(mean.speed, unc.sigma_speed, n)
     if clamp_speed:
         speed = np.maximum(speed, 0.0)

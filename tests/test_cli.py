@@ -674,8 +674,9 @@ class TestAnalyzeCommand:
         # The plug-in selector cannot run on ten samples; the export falls
         # back to the rule of thumb and the curves stay normalised.
         out_dir = tmp_path / "tiny"
-        assert main(["analyze", "--bearings", "0", "--samples", "10",
-                     "--out", str(out_dir), "--seed", "2"]) == 0
+        with pytest.warns(RuntimeWarning, match="Silverman"):
+            assert main(["analyze", "--bearings", "0", "--samples", "10",
+                         "--out", str(out_dir), "--seed", "2"]) == 0
         curve = np.loadtxt(out_dir / "kde_tcpa_0.csv", delimiter=",", skiprows=1)
         mass = float(np.trapezoid(curve[:, 1], curve[:, 0]))
         assert mass == pytest.approx(1.0, abs=5e-3)

@@ -33,7 +33,6 @@ from colreg_risk.density import (
     _circular_recenter,
     _derivative_norm,
     _distinct_count,
-    _edge_cdf,
     _grid_cv_scores,
     _image_shifts,
     _silverman,
@@ -602,6 +601,22 @@ class TestCircleWrapSkip:
     """Circle samples are wrapped on entry to ``fit`` and the selectors; the
     wrap returns in-range angles with their bits, and a -0.0 as +0.0."""
 
+    @pytest.mark.parametrize("case", sorted(_circle_cases()) + ["large"])
+    def test_recentring_equals_the_plain_expression(self, case):
+        # _circular_recenter reuses its trig and radians buffers; its bits
+        # are those of the plain expression, and its input is left alone.
+        if case == "large":
+            x = np.random.default_rng(54).normal(350.0, 30.0, 100_000)
+        else:
+            x = _circle_cases()[case]
+        before = x.copy()
+        rad = np.radians(x)
+        mean = math.degrees(math.atan2(float(np.mean(np.sin(rad))), float(np.mean(np.cos(rad)))))
+        expected = wrap_degrees(x - mean + 180.0)
+        got = _circular_recenter(x)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
+
     @pytest.mark.parametrize("case", sorted(_circle_cases()))
     def test_isj_equals_the_wrapped_path(self, case):
         x = _circle_cases()[case]
@@ -1066,21 +1081,6 @@ class TestSaturationWindow:
         assert band_masses(estimate, edges) == _full_band_masses(estimate, edges)
 
 
-def _recomputed_band_masses(estimate, edges):
-    # band_masses with every edge's CDF computed afresh at every image.
-    data = estimate.samples
-    h = estimate.bandwidth
-    x_min, x_max = float(data.min()), float(data.max())
-    masses = [0.0] * (len(edges) - 1)
-    for shift in _image_shifts(estimate):
-        lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h)
-        for band, edge in enumerate(edges[1:]):
-            upper = _edge_cdf(edge, data, x_min, x_max, shift, h)
-            masses[band] += float(np.mean(upper - lower))
-            lower = upper
-    return masses
-
-
 @st.composite
 def _seam_cases(draw):
     # Circle buffers at and around the 0/360 cut, with bandwidths from far
@@ -1098,14 +1098,32 @@ def _seam_cases(draw):
     return estimate, [0.0, *sorted(inner), 360.0]
 
 
+def _assert_same_bits(got, expected):
+    assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
+
 class TestSeamReuse:
+    # The reference is the plain expression, which calls no part of the
+    # kernel: ndtr on every kernel at every image, each edge's CDF computed
+    # afresh, and np.mean(upper - lower) per band.
+
     @settings(max_examples=300)
     @given(_seam_cases())
     def test_equals_recomputed_cdfs(self, case):
         estimate, edges = case
-        got = band_masses(estimate, edges)
-        expected = _recomputed_band_masses(estimate, edges)
-        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+        _assert_same_bits(band_masses(estimate, edges), _full_band_masses(estimate, edges))
+
+    @pytest.mark.parametrize("n", [density_module._NDTR_CHUNK + 1, 40_000])
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_equals_recomputed_cdfs_past_one_ndtr_chunk(self, n, topology):
+        # More kernels than one ndtr chunk, so the live kernels span chunks
+        # and the last is partial; on the circle the buffer crosses the cut
+        # and the seam CDF serves image 360.
+        rng = np.random.default_rng(n)
+        estimate = fit(rng.normal(0.0, 4.0, n) % 360.0, 0.7, topology)
+        for edges in ((0.0, 5.0, 112.5, 247.5, 355.0, 360.0), (0.0, 3.0, 350.0, 360.0),
+                      (1.0, 359.0)):
+            _assert_same_bits(band_masses(estimate, edges), _full_band_masses(estimate, edges))
 
     def test_one_cdf_serves_the_seam(self, monkeypatch):
         # Edge 360 at image 0 is edge 0 at image 360: one call fewer, and

@@ -1,5 +1,5 @@
 import math
-
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +27,7 @@ from colreg_risk.density import TooFewSamples
 from colreg_risk.kinematics import cpa_arrays
 from colreg_risk.sampling import draw_pair
 
-from scenarios import DIAG, OWN_1, OWN_2, OWN_3, TARGET_1, TARGET_2, TARGET_3, ZONE
+from scenarios import DIAG, N_FULL, OWN_1, OWN_2, OWN_3, SEED, TARGET_1, TARGET_2, TARGET_3, ZONE
 
 EXACT = StateUncertainty(0.0, 0.0, 0.0, 0.0)
 
@@ -225,6 +225,50 @@ class TestDesPath:
         assert a.situation is not None
         joint_total = math.fsum(a.situation.joint.values())
         assert joint_total == pytest.approx(1.0, abs=1e-9)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced during the call above those live before it).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array the call creates, its outputs included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """One worker's short-lived arrays at n = 100k: scenario 3 at alpha = 5,
+    as ``run`` assesses it, in n-float64 columns (800 kB each).
+
+    The bounds sit about 0.7 column above the measured peaks (numpy 2.4.6,
+    scipy 1.17.1): 5.25 columns for ``encounter_buffers`` (its five outputs
+    and the geometry's scratch) and 4.56 for the density step, where the
+    kernels writing fresh temporaries reached 11.1 and 6.7 columns.
+    """
+
+    COLUMN = N_FULL * 8
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return draw_pair(OWN_3, EXACT, TARGET_3, make_uncertainty(DIAG, 5.0), N_FULL, SEED)
+
+    def test_encounter_buffers(self, batch):
+        _, peak = _traced_peak(encounter_buffers, batch)
+        assert peak <= 6.0 * self.COLUMN, f"{peak / self.COLUMN:.2f} columns"
+
+    def test_density_step(self, batch):
+        buf = encounter_buffers(batch)
+        _, peak = _traced_peak(estimator._kde, buf, ZONE, N_FULL, SEED)
+        assert peak <= 5.25 * self.COLUMN, f"{peak / self.COLUMN:.2f} columns"
 
 
 class TestKdePath:

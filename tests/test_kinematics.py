@@ -18,6 +18,7 @@ from colreg_risk import (
 )
 from colreg_risk.kinematics import (
     REL_SPEED_SQ_EPS,
+    _WRAP_BLOCK,
     bearing_arrays,
     cpa_arrays,
     place_target,
@@ -25,7 +26,7 @@ from colreg_risk.kinematics import (
     wrap_degrees,
 )
 
-from scenarios import OWN_1, OWN_2, TARGET_1
+from scenarios import OWN_1, OWN_2, OWN_3, TARGET_1, TARGET_3
 
 
 def random_state(rng):
@@ -304,22 +305,6 @@ class TestReciprocalCourse:
         np.testing.assert_array_equal(arr, [-180.0, -180.0])
 
 
-def _cpa_arrays_always_filled(north_j, east_j, course_j, speed_j,
-                              north_k, east_k, course_k, speed_k):
-    # cpa_arrays with its three degenerate-pair fills run on every batch.
-    vjn, vje = velocity_arrays(course_j, speed_j)
-    vkn, vke = velocity_arrays(course_k, speed_k)
-    dvn, dve = vjn - vkn, vje - vke
-    rel_sq = dvn * dvn + dve * dve
-    rel_sq[np.isinf(rel_sq)] = np.nan
-    degenerate = rel_sq <= REL_SPEED_SQ_EPS
-    dpn, dpe = north_j - north_k, east_j - east_k
-    tcpa = -(dpn * dvn + dpe * dve) / np.where(degenerate, 1.0, rel_sq)
-    dcpa = np.hypot(dpn + dvn * tcpa, dpe + dve * tcpa)
-    return (np.where(degenerate, np.inf, tcpa),
-            np.where(degenerate, np.hypot(dpn, dpe), dcpa), degenerate)
-
-
 class TestArrayKernels:
     def test_wrap_degrees_edge(self):
         assert wrap_degrees(-1e-16) == 0.0
@@ -366,7 +351,7 @@ class TestArrayKernels:
         if n_degenerate:
             assert (tcpa[-1], dcpa[-1]) == (math.inf, math.hypot(10, 10))
         # Skipping the fills when no pair is degenerate keeps every bit.
-        for got, expected in zip((tcpa, dcpa, degenerate), _cpa_arrays_always_filled(*columns)):
+        for got, expected in zip((tcpa, dcpa, degenerate), _plain_cpa_arrays(*columns)):
             np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
     def test_cpa_arrays_mark_overflow_nan(self):
@@ -453,6 +438,14 @@ class TestWrapDegrees:
         x = np.concatenate([rng.uniform(-720.0, 720.0, 100_000),
                             [v for v in _MOD_EDGES if -720.0 <= v < 720.0]])
         np.testing.assert_array_equal(_bits(wrap_degrees(x)), _bits(_read_as_zero(x % 360.0)))
+
+    @pytest.mark.parametrize("shape", [(3 * _WRAP_BLOCK + 5,), (700, 41), (3, 5000, 2)])
+    def test_shift_blocks_of_any_shape(self, shape):
+        # The shift steps run in blocks along the first axis, on C-ordered
+        # arrays and on transposed (non-contiguous) views.
+        x = np.random.default_rng(sum(shape)).uniform(-720.0, 720.0, shape)
+        for arr in (x, x.T):
+            np.testing.assert_array_equal(_bits(wrap_degrees(arr)), _bits(_read_as_zero(arr % 360.0)))
 
     def test_other_types_take_the_remainder(self):
         for x in (np.array([-1, 725, 360]), np.array([-1.5, 400.0], dtype=np.float32),
@@ -564,6 +557,106 @@ class TestConstantVessel:
         assert vn.strides == ve.strides == (0,)
         np.testing.assert_array_equal(_bits(vn), _bits(_per_sample(velocity_arrays, *own[2:])[0]))
         np.testing.assert_array_equal(_bits(ve), _bits(_per_sample(velocity_arrays, *own[2:])[1]))
+
+
+def _plain_velocity(course, speed):
+    rad = np.radians(course)
+    return speed * np.cos(rad), speed * np.sin(rad)
+
+
+def _plain_cpa_arrays(north_j, east_j, course_j, speed_j, north_k, east_k, course_k, speed_k):
+    # cpa_arrays as plain expressions, one new array per step, with its
+    # three degenerate-pair fills run on every batch.
+    vjn, vje = _plain_velocity(course_j, speed_j)
+    vkn, vke = _plain_velocity(course_k, speed_k)
+    dvn, dve = vjn - vkn, vje - vke
+    rel_sq = dvn * dvn + dve * dve
+    rel_sq[np.isinf(rel_sq)] = np.nan
+    degenerate = rel_sq <= REL_SPEED_SQ_EPS
+    dpn, dpe = north_j - north_k, east_j - east_k
+    tcpa = -(dpn * dvn + dpe * dve) / np.where(degenerate, 1.0, rel_sq)
+    dcpa = np.hypot(dpn + dvn * tcpa, dpe + dve * tcpa)
+    return (np.where(degenerate, np.inf, tcpa),
+            np.where(degenerate, np.hypot(dpn, dpe), dcpa), degenerate)
+
+
+def _plain_bearing_arrays(north_j, east_j, course_j, north_k, east_k):
+    return wrap_degrees(np.degrees(np.arctan2(east_k - east_j, north_k - north_j)) - course_j)
+
+
+def _drawn_columns(exact_own, n=4000):
+    # Scenario 3's pair at five times its diagonal: the own ship exactly
+    # known (stride-0 columns, as draw returns them) or drawn too.
+    sigmas = StateUncertainty(50.0, 50.0, 10.0, 10.0)
+    own = draw(OWN_3, StateUncertainty(0.0, 0.0, 0.0, 0.0) if exact_own else sigmas, n, 5)
+    target = draw(TARGET_3, sigmas, n, 6, clamp_speed=False)
+    return [own.north, own.east, own.course, own.speed,
+            target.north, target.east, target.course, target.speed]
+
+
+def _special_rows(columns):
+    # The columns with target rows spliced in against scenario 3's own ship,
+    # whose columns stay stride-0 views where they were: degenerate pairs
+    # (matched velocities, and a speed 1e-6 m/s off), pairs whose |dv|^2
+    # overflows, and offsets of +0.0 and -0.0 (coincident positions too).
+    rows = [
+        (15.0, 25.0, OWN_3.course, OWN_3.speed),
+        (-300.0, 40.0, OWN_3.course, OWN_3.speed + 1e-6),
+        (1000.0, 0.0, 180.0, 1e300),
+        (1e5, -1e5, 155.0, 1e200),
+        (0.0, 0.0, 90.0, 5.0),
+        (-0.0, 0.0, 200.0, 3.0),
+        (0.0, -0.0, 10.0, 3.0),
+        (-0.0, -0.0, 335.0, 9.0),
+        (50.0, 0.0, 180.0, 5.0),
+        (-0.0, 80.0, 0.0, -0.0),
+    ]
+    n = columns[0].size + len(rows)
+    at = np.linspace(0, columns[0].size, len(rows), endpoint=False).astype(int)
+    own_values = (OWN_3.north, OWN_3.east, OWN_3.course, OWN_3.speed)
+    spliced = []
+    for i, column in enumerate(columns):
+        if column.strides == (0,):
+            spliced.append(np.broadcast_to(column[0], (n,)))
+        else:
+            values = [r[i - 4] for r in rows] if i >= 4 else [own_values[i]] * len(rows)
+            spliced.append(np.insert(column, at, values))
+    return spliced
+
+
+class TestInPlaceKernels:
+    """The in-place kernels give the plain expressions' bits on every row."""
+
+    @pytest.mark.parametrize("exact_own", [True, False])
+    @pytest.mark.parametrize("special", [False, True])
+    def test_cpa_and_bearings_equal_the_plain_expressions(self, exact_own, special):
+        cols = _drawn_columns(exact_own)
+        if special:
+            cols = _special_rows(cols)
+        j, k = cols[:4], cols[4:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cpa_arrays(*j, *k)
+            expected = _plain_cpa_arrays(*j, *k)
+            bearings = (bearing_arrays(*j[:3], *k[:2]), bearing_arrays(*k[:3], *j[:2]))
+            plain_bearings = (_plain_bearing_arrays(*j[:3], *k[:2]),
+                              _plain_bearing_arrays(*k[:3], *j[:2]))
+        assert [c.strides == (0,) for c in cols] == [exact_own] * 4 + [False] * 4
+        if special:
+            assert got[2].sum() == 2 and np.isnan(got[0]).sum() == np.isnan(got[1]).sum() == 2
+        for g, e in zip((*got[:2], *bearings), (*expected[:2], *plain_bearings)):
+            assert g.shape == e.shape
+            np.testing.assert_array_equal(g.view(np.int64), e.view(np.int64))
+        np.testing.assert_array_equal(got[2], expected[2])
+
+    def test_inputs_are_not_modified(self):
+        cols = _special_rows(_drawn_columns(False, n=50))
+        before = [c.copy() for c in cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cpa_arrays(*cols)
+            bearing_arrays(*cols[:3], *cols[4:6])
+            reciprocal_course(cols[2], cols[6])
+        for c, b in zip(cols, before):
+            np.testing.assert_array_equal(c.view(np.int64), b.view(np.int64))
 
 
 class TestValidation:
