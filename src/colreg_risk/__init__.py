@@ -59,7 +59,6 @@ from .kinematics import (
 )
 from .sampling import (
     SampleBatch,
-    Spread,
     StateSample,
     StateUncertainty,
     TooFewSamples,
@@ -88,7 +87,6 @@ __all__ = [
     "SampleBatch",
     "SituationDistribution",
     "SituationOutcome",
-    "Spread",
     "StateSample",
     "StateUncertainty",
     "TooFewSamples",

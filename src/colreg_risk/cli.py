@@ -65,7 +65,7 @@ from .estimator import (
     propagation_study,
 )
 from .kinematics import CoincidentPositions, VesselState, place_target, relative_bearing
-from .sampling import Spread, StateUncertainty, TooFewSamples, make_uncertainty
+from .sampling import StateUncertainty, TooFewSamples, make_uncertainty
 
 
 class ConfigError(ValueError):
@@ -134,15 +134,19 @@ def _number_list(value, context: str) -> tuple[float, ...]:
     return tuple(_number(v, context) for v in value)
 
 
+def _checked(field: str, build: Callable, *args):
+    """``build(*args)``, whose ValueError becomes a ConfigError naming ``field``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def _parse_state(mapping: dict, context: str) -> VesselState:
     _check_object(mapping, context)
     fields = ("north_m", "east_m", "course_deg", "speed_mps")
     _check_unknown(mapping, set(fields), context)
-    values = _numbers(mapping, fields, context)
-    try:
-        return VesselState(*values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return _checked(context, VesselState, *_numbers(mapping, fields, context))
 
 
 def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
@@ -150,36 +154,13 @@ def _parse_target(mapping: dict, own: VesselState, context: str) -> VesselState:
     if "bearing_deg" in mapping:
         fields = ("bearing_deg", "range_m", "course_deg", "speed_mps")
         _check_unknown(mapping, set(fields), context)
-        values = _numbers(mapping, fields, context)
-        try:
-            return place_target(own, *values)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+        return _checked(context, place_target, own, *_numbers(mapping, fields, context))
     return _parse_state(mapping, context)
 
 
-def _uncertainty(entries: tuple[float, ...], alpha: float, spread: Spread,
-                 field: str) -> StateUncertainty:
-    """``make_uncertainty``; its ValueError becomes a ConfigError naming the
-    field at fault: ``field`` or ``alpha_list`` if one fails alone, else
-    their product overflows."""
-    try:
-        return make_uncertainty(entries, alpha, spread)
-    except ValueError as exc:
-        error = exc
-    # A zero alpha keeps only the entries' checks, zero entries only alpha's.
-    for culprit, args in ((field, (entries, 0.0)),
-                          (f"alpha_list entry {alpha}", ((0.0,) * 4, alpha))):
-        try:
-            make_uncertainty(*args, spread)
-        except ValueError:
-            raise ConfigError(f"{culprit}: {error}") from None
-    raise ConfigError(f"alpha_list: {alpha} times {field} overflows: {error}") from None
-
-
 _CONFIG_FIELDS = {
-    "own_ship", "own_diag", "target", "diag", "alpha_list", "interpretation",
-    "d_act_m", "t_aware_s", "n_samples", "seed", "methods",
+    "own_ship", "own_diag", "target", "diag", "alpha_list", "d_act_m", "t_aware_s",
+    "n_samples", "seed", "methods",
 }
 
 
@@ -198,26 +179,24 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
     diag = _number_list(_require(raw, "diag", "config"), "diag")
     own_diag = _number_list(raw.get("own_diag", (0.0, 0.0, 0.0, 0.0)), "own_diag")
+    dispersions = {"own_diag": own_diag, "diag": diag}
+    # make_uncertainty's checks once per input: entries at alpha 0 here, each
+    # alpha on zero entries below; a product of the two can then only overflow.
+    for field, entries in dispersions.items():
+        _checked(field, make_uncertainty, entries, 0.0)
     alpha_list = _number_list(_require(raw, "alpha_list", "config"), "alpha_list")
     if not alpha_list:
         raise ConfigError("alpha_list: must not be empty")
-    interp_name = raw.get("interpretation", "stddev")
-    try:
-        interpretation = Spread(interp_name)
-    except ValueError:
-        raise ConfigError(
-            f"interpretation: expected 'stddev' or 'variance', got {interp_name!r}"
-        ) from None
+    for alpha in alpha_list:
+        _checked(f"alpha_list entry {alpha}", make_uncertainty, (0.0, 0.0, 0.0, 0.0), alpha)
     uncertainties = tuple(
-        (alpha, _uncertainty(own_diag, alpha, interpretation, "own_diag"),
-         _uncertainty(diag, alpha, interpretation, "diag")) for alpha in alpha_list)
+        (alpha, *(_checked(f"alpha_list: {alpha} times {field} overflows", make_uncertainty,
+                           entries, alpha) for field, entries in dispersions.items()))
+        for alpha in alpha_list)
 
     d_act = _number(_require(raw, "d_act_m", "config"), "d_act_m")
     t_aware = _number(raw.get("t_aware_s", 600.0), "t_aware_s")
-    try:
-        zone = ComfortZone(d_act, t_aware)
-    except ValueError as exc:
-        raise ConfigError(f"d_act_m, t_aware_s: {exc}") from None
+    zone = _checked("d_act_m, t_aware_s", ComfortZone, d_act, t_aware)
 
     n_samples = _number(_require(raw, "n_samples", "config"), "n_samples", integer=True)
     if not 1 <= n_samples <= _MAX_COUNT:
@@ -316,7 +295,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {"seed": args.seed, "n_samples": args.samples,
                  "methods": None if args.method == "both" else [args.method]}
     config = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-    rows = run_scenario(config)
+    # assess owns the density pipeline's sample floor; it raises before drawing.
+    try:
+        rows = run_scenario(config)
+    except TooFewSamples as exc:
+        raise ConfigError(f"n_samples: {exc}") from None
     print(format_table(rows))
     if args.csv:
         _write_csv(args.csv, ["alpha", "method", *(name for name, _ in _RESULT_COLUMNS)],
@@ -380,11 +363,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # Every buffer, curve and bandwidth is computed before the directory is
     # made, so a numeric failure leaves nothing behind.  The study selects no
     # bandwidth, so its ValueError is a bad flag value, never ZeroDispersion.
-    try:
-        study = propagation_study(bearings, args.range, args.samples, args.seed)
-    except ValueError as exc:
-        raise ConfigError(f"--bearings {args.bearings!r}, --range {args.range}, "
-                          f"--samples {args.samples}, --seed {args.seed}: {exc}") from None
+    study = _checked(f"--bearings {args.bearings!r}, --range {args.range}, "
+                     f"--samples {args.samples}, --seed {args.seed}",
+                     propagation_study, bearings, args.range, args.samples, args.seed)
     buffers = [
         (name, _format_bearing(bearing), values, topology)
         for bearing, b in study.items()

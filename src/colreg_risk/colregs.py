@@ -50,7 +50,7 @@ class Region(IntEnum):
 # head-on band wraps through north.
 BAND_EDGES: tuple[float, ...] = (5.0, 112.5, 247.5, 355.0)
 _BAND_REGIONS = (Region.HEAD_ON, Region.STARBOARD, Region.OVERTAKING, Region.PORT, Region.HEAD_ON)
-_BAND_REGION_CODES = np.array(_BAND_REGIONS, dtype=np.int64)
+_BAND_REGION_CODES = np.array(_BAND_REGIONS, dtype=np.uint8)
 # All band edges over [0, 360], for band integrals of a bearing density.
 BEARING_BANDS: tuple[float, ...] = (0.0, *BAND_EDGES, 360.0)
 # Courses within this many degrees of reciprocal make every bearing head-on.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +28,6 @@ from .kinematics import VesselState, _wrap_owned
 
 class TooFewSamples(ValueError):
     """Raised when an operation needs more samples than were provided."""
-
-
-class Spread(Enum):
-    """How diagonal dispersion entries are interpreted."""
-
-    STD_DEV = "stddev"
-    VARIANCE = "variance"
 
 
 @dataclass(frozen=True)
@@ -60,16 +52,10 @@ class StateUncertainty:
             object.__setattr__(self, name, abs(value))  # numpy rejects a -0.0 scale
 
 
-def make_uncertainty(
-    diag: Sequence[float],
-    alpha: float,
-    interpretation: Spread | str = Spread.STD_DEV,
-) -> StateUncertainty:
-    """Scale a 4-entry dispersion diagonal by ``alpha``.
-
-    With ``Spread.STD_DEV`` (or its value ``"stddev"``) the entries are
-    standard deviations and scale linearly (sigma = alpha * d); with
-    ``Spread.VARIANCE`` they are variances (sigma = sqrt(alpha * d)).
+def make_uncertainty(diag: Sequence[float], alpha: float) -> StateUncertainty:
+    """Scale a 4-entry diagonal of standard deviations by ``alpha``, each
+    sigma = alpha * d; a count other than 4, a negative or non-finite entry
+    or alpha, or a product that is not a finite sigma is a ValueError.
     """
     entries = [float(v) for v in diag]
     if len(entries) != 4:
@@ -78,11 +64,7 @@ def make_uncertainty(
         raise ValueError("dispersion entries and alpha must be finite")
     if alpha < 0.0 or any(v < 0.0 for v in entries):
         raise ValueError("dispersion entries and alpha must be >= 0")
-    if Spread(interpretation) is Spread.STD_DEV:
-        sigmas = [alpha * v for v in entries]
-    else:
-        sigmas = [float(np.sqrt(alpha * v)) for v in entries]
-    return StateUncertainty(*sigmas)
+    return StateUncertainty(*(alpha * v for v in entries))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,22 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == 2
         assert "t_act_s" in capsys.readouterr().err
 
+    def test_interpretation_is_an_unknown_field(self, tmp_path, scenario1_raw, capsys):
+        # diag entries are standard deviations; no field reads them otherwise.
+        scenario1_raw["interpretation"] = "stddev"
+        path = write_config(tmp_path, scenario1_raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown field(s) ['interpretation']" in capsys.readouterr().err
+
+    def test_readme_config_example_parses(self):
+        # The README's one JSON block documents every config field.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+        assert len(blocks) == 1
+        raw = json.loads(blocks[0])
+        assert set(raw) == cli._CONFIG_FIELDS
+        parse_config(raw)
+
 
 class TestRunCommand:
     def test_run_small_sample(self, tmp_path, scenario1_raw, capsys):
@@ -313,7 +331,7 @@ class TestRunCommand:
         path = write_config(tmp_path, scenario1_raw)
         assert main(["run", "--config", str(path), "--samples", "999"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: density pipeline needs n >= 1000")
+        assert err.startswith("config error: n_samples: density pipeline needs n >= 1000")
         assert draws == []
 
     def test_method_restriction(self, tmp_path, scenario1_raw, capsys):

@@ -252,7 +252,8 @@ class TestWorkingSet:
     The bounds sit about 0.7 column above the measured peaks (numpy 2.4.6,
     scipy 1.17.1): 5.25 columns for ``encounter_buffers`` (its five outputs
     and the geometry's scratch) and 4.56 for the density step, where the
-    kernels writing fresh temporaries reached 11.1 and 6.7 columns.
+    kernels writing fresh temporaries reached 11.1 and 6.7 columns, and
+    1.38 for the counting step, which reached 4.13 with int64 region codes.
     """
 
     COLUMN = N_FULL * 8
@@ -269,6 +270,11 @@ class TestWorkingSet:
         buf = encounter_buffers(batch)
         _, peak = _traced_peak(estimator._kde, buf, ZONE, N_FULL, SEED)
         assert peak <= 5.25 * self.COLUMN, f"{peak / self.COLUMN:.2f} columns"
+
+    def test_counting_step(self, batch):
+        buf = encounter_buffers(batch)
+        _, peak = _traced_peak(estimator._des, buf, ZONE, N_FULL, SEED)
+        assert peak <= 2.0 * self.COLUMN, f"{peak / self.COLUMN:.2f} columns"
 
 
 class TestKdePath:

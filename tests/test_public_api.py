@@ -11,11 +11,9 @@ import colreg_risk
 from colreg_risk import (
     ComfortZone,
     Method,
-    Spread,
     StateUncertainty,
     VesselState,
     assess,
-    make_uncertainty,
 )
 from colreg_risk.density import (
     Topology,
@@ -79,7 +77,6 @@ _ENUM_READERS = {
     "bandwidth_isj": (lambda t: bandwidth_isj(_ANGLES, t), Topology),
     "bandwidth_grid_cv": (lambda t: bandwidth_grid_cv(_ANGLES, 1.0, 20.0, 1.0, 4, t), Topology),
     "select_bandwidth": (lambda t: select_bandwidth(_ANGLES, t), Topology),
-    "make_uncertainty": (lambda s: make_uncertainty((10, 10, 2, 2), 4.0, s), Spread),
     "assess": (_assessed, Method),
 }
 
@@ -89,7 +86,7 @@ _ENUM_READERS = {
     [(name, member) for name, (_, enum) in _ENUM_READERS.items() for member in enum],
 )
 def test_enum_value_name_reads_as_member(reader, member):
-    # A value name such as "line" or "stddev" is the member it names; one
+    # A value name such as "line" or "kde" is the member it names; one
     # that names no member is an error, not whichever branch it falls into.
     read = _ENUM_READERS[reader][0]
     assert read(member.value) == read(member)

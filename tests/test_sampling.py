@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colreg_risk
 from colreg_risk import (
-    Spread,
     StateUncertainty,
     TooFewSamples,
     VesselState,
@@ -41,15 +41,10 @@ def _columns(batch):
 
 class TestMakeUncertainty:
     def test_stddev_scaling(self):
-        unc = make_uncertainty((10, 10, 2, 2), 0.1, Spread.STD_DEV)
+        unc = make_uncertainty((10, 10, 2, 2), 0.1)
         assert (unc.sigma_north, unc.sigma_east, unc.sigma_course, unc.sigma_speed) == (
             pytest.approx(1.0), pytest.approx(1.0), pytest.approx(0.2), pytest.approx(0.2)
         )
-
-    def test_variance_scaling(self):
-        unc = make_uncertainty((10, 10, 2, 2), 1.0, Spread.VARIANCE)
-        assert unc.sigma_north == pytest.approx(math.sqrt(10))
-        assert unc.sigma_course == pytest.approx(math.sqrt(2))
 
     def test_zero_alpha(self):
         assert make_uncertainty((10, 10, 2, 2), 0.0) == StateUncertainty(0, 0, 0, 0)
@@ -74,8 +69,6 @@ class TestMakeUncertainty:
             make_uncertainty((10, 10, 2, 2), bad)
         with pytest.raises(ValueError, match="finite"):
             make_uncertainty((10, bad, 2, 2), 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            make_uncertainty((10, bad, 2, 2), 1.0, Spread.VARIANCE)
         for position in range(4):
             sigmas = [1.0, 1.0, 1.0, 1.0]
             sigmas[position] = bad
@@ -85,6 +78,12 @@ class TestMakeUncertainty:
     def test_scaling_overflow_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             make_uncertainty((10, 10, 2, 2), 1e308)
+
+    def test_entries_are_standard_deviations_only(self):
+        # One reading of the entries: no enum or argument selects another.
+        assert not hasattr(colreg_risk, "Spread")
+        with pytest.raises(TypeError):
+            make_uncertainty((10, 10, 2, 2), 4.0, "variance")
 
 
 def _row(batch, i):
