@@ -9,10 +9,10 @@ Subcommands:
   placements and dumps raw buffers plus fitted density curves as CSV.
 * ``selftest`` runs the embedded deterministic invariants.
 
-Exit codes: 0 success, 1 failed selftest, 2 config error (``ConfigError``,
-``TooFewSamples``), 3 numeric failure (``ZeroDispersion``,
-``FixedPointFailure``, ``FloatingPointError``, ``MemoryError``), 4 output
-I/O failure (``OSError``).  The commands raise; ``main`` alone maps an
+Exit codes: 0 success, 1 failed selftest, 2 config error (``ConfigError``),
+3 numeric failure (``ZeroDispersion``, ``FixedPointFailure``,
+``FloatingPointError``, ``MemoryError``), 4 output I/O failure
+(``OSError``).  The commands raise; ``main`` alone maps an
 exception to its exit code and its one stderr line.
 ``COLREG_RISK_THREADS`` caps the worker threads of ``run`` (one task per
 alpha) and of ``analyze`` (one task per exported buffer); 0 or unset means
@@ -351,6 +351,12 @@ def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
     return cells, xs, ys
 
 
+def _finite_tcpa(tcpa: np.ndarray) -> np.ndarray:
+    # The finite TCPAs: the column itself when all are, with no n-sized copy.
+    finite = np.isfinite(tcpa)
+    return tcpa if finite.all() else tcpa[finite]
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         bearings = [float(b) for b in args.bearings.split(",") if b.strip() != ""]
@@ -370,11 +376,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         (name, _format_bearing(bearing), values, topology)
         for bearing, b in study.items()
         for name, values, topology in (
-            ("tcpa", b.tcpa[np.isfinite(b.tcpa)], Topology.LINE),
+            ("tcpa", _finite_tcpa(b.tcpa), Topology.LINE),
             ("dcpa", b.dcpa, Topology.LINE),
             ("bearing", b.bearing_jk, Topology.CIRCLE360),
         )
     ]
+    # Only the three exported columns per bearing stay live through the pool.
+    del study
     # Every export needs two samples per buffer, a rule the library checks.
     try:
         outputs = _pool_map(lambda buffer: _density_outputs(*buffer[2:], args.bandwidth),
@@ -554,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TooFewSamples) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ZeroDispersion, FixedPointFailure, FloatingPointError, MemoryError) as exc:

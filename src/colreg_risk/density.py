@@ -35,9 +35,12 @@ from .kinematics import _wrap_owned, wrap_degrees
 from .sampling import TooFewSamples
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Block size cap (elements) of the cross-validation distance matrices:
-# about 62 test rows against analyze's 1600 training samples.
+# Block size cap (elements) of the float32 cross-validation blocks: 62 test
+# rows against analyze's 1600 training samples, 397 kB per block.
 _CHUNK_BUDGET = 100_000
+# Row-group cap (elements) of the float64 squared distances that fill a
+# float32 block: 10 rows of 1600, 128 kB.
+_DIST_CHUNK = 16_384
 # Block size (elements) of evaluate's buffers, small enough to stay in cache.
 _EVAL_BLOCK = 32_768
 # float64 exp(x) is exactly 0.0 for x below about -745.13; exp is slow to
@@ -134,7 +137,9 @@ def fit(
     """Fit a Gaussian-kernel density with the given bandwidth.
 
     Circle-topology samples are wrapped into [0, 360) on entry, which
-    makes a -0.0 +0.0; line samples are copied.
+    makes a -0.0 +0.0.  Line samples are copied unless they arrive as a
+    read-only float64 array (an ``EncounterBuffers`` column, say), which
+    the estimate keeps as it is.
 
     Raises:
         TooFewSamples: fewer than two samples.
@@ -145,7 +150,10 @@ def fit(
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     topology = Topology(topology)
-    arr = wrap_degrees(arr) if topology is Topology.CIRCLE360 else arr.copy()
+    if topology is Topology.CIRCLE360:
+        arr = wrap_degrees(arr)
+    elif arr.flags.writeable:
+        arr = arr.copy()
     arr.setflags(write=False)
     return DensityEstimate(arr, float(bandwidth), topology)
 
@@ -590,6 +598,11 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology | str = Topology.
     arr = _line_view(_as_samples(samples, 50), topology)
     ordered = np.sort(arr)
     pilot = _silverman(arr, ordered)
+    n_points = arr.size
+    n_unique = _distinct_count(ordered)
+    # Each array is released once read, so the Brent solve below holds
+    # only the stage tables.
+    del arr
 
     n_bins = _ISJ_BINS
     lo = float(ordered[0]) - 3.0 * pilot
@@ -600,12 +613,17 @@ def bandwidth_isj(samples: Iterable[float], topology: Topology | str = Topology.
     edges = np.linspace(lo, hi, n_bins + 1)
     if not np.all(edges[1:] > edges[:-1]):
         raise FixedPointFailure(f"range {span!r} too narrow for {n_bins} bins at {hi!r}")
-    rel_freq = _bin_counts(ordered, edges) / arr.size
+    rel_freq = _bin_counts(ordered, edges) / n_points
+    del ordered, edges
 
-    coeffs = dct(rel_freq, type=2)
-    a_sq = (coeffs[1:] / 2.0) ** 2
+    # a_i^2 = (c_i / 2)^2 in the DCT's own buffer: the same two operations,
+    # in place.
+    a_sq = dct(rel_freq, type=2)[1:]
+    del rel_freq
+    a_sq /= 2.0
+    np.square(a_sq, out=a_sq)
     tables = _stage_tables(a_sq)
-    n_unique = _distinct_count(ordered)
+    del a_sq
 
     t_star = None
     bracket_hi = 0.01
@@ -699,36 +717,60 @@ def bandwidth_grid_cv(
 def _grid_cv_scores(arr: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
     """Mean held-out log-likelihood of each grid bandwidth over the folds.
 
-    The test rows of a fold go through in blocks of at most _CHUNK_BUDGET
-    distances (at least one row), so the distance matrices take a few such
-    blocks (about 2 MB) whatever the sample count.  Each row's
-    log-likelihood lands in a (grid.size, test.size) array and each grid
+    The test rows of a fold go through in float32 blocks of at most
+    _CHUNK_BUDGET distances (at least one row).  A block's squared
+    distances are formed in float64 row groups of at most _DIST_CHUNK
+    elements (at least one row), shifted by each row's minimum and rounded
+    into the block as ``astype`` rounds.  The buffers are allocated once
+    per call, sized for the largest fold, and every fold and block takes
+    views of them: the float32 block and its kernel terms, the float64 row
+    group, the row minima, the (grid.size, test.size) log-likelihood rows
+    and the fold mask.  At analyze's capped size (2000 samples, 30
+    candidates, 5 folds) the call peaks at about 1.2 MB.  Each row's terms
+    take the same operations whatever the block and group, and each grid
     row is summed once per fold, so neither a row's sum nor the fold sum
-    depends on the block size.
+    depends on either size.
     """
     order = np.random.default_rng(0).permutation(arr.size)
     fold_chunks = np.array_split(order, folds)
     scores = np.zeros(grid.size)
     log_norms = np.log(grid * _SQRT_2PI)
+    # array_split puts the larger folds first: fold 0 has the most test
+    # rows and the last fold leaves the most training samples.
+    max_test = fold_chunks[0].size
+    max_train = arr.size - fold_chunks[-1].size
+    rows = min(max_test, max(1, _CHUNK_BUDGET // max_train))
+    group = min(rows, max(1, _DIST_CHUNK // max_train))
+    block_buf = np.empty(rows * max_train, dtype=np.float32)
+    z_buf = np.empty_like(block_buf)
+    dist_buf = np.empty(group * max_train)
+    row_min_buf = np.empty(rows)
+    ll_buf = np.empty(grid.size * max_test)
+    mask = np.empty(arr.size, dtype=bool)
     for test_idx in fold_chunks:
-        mask = np.ones(arr.size, dtype=bool)
+        mask.fill(True)
         mask[test_idx] = False
         train = arr[mask]
         test = arr[test_idx]
-        ll = np.empty((grid.size, test.size))
-        rows = max(1, _CHUNK_BUDGET // max(1, train.size))
+        ll = ll_buf[: grid.size * test.size].reshape(grid.size, test.size)
         for start in range(0, test.size, rows):
-            stop = start + rows
-            d_sq = (test[start:stop, None] - train[None, :]) ** 2
-            # Shift by the per-row minimum distance: the exponent stays in
-            # (-inf, 0] with at least one unit term per row, so the plain
-            # log-sum is as stable as logsumexp at a fraction of the cost
-            # and single precision suffices for the kernel sums.
-            row_min = d_sq.min(axis=1, keepdims=True)
-            d_sq -= row_min
-            row_min = row_min[:, 0]
-            shifted = d_sq.astype(np.float32)
-            z = np.empty_like(shifted)
+            stop = min(start + rows, test.size)
+            n_rows = stop - start
+            shifted = block_buf[: n_rows * train.size].reshape(n_rows, train.size)
+            z = z_buf[: shifted.size].reshape(shifted.shape)
+            row_min = row_min_buf[:n_rows]
+            for r0 in range(0, n_rows, group):
+                r1 = min(r0 + group, n_rows)
+                d_sq = dist_buf[: (r1 - r0) * train.size].reshape(r1 - r0, train.size)
+                np.subtract(test[start + r0:start + r1, None], train[None, :], out=d_sq)
+                np.square(d_sq, out=d_sq)
+                # Shift by the per-row minimum distance: the exponent stays
+                # in (-inf, 0] with at least one unit term per row, so the
+                # plain log-sum is as stable as logsumexp at a fraction of
+                # the cost and single precision suffices for the kernel sums.
+                np.min(d_sq, axis=1, out=row_min[r0:r1])
+                d_sq -= row_min[r0:r1, None]
+                np.copyto(shifted[r0:r1], d_sq)
             for gi, h in enumerate(grid):
                 inv = -0.5 / (h * h)
                 with np.errstate(over="ignore"):  # -inf is clamped next

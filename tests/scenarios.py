@@ -8,9 +8,12 @@ the true-north frame.
 The oracles below (bearing, region, situation table) are transcribed
 independently of the library, with literal band edges, so the agreement
 tests cannot pass by sharing the library's own definitions.
+
+``traced_peak`` measures a call's working set for the tests that bound it.
 """
 
 import math
+import tracemalloc
 
 from colreg_risk import ComfortZone, Obligation, Region, Rule, VesselState
 
@@ -75,3 +78,21 @@ def reference_region(beta, psi_own, psi_other):
     if 112.5 < beta <= 247.5:
         return OT
     return PS
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced during the call above those live before it).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array the call creates, its outputs included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()

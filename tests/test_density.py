@@ -42,6 +42,8 @@ from colreg_risk.density import (
 )
 from colreg_risk.kinematics import wrap_degrees
 
+from scenarios import traced_peak
+
 
 def brute_pdf(samples, h, x, shifts=(0.0,)):
     total = 0.0
@@ -111,6 +113,21 @@ class TestFitEvaluate:
         xs = np.array([-1e-17, -1e-300, 0.0])
         assert evaluate(d, xs).tobytes() == np.full(3, evaluate(d, 0.0)).tobytes()
         assert [evaluate(d, x).hex() for x in xs] == [evaluate(d, 0.0).hex()] * 3
+
+    def test_read_only_line_samples_are_kept(self):
+        # An EncounterBuffers column is read-only: the estimate holds it as
+        # it is, with no n-sized copy.
+        ro = np.linspace(-2.0, 2.0, 400)
+        ro.setflags(write=False)
+        assert np.shares_memory(fit(ro, 0.3).samples, ro)
+
+    def test_writeable_line_samples_are_copied(self):
+        x = np.linspace(-2.0, 2.0, 400)
+        estimate = fit(x, 0.3)
+        before = (evaluate(estimate, 0.5), integrate(estimate, -1.0, 1.0))
+        x[:] = 7.0
+        assert estimate.samples.tobytes() == np.linspace(-2.0, 2.0, 400).tobytes()
+        assert (evaluate(estimate, 0.5), integrate(estimate, -1.0, 1.0)) == before
 
     def test_point_mass_peak(self):
         d = fit(np.zeros(100), 1.0)
@@ -324,6 +341,17 @@ class TestSilverman:
 
 
 class TestIsj:
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_working_set_at_10k(self, topology):
+        # Measured 1.05 MB (numpy 2.4.6, scipy 1.17.1): the six stage tables
+        # and the scratch row (7 x 131 kB) and the DCT terms.  With the bin
+        # edges, frequencies, DCT coefficients and sorted copy held through
+        # the Brent solve it was 1.54 MB on the line and 1.61 on the circle.
+        # The bound leaves about 2.7 grid-sized arrays of margin.
+        x = np.random.default_rng(49).normal(180.0, 20.0, 10_000)
+        _, peak = traced_peak(bandwidth_isj, x, topology)
+        assert peak <= 1.4e6, f"{peak / 1e6:.2f} MB"
+
     def test_close_to_silverman_for_gaussian(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal(100_000)
@@ -1217,19 +1245,42 @@ class TestGridCv:
         assert np.array_equal(_grid_cv_scores(samples, grid, folds), want)
         assert bandwidth_grid_cv(samples, lo, hi, step, folds) == grid[np.argmax(want)]
 
-    @pytest.mark.parametrize("rows", ["one", "seven", "whole fold"])
-    def test_scores_independent_of_block_size(self, monkeypatch, rows):
-        # Blocks of one row, of about seven rows and of the whole fold (the
-        # 4M-element budget once used) give the same bits.  The small grid
-        # start clamps most kernel terms.
+    @pytest.mark.parametrize("constant, rows", [
+        pytest.param("_CHUNK_BUDGET", "one", id="one"),
+        pytest.param("_CHUNK_BUDGET", "seven", id="seven"),
+        pytest.param("_CHUNK_BUDGET", "whole fold", id="whole fold"),
+        pytest.param("_DIST_CHUNK", "one", id="float64 group of one"),
+        pytest.param("_DIST_CHUNK", "three", id="float64 group of three"),
+        pytest.param("_DIST_CHUNK", "whole block", id="float64 group of the whole block"),
+    ])
+    def test_scores_independent_of_block_size(self, monkeypatch, constant, rows):
+        # Float32 blocks of one row, of seven rows and of the whole
+        # fold (the 4M-element budget once used), and float64 row groups of
+        # one row, of three rows (the last group of a 121-row fold holds
+        # one) and of the whole block, give the same bits.  The largest
+        # training set sizes the buffers.  The small grid start clamps most
+        # kernel terms.
         rng = np.random.default_rng(48)
         x = np.concatenate([rng.standard_normal(450), 1e3 + rng.standard_cauchy(153)])
         grid = np.arange(0.002, 0.6, 0.06)
-        train_size = x.size - np.array_split(np.arange(x.size), 5)[0].size
-        budget = {"one": 1, "seven": 7 * train_size, "whole fold": 4_000_000}[rows]
-        monkeypatch.setattr(density_module, "_CHUNK_BUDGET", budget)
+        train_size = x.size - np.array_split(np.arange(x.size), 5)[-1].size
+        budget = {"one": 1, "seven": 7 * train_size, "three": 3 * train_size,
+                  "whole fold": 4_000_000, "whole block": density_module._CHUNK_BUDGET}[rows]
+        monkeypatch.setattr(density_module, constant, budget)
         got = _grid_cv_scores(x, grid, 5)
         assert np.array_equal(got, _reference_grid_cv_scores(x, grid, 5))
+
+    def test_working_set_at_analyze_capped_size(self):
+        # analyze's capped buffers: 2000 samples, 30 candidates, 5 folds.
+        # Measured 1.19 MB (numpy 2.4.6): the two float32 blocks of 62 x
+        # 1600 distances (397 kB each), the float64 row group (128 kB), the
+        # log-likelihood rows (96 kB) and the fold's copies.  Fresh blocks
+        # per fold and block, with the float64 block beside them, reached
+        # 2.64 MB.  The bound leaves about one float32 block of margin.
+        x = np.random.default_rng(50).standard_normal(2000)
+        grid = np.arange(1, 31) * 0.01
+        _, peak = traced_peak(_grid_cv_scores, x, grid, 5)
+        assert peak <= 1.6e6, f"{peak / 1e6:.2f} MB"
 
     def test_single_candidate(self):
         rng = np.random.default_rng(45)
