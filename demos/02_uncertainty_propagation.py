@@ -20,7 +20,7 @@ print(f"{'bearing':>8} {'tcpa mean':>10} {'tcpa sd':>9} {'dcpa mean':>10} "
       f"{'dcpa sd':>9} {'KS p(tcpa)':>11}")
 for bearing in bearings:
     buffers = study[bearing]
-    tcpa = buffers.tcpa[np.isfinite(buffers.tcpa)]
+    tcpa = buffers.finite_tcpa()
     _, p = ks_normality(tcpa)
     print(f"{bearing:>8.0f} {np.mean(tcpa):>10.1f} {np.std(tcpa):>9.1f} "
           f"{np.mean(buffers.dcpa):>10.1f} {np.std(buffers.dcpa):>9.1f} {p:>11.2e}")
@@ -41,7 +41,7 @@ try:
     fig, axes = plt.subplots(1, 3, figsize=(13, 3.5))
     for bearing in bearings:
         buffers = study[bearing]
-        tcpa = np.clip(buffers.tcpa[np.isfinite(buffers.tcpa)], -500, 500)
+        tcpa = np.clip(buffers.finite_tcpa(), -500, 500)
         axes[0].hist(tcpa, bins=120, alpha=0.4, label=f"{bearing:.0f}")
         axes[1].hist(buffers.dcpa, bins=120, alpha=0.4)
         axes[2].hist(buffers.bearing_jk, bins=120, alpha=0.4)

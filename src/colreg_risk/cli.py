@@ -351,12 +351,6 @@ def _density_outputs(values: np.ndarray, topology: Topology, selector: str):
     return cells, xs, ys
 
 
-def _finite_tcpa(tcpa: np.ndarray) -> np.ndarray:
-    # The finite TCPAs: the column itself when all are, with no n-sized copy.
-    finite = np.isfinite(tcpa)
-    return tcpa if finite.all() else tcpa[finite]
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         bearings = [float(b) for b in args.bearings.split(",") if b.strip() != ""]
@@ -376,7 +370,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         (name, _format_bearing(bearing), values, topology)
         for bearing, b in study.items()
         for name, values, topology in (
-            ("tcpa", _finite_tcpa(b.tcpa), Topology.LINE),
+            ("tcpa", b.finite_tcpa(), Topology.LINE),
             ("dcpa", b.dcpa, Topology.LINE),
             ("bearing", b.bearing_jk, Topology.CIRCLE360),
         )

@@ -160,11 +160,12 @@ _RULE_INDEX, _OBLIGATION = np.divmod(_EVENT_CODE, 2)
 
 def situation_masses(joint: np.ndarray) -> tuple[np.ndarray, float]:
     """P(rule) in RULE_VALUES order and the give-way mass of a 4x4 region-pair
-    joint, each summed over the cells in row-major order."""
+    joint, each summed over the cells in row-major order and clamped at 1.0,
+    which a sum of masses totalling one can pass by rounding."""
     cells = joint.ravel()
     p_rule = np.bincount(_RULE_INDEX.ravel(), weights=cells, minlength=len(RULE_VALUES))
     give_way = np.bincount(_OBLIGATION.ravel(), weights=cells, minlength=2)
-    return p_rule, float(give_way[Obligation.GIVE_WAY])
+    return np.minimum(p_rule, 1.0, out=p_rule), min(float(give_way[Obligation.GIVE_WAY]), 1.0)
 
 
 def event_counts(joint_counts: np.ndarray) -> np.ndarray:

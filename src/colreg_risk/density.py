@@ -306,17 +306,8 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
     scratch = np.empty(data.size)
     cdfs = [np.empty(data.size), np.empty(data.size)]
     masses = [0.0] * (len(edges) - 1)
-    # With a first edge of 0, the last edge c at image 0 and the first edge
-    # at image c give every kernel z = fl(c - x) / h, so one CDF serves both:
-    # on the circle, edge 360 at shift 0 is edge 0 at shift 360.  Image 360
-    # directly follows image 0, so the seam is read before its buffer takes
-    # another CDF.
-    seam = None
     for shift in _image_shifts(estimate):
-        if seam is not None and shift == edges[-1]:
-            lower = seam
-        else:
-            lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h, cdfs[0], scratch)
+        lower = _edge_cdf(edges[0], data, x_min, x_max, shift, h, cdfs[0], scratch)
         for band, edge in enumerate(edges[1:]):
             out = cdfs[1] if lower is cdfs[0] else cdfs[0]
             upper = _edge_cdf(edge, data, x_min, x_max, shift, h, out, scratch)
@@ -326,8 +317,6 @@ def band_masses(estimate: DensityEstimate, edges: Sequence[float]) -> list[float
                 diff = np.subtract(upper, lower, out=scratch)
             masses[band] += float(np.mean(diff))
             lower = upper
-        if shift == 0.0 and edges[0] == 0.0:
-            seam = lower
     return masses
 
 

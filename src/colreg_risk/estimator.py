@@ -71,6 +71,16 @@ class EncounterBuffers:
     bearing_kj: np.ndarray
     course_delta: np.ndarray
 
+    def finite_tcpa(self) -> np.ndarray:
+        """The non-degenerate pairs' TCPAs in sample order, read-only: the
+        column itself when no pair is degenerate, else a new array."""
+        finite = np.isfinite(self.tcpa)
+        if finite.all():
+            return self.tcpa
+        tcpa = self.tcpa[finite]
+        tcpa.setflags(write=False)
+        return tcpa
+
 
 def encounter_buffers(batch: SampleBatch) -> EncounterBuffers:
     """Vectorised CPA/bearing evaluation of a sampled batch.
@@ -163,14 +173,10 @@ def _situation(own: np.ndarray, other: np.ndarray, joint: np.ndarray) -> Situati
 def _kde(buf: EncounterBuffers, zone: ComfortZone, n: int, seed: int) -> RiskAssessment:
     """The density pipeline's step on one batch's buffers (see ``assess_kde``)."""
     p_risk = _line_probability(buf.dcpa, zone.at_risk, 0.0, zone.d_act)
-    finite = np.isfinite(buf.tcpa)
-    p_window = float(np.mean(~finite)) * zone.in_window(math.inf)
-    if finite.any():
-        # Every TCPA finite: the buffer itself, with no n-sized copy.
-        tcpa = buf.tcpa if finite.all() else buf.tcpa[finite]
-        p_window += float(np.mean(finite)) * _line_probability(
-            tcpa, zone.in_window, 0.0, zone.t_aware
-        )
+    tcpa = buf.finite_tcpa()
+    p_window = (n - tcpa.size) / n * zone.in_window(math.inf)
+    if tcpa.size:
+        p_window += tcpa.size / n * _line_probability(tcpa, zone.in_window, 0.0, zone.t_aware)
     p_course_opposed = _line_probability(
         buf.course_delta, course_head_on, -HEAD_ON_COURSE_DEG, HEAD_ON_COURSE_DEG
     )

@@ -105,9 +105,9 @@ def wrap_degrees(angle: float | np.ndarray) -> float | np.ndarray:
     return 0.0 if wrapped >= 360.0 else wrapped
 
 
-def _wrap_owned(angle: np.ndarray) -> np.ndarray:
-    # wrap_degrees of an array the caller owns and gives up: the shift path
-    # wraps it in place, the remainder path returns a new array.
+def _wrap_owned(angle: float | np.ndarray) -> float | np.ndarray:
+    # wrap_degrees of a float, or of an array the caller owns and gives up:
+    # the shift path wraps it in place, the remainder path returns a new value.
     wrapped = _shift_wrap(angle, angle)
     return wrap_degrees(angle) if wrapped is None else wrapped
 
@@ -222,9 +222,8 @@ def reciprocal_course(
 
     Zero means exactly reciprocal courses; identical courses map to -180.
     """
-    delta = psi_j - psi_k
     # An array delta is a new array: it is wrapped and shifted in place.
-    delta = _wrap_owned(delta) if isinstance(delta, np.ndarray) else wrap_degrees(delta)
+    delta = _wrap_owned(psi_j - psi_k)
     delta -= 180.0
     return delta
 

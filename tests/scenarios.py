@@ -9,11 +9,14 @@ The oracles below (bearing, region, situation table) are transcribed
 independently of the library, with literal band edges, so the agreement
 tests cannot pass by sharing the library's own definitions.
 
-``traced_peak`` measures a call's working set for the tests that bound it.
+``traced_peak`` measures a call's working set for the tests that bound it,
+and ``load_tracer`` loads the benchmark tracer from its file, unchanged.
 """
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 from colreg_risk import ComfortZone, Obligation, Region, Rule, VesselState
 
@@ -96,3 +99,12 @@ def traced_peak(fn, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def load_tracer():
+    """``perfbench/tracer.py`` as a module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -34,7 +34,6 @@ from colreg_risk.density import (
     _derivative_norm,
     _distinct_count,
     _grid_cv_scores,
-    _image_shifts,
     _silverman,
     _sorted_quantile,
     _stage_tables,
@@ -1152,26 +1151,6 @@ class TestSeamReuse:
         for edges in ((0.0, 5.0, 112.5, 247.5, 355.0, 360.0), (0.0, 3.0, 350.0, 360.0),
                       (1.0, 359.0)):
             _assert_same_bits(band_masses(estimate, edges), _full_band_masses(estimate, edges))
-
-    def test_one_cdf_serves_the_seam(self, monkeypatch):
-        # Edge 360 at image 0 is edge 0 at image 360: one call fewer, and
-        # only on the circle with a first edge of 0.
-        calls = []
-        real = density_module._edge_cdf
-
-        def counted(edge, *args):
-            calls.append(edge)
-            return real(edge, *args)
-
-        monkeypatch.setattr(density_module, "_edge_cdf", counted)
-        rng = np.random.default_rng(53)
-        edges = (0.0, 5.0, 112.5, 247.5, 355.0, 360.0)
-        for topology, first, saved in ((Topology.CIRCLE360, 0.0, 1), (Topology.CIRCLE360, 1.0, 0),
-                                       (Topology.LINE, 0.0, 0)):
-            estimate = fit(rng.normal(0.0, 3.0, 500) % 360.0, 0.4, topology)
-            calls.clear()
-            band_masses(estimate, (first, *edges[1:]))
-            assert len(calls) == len(edges) * _image_shifts(estimate).size - saved
 
 
 def _reference_grid_cv_scores(arr, grid, folds):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from colreg_risk import (
     CoincidentPositions,
     ComfortZone,
+    EncounterBuffers,
     Method,
     Rule,
     StateUncertainty,
@@ -22,7 +23,7 @@ from colreg_risk import (
     run_once,
 )
 from colreg_risk import estimator
-from colreg_risk.density import TooFewSamples
+from colreg_risk.density import TooFewSamples, fit
 from colreg_risk.kinematics import cpa_arrays
 from colreg_risk.sampling import draw_pair
 
@@ -112,6 +113,59 @@ class TestBuffers:
         column = getattr(encounter_buffers(batch), field)
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
+
+
+@st.composite
+def _tcpa_columns(draw):
+    # A read-only TCPA column, as encounter_buffers leaves it, with no, some
+    # or only degenerate pairs (+inf).
+    share = draw(st.sampled_from(["none", "some", "all"]))
+    n = draw(st.integers(2 if share == "some" else 1, 300))
+    degenerate = {"none": [False] * n, "all": [True] * n}.get(share) or draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)
+        .filter(lambda mask: any(mask) and not all(mask))
+    )
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n, max_size=n))
+    tcpa = np.where(degenerate, math.inf, values)
+    tcpa.setflags(write=False)
+    return share, tcpa
+
+
+class TestFiniteTcpa:
+    # The parallel pair of TestKdePath at n = 100k: 24.8% of the pairs are
+    # degenerate.
+    @pytest.fixture(scope="class")
+    def buf(self):
+        unc = StateUncertainty(20.0, 20.0, 0.0, 1e-4)
+        return encounter_buffers(draw_pair(TestKdePath._PARALLEL_OWN, EXACT,
+                                           TestKdePath._PARALLEL_TARGET, unc, N_FULL, 3))
+
+    @settings(max_examples=200)
+    @given(_tcpa_columns())
+    def test_is_the_finite_column_read_only(self, case):
+        share, tcpa = case
+        other = np.zeros(tcpa.size)
+        got = EncounterBuffers(tcpa, other, other, other, other).finite_tcpa()
+        expected = tcpa[np.isfinite(tcpa)]
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        # With no degenerate pair it is the column itself, with no copy.
+        assert np.shares_memory(got, tcpa) == (share == "none")
+
+    def test_fit_keeps_it_without_a_copy(self, buf):
+        # fit keeps a read-only float64 line input as it is; a fresh mask
+        # result used to be copied once more (0.75 n-columns here).
+        tcpa = buf.finite_tcpa()
+        assert 0.2 < 1.0 - tcpa.size / N_FULL < 0.3
+        _, peak = traced_peak(fit, tcpa, 1.0)
+        assert peak <= 0.2 * N_FULL * 8, f"{peak / (N_FULL * 8):.2f} columns"
+
+    def test_window_keeps_its_bits(self):
+        kde, = estimator.assess(TestKdePath._PARALLEL_OWN, EXACT, TestKdePath._PARALLEL_TARGET,
+                                StateUncertainty(20.0, 20.0, 0.0, 1e-4),
+                                ComfortZone(150.0, math.inf), N_FULL, 3, ("kde",))
+        assert kde.p_tcpa_window == 0.623759999999958
 
 
 _DEGENERATE_OWN = VesselState(0.0, 0.0, 45.0, 7.0)
@@ -309,6 +363,26 @@ class TestKdePath:
     def test_needs_enough_samples(self):
         with pytest.raises(TooFewSamples):
             assess_kde(OWN_1, EXACT, TARGET_1, make_uncertainty(DIAG, 1.0), ZONE, 500, seed=8)
+
+    @pytest.mark.parametrize("own, target, alpha, seed, rule", [
+        # A near-parallel pair and two pairs near a band edge, with an
+        # exactly known own ship: the joint's cells for one rule sum to
+        # 1.0000000000000002, and the give-way mass of the second too.
+        (VesselState(0.0, 0.0, 347.68669758310466, 5.420591039438763),
+         VesselState(-582.3860513999379, 222.92771068738722, 346.89977620245656,
+                     5.328777436503647), 0.5, 4259040706448863540, Rule.R13),
+        (VesselState(0.0, 0.0, 20.31480662713811, 9.397102865699997),
+         VesselState(1980.7297146574501, 875.035508473237, 234.28576706206002,
+                     7.1880225628924155), 1.5, 2737336670534304376, Rule.R15),
+        (VesselState(0.0, 0.0, 21.427495834011772, 7.372085722792717),
+         VesselState(1918.0982451128623, 602.5455854168981, 157.7417648824961,
+                     10.593135851400415), 2.0, 107891674213493202, Rule.R15),
+    ], ids=["near_parallel", "band_edge_give_way", "band_edge"])
+    def test_rule_masses_stay_at_most_one(self, own, target, alpha, seed, rule):
+        a = assess_kde(own, EXACT, target, make_uncertainty(DIAG, alpha), ZONE, 10_000, seed)
+        assert a.p_rule[rule] == 1.0
+        assert max(a.p_rule.values()) <= 1.0
+        assert a.p_give_way <= a.p_risk
 
     def test_risk_matches_empirical_fraction(self):
         unc = make_uncertainty(DIAG, 1.0)

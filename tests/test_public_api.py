@@ -25,6 +25,8 @@ from colreg_risk.density import (
     select_bandwidth,
 )
 
+from scenarios import load_tracer
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -134,3 +136,31 @@ def test_one_angle_remainder():
                 mod360_bindings.append(path.stem)
     assert remainders == [("kinematics", "wrap_degrees")]
     assert mod360_bindings == []
+
+
+def test_every_import_is_read():
+    # A name a module imports and never reads is dead code.  The exceptions
+    # are the names the benchmark tracer wraps in that module's namespace,
+    # and the package's re-exports, which __all__ names.
+    wrapped = {}
+    for layer, namespaces, _ in load_tracer().LAYERS:
+        for namespace in namespaces:
+            wrapped.setdefault(namespace, set()).add(layer.rsplit(".", 1)[1])
+    unread = []
+    for path in sorted((ROOT / "src" / "colreg_risk").glob("*.py")):
+        namespace = "colreg_risk" if path.stem == "__init__" else f"colreg_risk.{path.stem}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        read = set(wrapped.get(namespace, ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        unread.extend(f"{namespace}.{name}" for name in sorted(imported - read))
+    assert unread == []

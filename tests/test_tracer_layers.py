@@ -10,28 +10,16 @@ installs it.
 """
 
 import importlib
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 import colreg_risk
 from colreg_risk import cli, make_uncertainty
 
-from scenarios import DIAG, OWN_2, TARGET_2, ZONE
+from scenarios import DIAG, OWN_2, TARGET_2, ZONE, load_tracer
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACER_MODULE = _tracer_module()
+TRACER_MODULE = load_tracer()
 LAYERS = TRACER_MODULE.LAYERS
 
 
